@@ -1,34 +1,20 @@
-"""Exact word counting by big-integer matrix-vector products.
+"""Exact word counting by big-integer vector-matrix products.
 
 A counting system is (A, i, f): the adjacency matrix of a trimmed
 automaton graph, an initial indicator row vector, and a final column
 vector (possibly with multiplicities).  The number of words of length n
 is then i . A^n . f, with A^0 the identity, so the length-0 term is just
-i . f.  Exactness is the point: everything here is arbitrary-precision
-integer arithmetic, off-limits to floating point.
+i . f.  Each step walks the nonzero entries of A, kept per row as
+(column, entry) pairs, so it costs O(edges) rather than O(states^2).
+Exactness is the point: everything here is arbitrary-precision integer
+arithmetic, off-limits to floating point.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .automata import Dfa, LabeledGraph, trim
-
-
-def _mat_vec(matrix, column):
-    return tuple(sum(a * x for a, x in zip(row, column)) for row in matrix)
-
-
-def _vec_mat(row, matrix):
-    if not matrix:
-        return ()
-    n = len(matrix)
-    return tuple(
-        sum(row[i] * matrix[i][j] for i in range(n)) for j in range(len(matrix[0]))
-    )
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def _identity(n):
@@ -72,6 +58,13 @@ class CountVectors:
     def n(self) -> int:
         return len(self.initial)
 
+    @cached_property
+    def rows(self) -> tuple:
+        """Per matrix row, the (column, entry) pairs of its nonzero entries."""
+        return tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in self.matrix
+        )
+
     @classmethod
     def from_dfa(cls, dfa: Dfa, trimmed: bool = True) -> "CountVectors":
         """Counting system for a DFA's language.
@@ -101,11 +94,17 @@ class CountVectors:
 
 
 def length_counts(cv: CountVectors):
-    """Yield |W_0|, |W_1|, ... forever; one matrix-vector product per step."""
-    row = cv.initial
+    """Yield |W_0|, |W_1|, ... forever; one vector-matrix product per step."""
+    rows = cv.rows
+    vector = cv.initial
     while True:
-        yield _dot(row, cv.final)
-        row = _vec_mat(row, cv.matrix)
+        yield sum(x * f for x, f in zip(vector, cv.final))
+        nxt = [0] * len(vector)
+        for x, row in zip(vector, rows):
+            if x:
+                for j, a in row:
+                    nxt[j] += x * a
+        vector = nxt
 
 
 def cumulative_counts(cv: CountVectors):
@@ -162,34 +161,32 @@ def residue_language(cv: CountVectors, q: int, k: int) -> CountVectors:
         raise ValueError("k must satisfy 0 <= k < q")
     new_final = cv.final
     for _ in range(k):
-        new_final = _mat_vec(cv.matrix, new_final)
+        new_final = tuple(sum(a * new_final[j] for j, a in row) for row in cv.rows)
     return CountVectors(matrix_power(cv.matrix, q), cv.initial, new_final)
+
+
+def _reach(seeds, neighbours) -> set:
+    seen = set(seeds)
+    queue = list(seen)
+    while queue:
+        for j in neighbours[queue.pop()]:
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return seen
 
 
 def trim_system(cv: CountVectors) -> CountVectors:
     """Drop states that cannot contribute: unreachable from the support
     of the initial vector or unable to reach the support of the final
     vector through nonzero matrix entries."""
-    n = cv.n
-    succ = {i: [j for j in range(n) if cv.matrix[i][j]] for i in range(n)}
-    pred = {j: [i for i in range(n) if cv.matrix[i][j]] for j in range(n)}
-
-    forward = {i for i in range(n) if cv.initial[i]}
-    queue = list(forward)
-    while queue:
-        i = queue.pop()
-        for j in succ[i]:
-            if j not in forward:
-                forward.add(j)
-                queue.append(j)
-    backward = {i for i in range(n) if cv.final[i]}
-    queue = list(backward)
-    while queue:
-        j = queue.pop()
-        for i in pred[j]:
-            if i not in backward:
-                backward.add(i)
-                queue.append(i)
+    succ = [[j for j, _a in row] for row in cv.rows]
+    pred = [[] for _ in succ]
+    for i, targets in enumerate(succ):
+        for j in targets:
+            pred[j].append(i)
+    forward = _reach((i for i, x in enumerate(cv.initial) if x), succ)
+    backward = _reach((i for i, x in enumerate(cv.final) if x), pred)
 
     keep = sorted(forward & backward)
     matrix = tuple(tuple(cv.matrix[i][j] for j in keep) for i in keep)

@@ -74,12 +74,9 @@ def _tarjan(vertices, successors) -> list:
     return out
 
 
-def _has_self_loop(graph: LabeledGraph, vertex) -> bool:
-    return any(src == vertex and dst == vertex for src, _s, dst in graph.edges)
-
-
 def _is_trivial(graph: LabeledGraph, component) -> bool:
-    return len(component) == 1 and not _has_self_loop(graph, next(iter(component)))
+    vertex, *others = component
+    return not others and vertex not in graph.successors[vertex]
 
 
 def component_period(graph: LabeledGraph, component) -> int:

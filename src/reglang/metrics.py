@@ -31,11 +31,9 @@ from .automata import (
     harmonize_all,
     minimize,
     shortest_accepted,
-    trim,
 )
-from .counting import CountVectors, length_counts
+from .counting import CountVectors, count_len, count_upto, length_counts
 from .errors import ConvergenceError, DuplicateLanguageError
-from .graphs import scc_decompose
 from .spectral import ENTROPY_EPS, language_entropy
 
 METRIC_NAMES = ("jn_exact", "jn_cum", "cesaro", "entropy", "entropy_sum")
@@ -78,27 +76,17 @@ def jaccard_exact_n(d1: Dfa, d2: Dfa, n: int) -> Fraction:
     """Jaccard distance restricted to words of length exactly n,
     |W_n(sym diff)| / |W_n(union)|, and 0 when the denominator is 0."""
     _a, _b, sym, uni = _pair_dfas(d1, d2)
-    num = _count_at(sym, n, cumulative=False)
-    den = _count_at(uni, n, cumulative=False)
+    num = count_len(CountVectors.from_dfa(sym), n)
+    den = count_len(CountVectors.from_dfa(uni), n)
     return Fraction(num, den) if den else Fraction(0)
 
 
 def jaccard_cum_n(d1: Dfa, d2: Dfa, n: int) -> Fraction:
     """Jaccard distance over words of length at most n."""
     _a, _b, sym, uni = _pair_dfas(d1, d2)
-    num = _count_at(sym, n, cumulative=True)
-    den = _count_at(uni, n, cumulative=True)
+    num = count_upto(CountVectors.from_dfa(sym), n)
+    den = count_upto(CountVectors.from_dfa(uni), n)
     return Fraction(num, den) if den else Fraction(0)
-
-
-def _count_at(dfa: Dfa, n: int, cumulative: bool) -> int:
-    gen = length_counts(CountVectors.from_dfa(dfa))
-    total = 0
-    value = 0
-    for _ in range(n + 1):
-        value = next(gen)
-        total += value
-    return total if cumulative else value
 
 
 def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> DistanceResult:
@@ -114,9 +102,11 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     diagnostics = {"sequence": config.sequence}
 
     shortcut_allowed = config.sequence == "cum" and config.mode in ("auto", "analytic")
+    if config.mode != "empirical":
+        sym_report, uni_report = language_entropy(sym), language_entropy(uni)
     if shortcut_allowed:
-        h_sym = language_entropy(sym).entropy_bits
-        h_uni = language_entropy(uni).entropy_bits
+        h_sym = sym_report.entropy_bits
+        h_uni = uni_report.entropy_bits
         h_int = language_entropy(combine(a, b, "intersect")).entropy_bits
         diagnostics.update(
             entropy_sym_diff=h_sym, entropy_union=h_uni, entropy_intersection=h_int
@@ -137,10 +127,7 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     cumulative = config.sequence == "cum"
 
     if config.mode != "empirical":
-        q = lcm(
-            scc_decompose(trim(sym)).residue_period,
-            scc_decompose(trim(uni)).residue_period,
-        )
+        q = lcm(*(c.period for c in sym_report.components + uni_report.components))
         limits, deltas, terms = _per_residue_limits(
             sym_cv, uni_cv, q, config, cumulative
         )
@@ -191,14 +178,17 @@ def _per_residue_limits(sym_cv, uni_cv, q, config: CesaroConfig, cumulative):
     """Estimate lim J_{q m + k} for each residue class k.
 
     A class counts as settled once `consecutive` successive values agree
-    within `tol`.  Returns (limits, last_deltas, terms), with limits None
-    if any class is still moving after m has reached the cap.
+    within `tol` and the term index exceeds both state counts, so that a
+    plateau over the short lengths is not taken for the limit.  Returns
+    (limits, last_deltas, terms), with limits None if any class is still
+    moving after m has reached the cap.
     """
     last = [None] * q
     delta = [None] * q
     streak = [0] * q
     settled = [False] * q
     cap_terms = q * config.residue_m_cap
+    transient = max(sym_cv.n, uni_cv.n)
     stream = _ratio_stream(sym_cv, uni_cv, cumulative)
     i = 0
     for value in stream:
@@ -209,8 +199,7 @@ def _per_residue_limits(sym_cv, uni_cv, q, config: CesaroConfig, cumulative):
             delta[k] = abs(value - previous)
         if previous is not None and delta[k] < config.tol:
             streak[k] += 1
-            if streak[k] >= config.consecutive:
-                settled[k] = True
+            settled[k] = streak[k] >= config.consecutive and i > transient
         else:
             streak[k] = 0
             settled[k] = False
@@ -288,7 +277,8 @@ def separating_n(dfas) -> int:
     pseudo-metric separates the whole set.
 
     Equals the longest among the shortest witnesses of pairwise symmetric
-    differences; never exceeds `separating_bound` for distinct inputs.
+    differences; never exceeds `separating_bound` for distinct inputs
+    (the tests check that bound).
     """
     if len(dfas) < 2:
         return 0
@@ -302,7 +292,6 @@ def separating_n(dfas) -> int:
                     f"languages {i} and {j} are equal; separation is impossible"
                 )
             worst = max(worst, witness)
-    assert worst <= separating_bound(dfas)
     return worst
 
 

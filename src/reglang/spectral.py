@@ -3,9 +3,10 @@
 The growth rate of a regular language, in bits per symbol, is the log
 base 2 of the largest spectral radius among the strongly connected
 components of its essential graph.  Radii are computed by power
-iteration on the component submatrix raised to its period, which makes
-the iterated matrix aperiodic and the min/max ratio bounds converge
-geometrically from both sides.
+iteration on each component's internal edge arrays: one step applies the
+component matrix A `period` times with `np.bincount`, so the iterated
+A^period is aperiodic and the min/max ratio bounds converge geometrically
+from both sides, while A^period itself is never formed.
 """
 
 import math
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Dfa, LabeledGraph, essential, trim
-from .counting import matrix_power
+from .automata import Dfa, LabeledGraph, trim
 from .errors import ConvergenceError
 from .graphs import component_period, scc_decompose
 
@@ -57,15 +57,15 @@ def classify_radius(radius: float) -> str:
     return "expanding"
 
 
-def _perron_root(block: np.ndarray, tol: float, max_iter: int, start=None):
-    """Largest eigenvalue of a non-negative matrix whose diagonal blocks
-    are primitive with a common dominant eigenvalue.
+def _perron_root(step, n: int, tol: float, max_iter: int, start=None):
+    """Largest eigenvalue of the n x n non-negative matrix B that `step`
+    multiplies a vector by, where B's diagonal blocks are primitive with
+    a common dominant eigenvalue.
 
     Uses power iteration with two-sided ratio bounds: for a positive
     vector v, min_i (Bv)_i / v_i and max_i (Bv)_i / v_i bracket the
     dominant eigenvalue, and the bracket collapses geometrically.
     """
-    n = block.shape[0]
     if start is None:
         v = np.ones(n)
     else:
@@ -73,7 +73,7 @@ def _perron_root(block: np.ndarray, tol: float, max_iter: int, start=None):
         if v.shape != (n,) or (v <= 0).any():
             raise ValueError("start vector must be strictly positive")
     for iteration in range(1, max_iter + 1):
-        w = block @ v
+        w = step(v)
         ratios = w / v
         low = float(ratios.min())
         high = float(ratios.max())
@@ -98,12 +98,18 @@ def component_spectrum(
     """Perron root of one strongly connected component, with diagnostics."""
     vertices = tuple(sorted(component))
     period = component_period(graph, component)
-    idx = graph.vertex_index
-    positions = [idx[v] for v in vertices]
-    matrix = graph.matrix
-    sub = tuple(tuple(matrix[i][j] for j in positions) for i in positions)
-    block = np.asarray(matrix_power(sub, period), dtype=float)
-    root, iterations, residual = _perron_root(block, tol, max_iter, start=start)
+    pos = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    src, dst = np.array(
+        [(pos[s], pos[d]) for s, _sym, d in graph.edges if s in pos and d in pos]
+    ).T
+
+    def step(v):
+        for _ in range(period):
+            v = np.bincount(src, weights=v[dst], minlength=n)
+        return v
+
+    root, iterations, residual = _perron_root(step, n, tol, max_iter, start=start)
     radius = root ** (1.0 / period) if period > 1 else root
     return ComponentSpectrum(vertices, period, radius, iterations, residual)
 
@@ -136,9 +142,13 @@ def language_entropy(dfa: Dfa, tol: float = POWER_TOL) -> SpectralReport:
     """Entropy of a DFA's language in bits per symbol.
 
     Empty and finite languages report entropy 0; otherwise the value is
-    log2 of the dominant component radius of the essential graph.
+    log2 of the dominant component radius of the essential graph.  The
+    trim graph is analysed directly: peeling it down to the essential
+    graph only removes vertices outside every cycle, so both graphs have
+    the same nontrivial components, internal edges and periods, hence
+    the same spectrum.
     """
-    return analyze_graph(essential(trim(dfa)), tol=tol)
+    return analyze_graph(trim(dfa), tol=tol)
 
 
 def graph_from_matrix(rows, role: str = "trim") -> LabeledGraph:

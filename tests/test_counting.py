@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reglang as rl
 from reglang.counting import (
@@ -22,6 +24,7 @@ from corpus import (
     SHOWCASE_MATRIX,
     showcase_machine,
 )
+from test_graphs import _matrices
 
 
 def system(pattern, alphabet=None):
@@ -91,6 +94,26 @@ def test_trimming_leaves_counts_unchanged(corpus):
         full = CountVectors.from_dfa(lang.dfa, trimmed=False)
         for n in range(13):
             assert count_len(trimmed, n) == count_len(full, n), (lang.name, n)
+
+
+def _with_vectors(rows):
+    vector = st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))
+    return st.tuples(st.just(rows), vector, vector)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(system=_matrices.flatmap(_with_vectors))
+def test_sparse_counts_match_dense_matrix_power(system):
+    rows, initial, final = system
+    cv = CountVectors(tuple(map(tuple, rows)), tuple(initial), tuple(final))
+    for n in range(11):
+        power = matrix_power(cv.matrix, n)
+        dense = sum(
+            initial[i] * power[i][j] * final[j]
+            for i in range(cv.n)
+            for j in range(cv.n)
+        )
+        assert count_len(cv, n) == dense, n
 
 
 # --- admissible-block path counts ---------------------------------------------

@@ -138,6 +138,22 @@ def test_cesaro_intersection_shortcut(by_name):
     assert result.value == 1.0
 
 
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        ("(a|b)*a(a|b){4}", "(a|b)*", 0.5),
+        ("(a|b){5}(a|b)*", "(a|b)*a", 0.5),
+        ("(a|b)*a(a|b){7}", "(a|b)*a(a|b){6}", 2 / 3),
+    ],
+)
+def test_cesaro_sees_past_the_short_length_plateau(left, right, expected):
+    # the Jaccard sequence sits still over the lengths shorter than the
+    # suffix (or prefix) window, far from its limit
+    result = rl.cesaro_jaccard(rl.dfa_from_regex(left), rl.dfa_from_regex(right))
+    assert result.mode == "per-residue"
+    assert result.value == pytest.approx(expected, abs=1e-6)
+
+
 def test_cesaro_empirical_mode(by_name):
     config = CesaroConfig(mode="empirical")
     result = rl.cesaro_jaccard(by_name["all_ab"].dfa, by_name["even_ab"].dfa, config)

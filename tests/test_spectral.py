@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reglang as rl
 from reglang.counting import CountVectors, count_len, count_upto
 from reglang.spectral import (
     ENTROPY_EPS,
+    analyze_graph,
     classify_radius,
     component_spectrum,
     graph_from_matrix,
@@ -104,6 +107,34 @@ def test_lambda_classes_partition(corpus):
         else:
             assert report.spectral_radius >= 1.0 - 1e-9
         assert report.spectral_radius <= len(lang.alphabet) + 1e-9
+
+
+def test_trim_and_essential_graphs_have_one_spectrum(corpus):
+    for lang in corpus:
+        graph = rl.trim(lang.dfa)
+        assert analyze_graph(graph) == analyze_graph(rl.essential(graph)), lang.name
+
+
+_dfas = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.builds(
+        rl.Dfa,
+        st.just(("a", "b")),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            min_size=n,
+            max_size=n,
+        ).map(tuple),
+        st.frozensets(st.integers(0, n - 1)),
+        st.integers(0, n - 1),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(dfa=_dfas)
+def test_trim_and_essential_graphs_have_one_spectrum_on_random_dfas(dfa):
+    graph = rl.trim(dfa)
+    assert analyze_graph(graph) == analyze_graph(rl.essential(graph))
 
 
 def test_classify_radius_boundaries():
