@@ -72,7 +72,7 @@ def build_parser() -> _Parser:
     distance.add_argument("--metric", required=True, choices=sorted(_METRIC_CODES))
     distance.add_argument("--n", type=int, default=None)
     distance.add_argument(
-        "--mode", choices=("auto", "empirical", "analytic"), default="auto"
+        "--mode", choices=("auto", "analytic"), default="auto"
     )
     distance.add_argument("--tol", type=float, default=1e-9)
     distance.add_argument("--alphabet", default=None)
@@ -85,7 +85,7 @@ def build_parser() -> _Parser:
     matrix.add_argument("--file", required=True)
     matrix.add_argument("--n", type=int, default=None)
     matrix.add_argument(
-        "--mode", choices=("auto", "empirical", "analytic"), default="auto"
+        "--mode", choices=("auto", "analytic"), default="auto"
     )
     matrix.add_argument("--tol", type=float, default=1e-9)
     matrix.add_argument("--alphabet", default=None)

@@ -2,19 +2,18 @@
 
 Finite-horizon Jaccard distances (at a fixed length, or cumulative up to
 a length) are exact rationals.  The Cesaro Jaccard distance, the limit
-of running averages of the cumulative distances, is computed in stages:
+of running averages of the cumulative distances, is decided in stages:
 
-1. Analytic shortcut.  If the symmetric difference grows strictly slower
-   than the union the limit is 0; if the intersection does, it is 1.
-   Both follow from comparing entropies, no iteration needed.
-2. Per-residue estimation.  Otherwise word counts along each residue
-   class modulo the combined graph period converge, so each class limit
-   is estimated until successive values stabilize and the answer is the
-   mean of the class limits.
-3. Empirical fallback.  If a class refuses to settle within the cap
-   (slow polynomial regimes do exist), partial Cesaro averages are
-   reported with a trend diagnostic, or a ConvergenceError is raised
-   when even those still drift.
+1. Growth orders.  A language grows like n^(d-1) radius^n, d being the
+   index of the radius (see `spectral`).  The limit is 0 if the
+   symmetric difference has a lower order (radius, d) than the union,
+   and 1 if the intersection does.  No iteration needed.
+2. Exact ties.  If all three share an order with radius at most 1, the
+   limit is an exact ratio of word counts taken past the transient.
+3. Per-residue estimation.  A tie with radius above 1 and d = 1 has
+   convergent Jaccard terms along each residue class modulo the graph
+   period; their limits are iterated until they settle, then averaged.
+   With d > 1 they converge like 1/n, too slowly: ConvergenceError.
 
 The entropy distance and the entropy-sum distance are ratios and sums of
 spectral entropies of boolean combinations.
@@ -22,7 +21,8 @@ spectral entropies of boolean combinations.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import comb, lcm
 
 from .automata import (
     Dfa,
@@ -39,23 +39,23 @@ from .spectral import ENTROPY_EPS, language_entropy
 METRIC_NAMES = ("jn_exact", "jn_cum", "cesaro", "entropy", "entropy_sum")
 
 
+CONSECUTIVE = 3  # successive agreeing values that settle a residue class
+RESIDUE_M_CAP = 5000  # terms per residue class before the estimate gives up
+
+
 @dataclass(frozen=True)
 class CesaroConfig:
-    """Knobs for the staged Cesaro computation.
+    """Settings of the staged Cesaro computation.
 
     `sequence` selects which Jaccard sequence is averaged: "cum" uses the
     cumulative distances (the default and the recommended definition),
     "exact" averages the fixed-length distances instead, which is useful
-    as a diagnostic because the two can disagree.  The analytic shortcut
-    only applies to the cumulative sequence.
+    as a diagnostic because the two can disagree.  Growth orders and
+    exact ties only apply to the cumulative sequence.
     """
 
     tol: float = 1e-9
-    consecutive: int = 3
-    residue_m_cap: int = 5000
-    empirical_n_max: int = 2000
-    empirical_tol: float = 0.02
-    mode: str = "auto"  # "auto" | "analytic" | "empirical"
+    mode: str = "auto"  # "auto" | "analytic" (decided without iteration)
     sequence: str = "cum"  # "cum" | "exact"
 
 
@@ -63,7 +63,7 @@ class CesaroConfig:
 class DistanceResult:
     metric: str
     value: float
-    mode: str  # "exact" | "analytic-shortcut" | "per-residue" | "empirical"
+    mode: str  # "exact" | "analytic-shortcut" | "per-residue"
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -91,7 +91,7 @@ def jaccard_cum_n(d1: Dfa, d2: Dfa, n: int) -> Fraction:
 
 def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> DistanceResult:
     config = config or CesaroConfig()
-    if config.mode not in ("auto", "analytic", "empirical"):
+    if config.mode not in ("auto", "analytic"):
         raise ValueError(f"unknown mode {config.mode!r}")
     if config.sequence not in ("cum", "exact"):
         raise ValueError(f"unknown sequence {config.sequence!r}")
@@ -100,59 +100,75 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     a, b, sym, uni = _pair_dfas(d1, d2)
     metric = "cesaro"
     diagnostics = {"sequence": config.sequence}
-
-    shortcut_allowed = config.sequence == "cum" and config.mode in ("auto", "analytic")
-    if config.mode != "empirical":
-        sym_report, uni_report = language_entropy(sym), language_entropy(uni)
-    if shortcut_allowed:
-        h_sym = sym_report.entropy_bits
-        h_uni = uni_report.entropy_bits
-        h_int = language_entropy(combine(a, b, "intersect")).entropy_bits
-        diagnostics.update(
-            entropy_sym_diff=h_sym, entropy_union=h_uni, entropy_intersection=h_int
-        )
-        if h_uni - h_sym > 10 * ENTROPY_EPS:
-            return DistanceResult(metric, 0.0, "analytic-shortcut", diagnostics)
-        if h_uni - h_int > 10 * ENTROPY_EPS:
-            return DistanceResult(metric, 1.0, "analytic-shortcut", diagnostics)
-        if config.mode == "analytic":
-            raise ConvergenceError(
-                "no analytic shortcut applies: symmetric difference, "
-                "intersection and union all have the same entropy",
-                diagnostics=diagnostics,
-            )
-
-    sym_cv = CountVectors.from_dfa(sym)
-    uni_cv = CountVectors.from_dfa(uni)
     cumulative = config.sequence == "cum"
 
-    if config.mode != "empirical":
-        q = lcm(*(c.period for c in sym_report.components + uni_report.components))
+    sym_report, uni_report = language_entropy(sym), language_entropy(uni)
+    if cumulative:
+        reports = {"sym_diff": sym_report, "union": uni_report}
+        reports["intersection"] = language_entropy(combine(a, b, "intersect"))
+        for name, report in reports.items():
+            diagnostics[f"entropy_{name}"] = report.entropy_bits
+            diagnostics[f"index_{name}"] = report.index
+        if _grows_slower(sym_report, uni_report):
+            return DistanceResult(metric, 0.0, "analytic-shortcut", diagnostics)
+        if _grows_slower(reports["intersection"], uni_report):
+            return DistanceResult(metric, 1.0, "analytic-shortcut", diagnostics)
+
+    sym_cv, uni_cv = CountVectors.from_dfa(sym), CountVectors.from_dfa(uni)
+    q = lcm(*(c.period for c in sym_report.components + uni_report.components))
+    n0 = -(-max(sym_cv.n, uni_cv.n) // q) * q
+    d = uni_report.index
+    diagnostics["residue_period"] = q
+    if cumulative and uni_report.lambda_class != "expanding":
+        limit = _exact_tie_limit(sym_cv, uni_cv, q, n0, d)
+        diagnostics.update(numerator=limit.numerator, denominator=limit.denominator)
+        return DistanceResult(metric, float(limit), "exact", diagnostics)
+
+    if config.mode == "analytic" or (cumulative and d > 1):
+        order = f"radius {uni_report.spectral_radius:.6g}, index {d}"
+        slow = "needs iteration" if d == 1 else "converges too slowly to certify"
+        reason = f"sym, union and intersection all grow as ({order}); the limit {slow}"
+    else:
         limits, deltas, terms = _per_residue_limits(
-            sym_cv, uni_cv, q, config, cumulative
+            sym_cv, uni_cv, q, config.tol, cumulative
         )
         if limits is not None:
             diagnostics.update(
-                residue_period=q,
-                residue_limits=limits,
-                residue_deltas=deltas,
-                terms_used=terms,
+                residue_limits=limits, residue_deltas=deltas, terms_used=terms
             )
-            return DistanceResult(
-                metric, sum(limits) / q, "per-residue", diagnostics
-            )
-        diagnostics.update(residue_period=q, residue_cap_terms=terms)
+            return DistanceResult(metric, sum(limits) / q, "per-residue", diagnostics)
+        diagnostics.update(residue_cap_terms=terms)
+        reason = f"a residue class still moves after {terms} terms"
+    partial = next(islice(_ratio_stream(sym_cv, uni_cv, cumulative), n0 - 1, None))
+    raise ConvergenceError(reason, partial=partial, diagnostics=diagnostics)
 
-    value, trend, half = _empirical_average(sym_cv, uni_cv, config, cumulative)
-    diagnostics.update(n_used=config.empirical_n_max, trend=trend, partial_half=half)
-    if trend >= config.empirical_tol:
-        raise ConvergenceError(
-            f"running averages still drift by {trend:.3g} after "
-            f"{config.empirical_n_max} terms",
-            partial=value,
-            diagnostics=diagnostics,
+
+def _grows_slower(low, high) -> bool:
+    """Whether the growth order (radius, index) of `low` is below `high`'s;
+    radii within 10 * ENTROPY_EPS in log2 count as equal."""
+    gap = high.entropy_bits - low.entropy_bits
+    tie = abs(gap) <= 10 * ENTROPY_EPS
+    return gap > 10 * ENTROPY_EPS or (tie and low.index < high.index)
+
+
+def _exact_tie_limit(sym_cv, uni_cv, q, n0, d) -> Fraction:
+    """lim |sym_<=n| / |union_<=n| for a tie with radius at most 1, index d.
+
+    Past n0 (a multiple of q, at least both matrix sizes) the nilpotent
+    part of a count matrix is spent, and its other eigenvalues are q-th
+    roots of unity of index at most d, so the cumulative count S(n0 + q m)
+    is a polynomial of degree d in m.  The limit is the ratio of the two
+    d-th differences in m, |sym| / |union| when d = 0 (a finite union).
+    """
+
+    def leading(cv):
+        return sum(
+            (-1) ** (d - k) * comb(d, k) * count_upto(cv, n0 + q * k)
+            for k in range(d + 1)
         )
-    return DistanceResult(metric, value, "empirical", diagnostics)
+
+    den = leading(uni_cv)
+    return Fraction(leading(sym_cv), den) if den else Fraction(0)
 
 
 def _ratio_stream(sym_cv: CountVectors, uni_cv: CountVectors, cumulative: bool):
@@ -174,20 +190,20 @@ def _ratio_stream(sym_cv: CountVectors, uni_cv: CountVectors, cumulative: bool):
         yield (num / den) if den else 0.0
 
 
-def _per_residue_limits(sym_cv, uni_cv, q, config: CesaroConfig, cumulative):
+def _per_residue_limits(sym_cv, uni_cv, q, tol, cumulative):
     """Estimate lim J_{q m + k} for each residue class k.
 
-    A class counts as settled once `consecutive` successive values agree
+    A class counts as settled once CONSECUTIVE successive values agree
     within `tol` and the term index exceeds both state counts, so that a
     plateau over the short lengths is not taken for the limit.  Returns
     (limits, last_deltas, terms), with limits None if any class is still
-    moving after m has reached the cap.
+    moving after m has reached RESIDUE_M_CAP.
     """
     last = [None] * q
     delta = [None] * q
     streak = [0] * q
     settled = [False] * q
-    cap_terms = q * config.residue_m_cap
+    cap_terms = q * RESIDUE_M_CAP
     transient = max(sym_cv.n, uni_cv.n)
     stream = _ratio_stream(sym_cv, uni_cv, cumulative)
     i = 0
@@ -197,9 +213,9 @@ def _per_residue_limits(sym_cv, uni_cv, q, config: CesaroConfig, cumulative):
         previous = last[k]
         if previous is not None:
             delta[k] = abs(value - previous)
-        if previous is not None and delta[k] < config.tol:
+        if previous is not None and delta[k] < tol:
             streak[k] += 1
-            settled[k] = streak[k] >= config.consecutive and i > transient
+            settled[k] = streak[k] >= CONSECUTIVE and i > transient
         else:
             streak[k] = 0
             settled[k] = False
@@ -208,23 +224,6 @@ def _per_residue_limits(sym_cv, uni_cv, q, config: CesaroConfig, cumulative):
             return [last[k] for k in range(q)], [delta[k] for k in range(q)], i
         if i >= cap_terms:
             return None, delta, i
-    return None, delta, i
-
-
-def _empirical_average(sym_cv, uni_cv, config: CesaroConfig, cumulative):
-    """Partial Cesaro average of the first `empirical_n_max` terms, plus
-    the drift since the halfway point as a trend diagnostic."""
-    n_max = config.empirical_n_max
-    half_at = max(1, n_max // 2)
-    running = 0.0
-    half_mean = None
-    stream = _ratio_stream(sym_cv, uni_cv, cumulative)
-    for i in range(1, n_max + 1):
-        running += next(stream)
-        if i == half_at:
-            half_mean = running / i
-    mean = running / n_max
-    return mean, abs(mean - half_mean), half_mean
 
 
 def entropy_distance(d1: Dfa, d2: Dfa) -> DistanceResult:

@@ -14,6 +14,10 @@ backslash.  Precedence is star/repeat over concatenation over
 alternation, the usual convention.  Bounded repetition `e{n}` is kept in
 the tree and expanded into n-fold concatenation when compiling, so the
 automaton layer never sees powers.
+
+Groups and postfix operators may nest at most MAX_NESTING deep along any
+path of the tree, which keeps the recursive parser, `literal_set` and
+the NFA compiler well inside Python's recursion limit.
 """
 
 from dataclasses import dataclass
@@ -22,6 +26,7 @@ from .automata import Nfa
 from .errors import AlphabetError, RegexSyntaxError
 
 RESERVED = set("|*(){}~#\\")
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,13 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.alphabet = set(alphabet) if alphabet is not None else None
+        self.groups = 0  # groups open at the current position
+        self.deepest = 0  # nesting of the deepest node parsed in this rep
+
+    def deeper(self, level: int) -> int:
+        if level > MAX_NESTING:
+            self.error(f"groups and repetitions nest deeper than {MAX_NESTING}")
+        return level
 
     def peek(self):
         return self.text[self.pos] if self.pos < len(self.text) else None
@@ -95,9 +107,13 @@ class _Parser:
         return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
     def rep(self) -> RegexAst:
+        outer, self.deepest = self.deepest, 0
         node = self.atom()
+        level = self.deepest
         while True:
             c = self.peek()
+            if c in ("*", "{"):
+                level = self.deeper(level + 1)
             if c == "*":
                 self.pos += 1
                 node = Star(node)
@@ -114,6 +130,7 @@ class _Parser:
                 self.pos += 1
                 node = Repeat(node, int(digits))
             else:
+                self.deepest = max(outer, level)
                 return node
 
     def atom(self) -> RegexAst:
@@ -121,10 +138,13 @@ class _Parser:
         if c is None:
             self.error("unexpected end of expression")
         if c == "(":
+            self.groups = self.deeper(self.groups + 1)
             self.pos += 1
             node = self.alt()
             if self.peek() != ")":
                 self.error("expected ')'")
+            self.deepest = self.deeper(self.deepest + 1)
+            self.groups -= 1
             self.pos += 1
             return node
         if c == "~":

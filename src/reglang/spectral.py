@@ -2,11 +2,15 @@
 
 The growth rate of a regular language, in bits per symbol, is the log
 base 2 of the largest spectral radius among the strongly connected
-components of its essential graph.  Radii are computed by power
-iteration on each component's internal edge arrays: one step applies the
-component matrix A `period` times with `np.bincount`, so the iterated
-A^period is aperiodic and the min/max ratio bounds converge geometrically
-from both sides, while A^period itself is never formed.
+components of its essential graph.  Its growth order (radius, index)
+refines this: the index d is the largest number of components with the
+dominant radius on one path of the condensation DAG, so word counts grow
+like n^(d-1) radius^n (Rothblum, "Algebraic eigenspaces of nonnegative
+matrices", LAA 1975).  Radii are computed by power iteration on each
+component's internal edge arrays: one step applies the component matrix
+A `period` times with `np.bincount`, so the iterated A^period is
+aperiodic and the min/max ratio bounds converge geometrically from both
+sides, while A^period itself is never formed.
 """
 
 import math
@@ -39,13 +43,16 @@ class SpectralReport:
     `lambda_class` is one of "finite" (nilpotent matrix, finite
     language), "unit" (radius 1, polynomial growth), "expanding"
     (radius above 1, exponential growth).  `entropy_bits` is zero for
-    the first two classes and log2(radius) otherwise.
+    the first two classes and log2(radius) otherwise.  `index` is the
+    largest number of dominant components on one path of the
+    condensation DAG: 0 exactly when the language is finite.
     """
 
     components: tuple  # of ComponentSpectrum, nontrivial components only
     spectral_radius: float
     entropy_bits: float
     lambda_class: str
+    index: int
 
 
 def classify_radius(radius: float) -> str:
@@ -94,10 +101,15 @@ def component_spectrum(
     tol: float = POWER_TOL,
     max_iter: int = POWER_MAX_ITER,
     start=None,
+    period=None,
 ) -> ComponentSpectrum:
-    """Perron root of one strongly connected component, with diagnostics."""
+    """Perron root of one strongly connected component, with diagnostics.
+
+    `period` is the component's period when the caller already has it.
+    """
     vertices = tuple(sorted(component))
-    period = component_period(graph, component)
+    if period is None:
+        period = component_period(graph, component)
     pos = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
     src, dst = np.array(
@@ -119,17 +131,52 @@ def component_radius(graph: LabeledGraph, component, tol: float = POWER_TOL) -> 
 
 
 def analyze_graph(graph: LabeledGraph, tol: float = POWER_TOL) -> SpectralReport:
-    """Spectral report over the nontrivial components of a graph."""
+    """Spectral report over the nontrivial components of a graph, with
+    the index of its dominant radius."""
     report = scc_decompose(graph)
-    spectra = []
-    for comp, trivial in zip(report.components, report.trivial):
-        if trivial:
-            continue
-        spectra.append(component_spectrum(graph, comp, tol=tol))
-    radius = max((s.radius for s in spectra), default=0.0)
+    spectra = {}
+    for c, (comp, period, trivial) in enumerate(
+        zip(report.components, report.periods, report.trivial)
+    ):
+        if not trivial:
+            spectra[c] = component_spectrum(graph, comp, tol=tol, period=period)
+    radius = max((s.radius for s in spectra.values()), default=0.0)
     label = classify_radius(radius)
     entropy = max(0.0, math.log2(radius)) if label == "expanding" else 0.0
-    return SpectralReport(tuple(spectra), radius, entropy, label)
+    dominant = [
+        c in spectra
+        and abs(math.log2(spectra[c].radius / radius)) <= 10 * ENTROPY_EPS
+        for c in range(len(report.components))
+    ]
+    index = sum(dominant)  # the index when at most one component dominates
+    if index > 1:
+        index = _longest_chain(graph, report.components, dominant)
+    return SpectralReport(tuple(spectra.values()), radius, entropy, label, index)
+
+
+def _longest_chain(graph: LabeledGraph, components, marked) -> int:
+    """Largest number of marked components on one path of the
+    condensation DAG, by longest path in Kahn's topological order."""
+    component_of = {v: c for c, comp in enumerate(components) for v in comp}
+    successors = [set() for _ in components]
+    for v, targets in graph.successors.items():
+        for w in targets:
+            if component_of[v] != component_of[w]:
+                successors[component_of[v]].add(component_of[w])
+    indegree = [0] * len(components)
+    for targets in successors:
+        for c in targets:
+            indegree[c] += 1
+    best = [int(m) for m in marked]  # most marked on a path ending at c
+    ready = [c for c, k in enumerate(indegree) if k == 0]
+    while ready:
+        c = ready.pop()
+        for t in successors[c]:
+            best[t] = max(best[t], best[c] + marked[t])
+            indegree[t] -= 1
+            if not indegree[t]:
+                ready.append(t)
+    return max(best, default=0)
 
 
 def topological_entropy(graph: LabeledGraph, tol: float = POWER_TOL) -> float:

@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 import reglang as rl
 from corpus import build_corpus
+
+# Property tests draw the same examples on every run, so a tier-1 result
+# never depends on the seed.
+settings.register_profile("reglang", derandomize=True)
+settings.load_profile("reglang")
 
 
 @pytest.fixture(scope="session")

@@ -167,3 +167,26 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["entropy_bits"] == 1.0
+
+
+def test_distance_cesaro_without_certified_limit_is_diagnostic(capsys):
+    code, out, err = run_cli(
+        capsys, "distance", "--metric", "jc", "(a|b)*c(a|b)*", "a(a|b)*c(a|b)*"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("diagnostic:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "regex",
+    ["(" * 2000 + "a" + ")" * 2000, "a" + "*" * 3000],
+    ids=["groups", "stars"],
+)
+def test_deeply_nested_regex_is_input_error(capsys, regex):
+    code, out, err = run_cli(capsys, "entropy", regex)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err

@@ -101,7 +101,7 @@ def _with_vectors(rows):
     return st.tuples(st.just(rows), vector, vector)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(system=_matrices.flatmap(_with_vectors))
 def test_sparse_counts_match_dense_matrix_power(system):
     rows, initial, final = system

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reglang as rl
 from reglang.counting import CountVectors, count_upto
@@ -154,26 +156,85 @@ def test_cesaro_sees_past_the_short_length_plateau(left, right, expected):
     assert result.value == pytest.approx(expected, abs=1e-6)
 
 
-def test_cesaro_empirical_mode(by_name):
-    config = CesaroConfig(mode="empirical")
-    result = rl.cesaro_jaccard(by_name["all_ab"].dfa, by_name["even_ab"].dfa, config)
-    assert result.mode == "empirical"
-    assert abs(result.value - 0.5) < 0.01
-    assert "trend" in result.diagnostics
-
-
 def test_cesaro_analytic_mode_errors_when_inapplicable(by_name):
     config = CesaroConfig(mode="analytic")
     with pytest.raises(ConvergenceError):
         rl.cesaro_jaccard(by_name["all_ab"].dfa, by_name["even_ab"].dfa, config)
 
 
-def test_cesaro_slow_polynomial_pair_falls_back(by_name):
-    # unary star against even lengths drifts too slowly for the
-    # per-residue stage; the empirical average still lands near one half
+def test_cesaro_slow_polynomial_pair_is_exact(by_name):
+    # unary star against even lengths drifts like 1/n, too slowly for the
+    # per-residue stage; the exact tie rule gives one half outright
     result = rl.cesaro_jaccard(by_name["a_star"].dfa, by_name["even_a"].dfa)
-    assert result.mode == "empirical"
-    assert abs(result.value - 0.5) < 0.02
+    assert result.mode == "exact"
+    assert result.value == 0.5
+    assert (result.diagnostics["numerator"], result.diagnostics["denominator"]) == (1, 2)
+    analytic = CesaroConfig(mode="analytic")  # no iteration is needed
+    assert rl.cesaro_jaccard(by_name["a_star"].dfa, by_name["even_a"].dfa, analytic) == result
+
+
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        ("epsilon", "a_star", 1),
+        ("finite_a123", "odd_a", 1),
+        ("empty", "epsilon", 1),
+        ("epsilon", "finite_a123", 1),
+        ("a_star", "even_a", 1 / 2),
+        ("a_star", "triple_a", 2 / 3),
+        ("even_a", "triple_a", 3 / 4),
+        ("odd_a", "triple_a", 3 / 4),
+        ("a*b*", "(aa)*b*", 1 / 2),
+        ("a*b*c*", "(aa)*b*c*", 1 / 2),
+    ],
+)
+def test_cesaro_polynomial_and_finite_limits_are_exact(left, right, expected, by_name):
+    # growth orders decide the first two; the rest are ties with radius
+    # at most one (the next two with a finite union), taken exactly
+    d1, d2 = (
+        by_name[x].dfa if x in by_name else rl.dfa_from_regex(x) for x in (left, right)
+    )
+    assert rl.cesaro_jaccard(d1, d2).value == pytest.approx(expected, abs=1e-12)
+
+
+def test_cesaro_growth_index_two_tie_is_a_diagnostic():
+    # radius 2 with two dominant components in a row: the Jaccard terms
+    # approach one half like 1/n, which no stopping rule can certify
+    left = rl.dfa_from_regex("(a|b)*c(a|b)*")
+    right = rl.dfa_from_regex("a(a|b)*c(a|b)*")
+    with pytest.raises(ConvergenceError) as caught:
+        rl.cesaro_jaccard(left, right)
+    assert 0.0 <= caught.value.partial <= 1.0
+    assert caught.value.diagnostics["index_union"] == 2
+
+
+_unary_dfas = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.builds(
+        rl.Dfa,
+        st.just(("a",)),
+        st.lists(st.tuples(st.integers(0, n - 1)), min_size=n, max_size=n).map(tuple),
+        st.frozensets(st.integers(0, n - 1)),
+        st.integers(0, n - 1),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d1=_unary_dfas, d2=_unary_dfas)
+def test_cesaro_matches_membership_oracle_on_unary_pairs(d1, d2):
+    # a unary DFA of at most 6 states is periodic past length 5 with a
+    # cycle length dividing 60, so one window of 60 lengths gives the
+    # limit; a union without words there is finite
+    def tally(lengths):
+        either = sum(d1.accepts("a" * n) or d2.accepts("a" * n) for n in lengths)
+        both = sum(d1.accepts("a" * n) and d2.accepts("a" * n) for n in lengths)
+        return either, both
+
+    either, both = tally(range(6, 66))
+    if not either:
+        either, both = tally(range(7))
+    expected = 1 - Fraction(both, either) if either else Fraction(0)
+    assert rl.cesaro_jaccard(d1, d2).value == pytest.approx(float(expected), abs=1e-12)
 
 
 # --- entropy distance -----------------------------------------------------------------

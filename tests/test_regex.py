@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 import reglang as rl
 from reglang.errors import AlphabetError, RegexSyntaxError
 from reglang.oracle import ast_language_upto, ast_matches, all_strings
-from reglang.regex import Alt, Concat, Empty, Epsilon, Literal, Repeat, Star
+from reglang.regex import (
+    MAX_NESTING,
+    Alt,
+    Concat,
+    Empty,
+    Epsilon,
+    Literal,
+    Repeat,
+    Star,
+)
 
 
 def test_parse_star_of_alternation():
@@ -49,6 +58,46 @@ def test_syntax_errors_carry_position(text):
     with pytest.raises(RegexSyntaxError) as info:
         rl.parse_regex(text)
     assert info.value.position >= 0
+
+
+def _groups(depth):
+    return "(" * depth + "a" + ")" * depth
+
+
+def _stars(depth):
+    return "a" + "*" * depth
+
+
+def _mixed(depth):
+    # each level is a group and a star around the previous one
+    text = "a"
+    for _ in range(depth // 2):
+        text = f"({text})*"
+    return text
+
+
+@pytest.mark.parametrize("build", [_groups, _stars, _mixed])
+def test_nesting_at_the_limit_compiles(build):
+    dfa = rl.dfa_from_regex(build(MAX_NESTING))
+    assert dfa.accepts("a")
+    assert dfa.accepts("aa") == (build is not _groups)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        # the first '(' or '*' past the limit, and the ')' closing the
+        # group whose nesting, star included, passes it
+        (_groups(MAX_NESTING + 1), MAX_NESTING),
+        (_stars(MAX_NESTING + 1), MAX_NESTING + 1),
+        (_mixed(MAX_NESTING + 2), len(_mixed(MAX_NESTING + 2)) - 2),
+    ],
+    ids=["groups", "stars", "mixed"],
+)
+def test_nesting_past_the_limit_is_a_syntax_error(text, position):
+    with pytest.raises(RegexSyntaxError) as caught:
+        rl.parse_regex(text)
+    assert caught.value.position == position
 
 
 def test_literal_outside_declared_alphabet():

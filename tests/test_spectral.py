@@ -130,11 +130,28 @@ _dfas = st.integers(min_value=1, max_value=6).flatmap(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(dfa=_dfas)
 def test_trim_and_essential_graphs_have_one_spectrum_on_random_dfas(dfa):
     graph = rl.trim(dfa)
     assert analyze_graph(graph) == analyze_graph(rl.essential(graph))
+
+
+@pytest.mark.parametrize(
+    "pattern, index",
+    [
+        ("#", 0),
+        ("a|aa", 0),
+        ("a*", 1),
+        ("a*b*", 2),
+        ("a*b*c*", 3),
+        ("a*b(a|b)*", 1),
+        ("(a|b)*c(a|b)*", 2),
+        ("(a|b)*c(a|b)*d(a|b)*", 3),
+    ],
+)
+def test_index_counts_dominant_components_on_one_path(pattern, index):
+    assert rl.language_entropy(rl.dfa_from_regex(pattern)).index == index
 
 
 def test_classify_radius_boundaries():
