@@ -38,41 +38,28 @@ def state_cap() -> int:
 
 @dataclass
 class Nfa:
-    """Nondeterministic automaton with epsilon moves.
+    """Nondeterministic automaton without epsilon moves.
 
-    Built by the regex compiler and consumed by `determinize`; treated as
-    immutable after construction.
+    Built by the regex compiler (a position automaton) and consumed by
+    `determinize`; treated as immutable after construction.
     """
 
     alphabet: tuple[str, ...]
     n_states: int
     transitions: dict  # (state, symbol) -> frozenset of states
-    epsilon: dict  # state -> frozenset of states
     initial: int
     accepting: frozenset
 
-    def closure(self, states) -> frozenset:
-        seen = set(states)
-        todo = list(states)
-        while todo:
-            s = todo.pop()
-            for t in self.epsilon.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        return frozenset(seen)
+    def step(self, states, symbol: str) -> frozenset:
+        """The states entered from `states` by reading `symbol`."""
+        return frozenset().union(
+            *(self.transitions.get((s, symbol), ()) for s in states)
+        )
 
     def accepts(self, word: str) -> bool:
-        current = self.closure({self.initial})
+        current = frozenset({self.initial})
         for symbol in word:
-            if symbol not in self.alphabet:
-                return False
-            step = set()
-            for s in current:
-                step.update(self.transitions.get((s, symbol), ()))
-            if not step:
-                return False
-            current = self.closure(step)
+            current = self.step(current, symbol)
         return bool(current & self.accepting)
 
 
@@ -195,15 +182,15 @@ class LabeledGraph:
         return {v: tuple(sorted(ts)) for v, ts in out.items()}
 
 
-def determinize(nfa: Nfa, max_states: int | None = None) -> Dfa:
+def determinize(nfa: Nfa) -> Dfa:
     """Subset construction.  Always yields a complete DFA; the empty
     subset plays the trash state when it is reachable."""
-    cap = max_states if max_states is not None else state_cap()
+    cap = state_cap()
     alphabet = tuple(sorted(set(nfa.alphabet)))
     if not alphabet:
         raise AlphabetError("cannot determinize over an empty alphabet")
 
-    start = nfa.closure({nfa.initial})
+    start = frozenset({nfa.initial})
     ids = {start: 0}
     order = [start]
     rows = []
@@ -212,10 +199,7 @@ def determinize(nfa: Nfa, max_states: int | None = None) -> Dfa:
         subset = queue.popleft()
         row = []
         for symbol in alphabet:
-            step = set()
-            for s in subset:
-                step.update(nfa.transitions.get((s, symbol), ()))
-            target = nfa.closure(step) if step else frozenset()
+            target = nfa.step(subset, symbol)
             if target not in ids:
                 if len(ids) >= cap:
                     raise StateLimitError(
@@ -367,7 +351,7 @@ _COMBINE = {
 }
 
 
-def combine(d1: Dfa, d2: Dfa, op: str, max_states: int | None = None) -> Dfa:
+def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
     """Product automaton for a boolean set combination of two languages.
 
     Requires harmonized alphabets (see `harmonize`); only the reachable
@@ -378,7 +362,7 @@ def combine(d1: Dfa, d2: Dfa, op: str, max_states: int | None = None) -> Dfa:
     if d1.alphabet != d2.alphabet:
         raise AlphabetError("combine requires harmonized alphabets")
     keep = _COMBINE[op]
-    cap = max_states if max_states is not None else state_cap()
+    cap = state_cap()
 
     start = (d1.initial, d2.initial)
     ids = {start: 0}

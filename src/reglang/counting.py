@@ -66,31 +66,13 @@ class CountVectors:
         )
 
     @classmethod
-    def from_dfa(cls, dfa: Dfa, trimmed: bool = True) -> "CountVectors":
-        """Counting system for a DFA's language.
-
-        With `trimmed` (the default) the system lives on the trim graph;
-        the discarded states would only contribute zero terms.  The
-        untrimmed variant keeps every state, which is useful for checking
-        that trimming leaves the counts untouched.
-        """
-        if trimmed:
-            graph = trim(dfa)
-            idx = {v: i for i, v in enumerate(graph.vertices)}
-            matrix = graph.matrix
-            initial = tuple(
-                1 if v == dfa.initial else 0 for v in graph.vertices
-            )
-            final = tuple(1 if v in dfa.accepting else 0 for v in graph.vertices)
-            return cls(matrix, initial, final)
-        n = dfa.n_states
-        rows = [[0] * n for _ in range(n)]
-        for q in range(n):
-            for t in dfa.transitions[q]:
-                rows[q][t] += 1
-        initial = tuple(1 if q == dfa.initial else 0 for q in range(n))
-        final = tuple(1 if q in dfa.accepting else 0 for q in range(n))
-        return cls(tuple(tuple(r) for r in rows), initial, final)
+    def from_dfa(cls, dfa: Dfa) -> "CountVectors":
+        """Counting system for a DFA's language, on its trim graph: the
+        discarded states would only contribute zero terms."""
+        graph = trim(dfa)
+        initial = tuple(1 if v == dfa.initial else 0 for v in graph.vertices)
+        final = tuple(1 if v in dfa.accepting else 0 for v in graph.vertices)
+        return cls(graph.matrix, initial, final)
 
 
 def length_counts(cv: CountVectors):

@@ -9,7 +9,9 @@ of running averages of the cumulative distances, is decided in stages:
    symmetric difference has a lower order (radius, d) than the union,
    and 1 if the intersection does.  No iteration needed.
 2. Exact ties.  If all three share an order with radius at most 1, the
-   limit is an exact ratio of word counts taken past the transient.
+   limit is an exact ratio of word counts taken past the transient (for
+   the fixed-length sequence, the mean of such ratios over the residue
+   classes).
 3. Per-residue estimation.  A tie with radius above 1 and d = 1 has
    convergent Jaccard terms along each residue class modulo the graph
    period; their limits are iterated until they settle, then averaged.
@@ -32,7 +34,13 @@ from .automata import (
     minimize,
     shortest_accepted,
 )
-from .counting import CountVectors, count_len, count_upto, length_counts
+from .counting import (
+    CountVectors,
+    count_len,
+    count_upto,
+    cumulative_counts,
+    length_counts,
+)
 from .errors import ConvergenceError, DuplicateLanguageError
 from .spectral import ENTROPY_EPS, language_entropy
 
@@ -50,8 +58,9 @@ class CesaroConfig:
     `sequence` selects which Jaccard sequence is averaged: "cum" uses the
     cumulative distances (the default and the recommended definition),
     "exact" averages the fixed-length distances instead, which is useful
-    as a diagnostic because the two can disagree.  Growth orders and
-    exact ties only apply to the cumulative sequence.
+    as a diagnostic because the two can disagree.  Growth orders only
+    apply to the cumulative sequence; exact ties (radius at most 1) apply
+    to both.
     """
 
     tol: float = 1e-9
@@ -119,8 +128,8 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     n0 = -(-max(sym_cv.n, uni_cv.n) // q) * q
     d = uni_report.index
     diagnostics["residue_period"] = q
-    if cumulative and uni_report.lambda_class != "expanding":
-        limit = _exact_tie_limit(sym_cv, uni_cv, q, n0, d)
+    if uni_report.lambda_class != "expanding":
+        limit = _exact_tie_limit(sym_cv, uni_cv, q, n0, d, cumulative)
         diagnostics.update(numerator=limit.numerator, denominator=limit.denominator)
         return DistanceResult(metric, float(limit), "exact", diagnostics)
 
@@ -151,24 +160,44 @@ def _grows_slower(low, high) -> bool:
     return gap > 10 * ENTROPY_EPS or (tie and low.index < high.index)
 
 
-def _exact_tie_limit(sym_cv, uni_cv, q, n0, d) -> Fraction:
-    """lim |sym_<=n| / |union_<=n| for a tie with radius at most 1, index d.
+def _exact_tie_limit(sym_cv, uni_cv, q, n0, d, cumulative) -> Fraction:
+    """Cesaro limit of the Jaccard sequence for a tie with radius at most 1
+    and index d.
 
     Past n0 (a multiple of q, at least both matrix sizes) the nilpotent
     part of a count matrix is spent, and its other eigenvalues are q-th
-    roots of unity of index at most d, so the cumulative count S(n0 + q m)
-    is a polynomial of degree d in m.  The limit is the ratio of the two
-    d-th differences in m, |sym| / |union| when d = 0 (a finite union).
+    roots of unity of index at most d.  So along each residue class k,
+    the fixed-length count W(n0 + k + q m) is a polynomial in m of degree
+    below d, and the cumulative count S(n0 + q m) one of degree d.  The
+    cumulative sequence converges to the ratio of the leading
+    coefficients of S (|sym| / |union| when d = 0, a finite union); the
+    fixed-length one has such a limit per class, and its Cesaro limit is
+    their mean.
     """
+    counts = cumulative_counts if cumulative else length_counts
+    sym, uni = (list(islice(counts(cv), n0 + q * (d + 1))) for cv in (sym_cv, uni_cv))
+    classes = range(1 if cumulative else q)
+    limits = [_leading_ratio(sym[n0 + k :: q], uni[n0 + k :: q]) for k in classes]
+    return sum(limits) / len(limits)
 
-    def leading(cv):
-        return sum(
-            (-1) ** (d - k) * comb(d, k) * count_upto(cv, n0 + q * k)
-            for k in range(d + 1)
-        )
 
-    den = leading(uni_cv)
-    return Fraction(leading(sym_cv), den) if den else Fraction(0)
+def _leading_ratio(sym, uni) -> Fraction:
+    """lim sym(m) / uni(m) for polynomials in m given by their values at
+    m = 0, 1, ..., with 0 <= sym <= uni: the ratio of their differences of
+    the order of uni's degree (its highest nonzero difference), 0 when uni
+    is zero."""
+    for order in reversed(range(len(uni))):
+        den = _difference(uni, order)
+        if den:
+            return Fraction(_difference(sym, order), den)
+    return Fraction(0)
+
+
+def _difference(values, order) -> int:
+    """The order-th forward difference at 0 of the sequence `values`."""
+    return sum(
+        (-1) ** (order - k) * comb(order, k) * values[k] for k in range(order + 1)
+    )
 
 
 def _ratio_stream(sym_cv: CountVectors, uni_cv: CountVectors, cumulative: bool):
@@ -246,7 +275,7 @@ def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
 
     Reported unnormalized, so the range is [0, 2 log2 |alphabet|].
     """
-    a, b, _sym, _uni = _pair_dfas(d1, d2)
+    a, b = harmonize(d1, d2)
     left = language_entropy(combine(a, b, "minus")).entropy_bits
     right = language_entropy(combine(b, a, "minus")).entropy_bits
     return DistanceResult(

@@ -1,4 +1,5 @@
-"""Regular-expression front end: parser, syntax tree, NFA compiler.
+"""Regular-expression front end: parser, syntax tree, and a compiler to
+the Glushkov position automaton, an NFA without epsilon moves.
 
 Grammar (EBNF):
 
@@ -17,13 +18,13 @@ automaton layer never sees powers.
 
 Groups and postfix operators may nest at most MAX_NESTING deep along any
 path of the tree, which keeps the recursive parser, `literal_set` and
-the NFA compiler well inside Python's recursion limit.
+the compiler well inside Python's recursion limit.
 """
 
 from dataclasses import dataclass
 
-from .automata import Nfa
-from .errors import AlphabetError, RegexSyntaxError
+from .automata import Nfa, state_cap
+from .errors import AlphabetError, RegexSyntaxError, StateLimitError
 
 RESERVED = set("|*(){}~#\\")
 MAX_NESTING = 100
@@ -179,82 +180,88 @@ def parse_regex(text: str, alphabet=None) -> RegexAst:
     return _Parser(text, alphabet).parse()
 
 
+def _children(node: RegexAst) -> tuple:
+    if isinstance(node, Concat):
+        return node.parts
+    if isinstance(node, Alt):
+        return node.options
+    if isinstance(node, (Star, Repeat)):
+        return (node.child,)
+    return ()
+
+
 def literal_set(node: RegexAst) -> set:
     """Symbols appearing as literals; the inferred alphabet of the tree."""
     if isinstance(node, Literal):
         return {node.symbol}
-    if isinstance(node, Concat):
-        return set().union(*(literal_set(p) for p in node.parts))
-    if isinstance(node, Alt):
-        return set().union(*(literal_set(o) for o in node.options))
-    if isinstance(node, (Star, Repeat)):
-        return literal_set(node.child)
-    return set()
+    return set().union(*map(literal_set, _children(node)))
 
 
-class _NfaBuilder:
+def _positions(node: RegexAst) -> int:
+    """Literal occurrences once bounded repeats are expanded: the number
+    of position-automaton states besides the initial one."""
+    if isinstance(node, Literal):
+        return 1
+    if isinstance(node, Repeat):
+        return node.count * _positions(node.child)
+    return sum(map(_positions, _children(node)))
+
+
+class _Glushkov:
+    """Position automaton: state 0 is initial, state p > 0 is the p-th
+    literal occurrence and is entered by reading that literal."""
+
     def __init__(self):
-        self.n = 0
-        self.transitions = {}
-        self.epsilon = {}
+        self.symbols = [None]  # literal of each position
+        self.follow = [set()]  # positions that may come right after each one
 
-    def state(self) -> int:
-        self.n += 1
-        return self.n - 1
+    def link(self, last, first):
+        for p in last:
+            self.follow[p] |= first
 
-    def edge(self, src, symbol, dst):
-        key = (src, symbol)
-        self.transitions[key] = self.transitions.get(key, frozenset()) | {dst}
+    def concat(self, parts) -> tuple[bool, set, set]:
+        nullable, first, last = True, set(), set()
+        for part_nullable, part_first, part_last in parts:
+            self.link(last, part_first)
+            first = first | part_first if nullable else first
+            last = last | part_last if part_nullable else part_last
+            nullable = nullable and part_nullable
+        return nullable, first, last
 
-    def eps(self, src, dst):
-        self.epsilon[src] = self.epsilon.get(src, frozenset()) | {dst}
-
-    def fragment(self, node) -> tuple[int, int]:
-        start, end = self.state(), self.state()
-        if isinstance(node, Empty):
-            pass  # no path from start to end
-        elif isinstance(node, Epsilon):
-            self.eps(start, end)
-        elif isinstance(node, Literal):
-            self.edge(start, node.symbol, end)
-        elif isinstance(node, Concat):
-            prev = start
-            for part in node.parts:
-                s, e = self.fragment(part)
-                self.eps(prev, s)
-                prev = e
-            self.eps(prev, end)
-        elif isinstance(node, Alt):
-            for option in node.options:
-                s, e = self.fragment(option)
-                self.eps(start, s)
-                self.eps(e, end)
-        elif isinstance(node, Star):
-            s, e = self.fragment(node.child)
-            self.eps(start, end)
-            self.eps(start, s)
-            self.eps(e, s)
-            self.eps(e, end)
-        elif isinstance(node, Repeat):
-            if node.count == 0:
-                self.eps(start, end)
-            else:
-                prev = start
-                for _ in range(node.count):
-                    s, e = self.fragment(node.child)
-                    self.eps(prev, s)
-                    prev = e
-                self.eps(prev, end)
-        else:
-            raise TypeError(f"not a regex node: {node!r}")
-        return start, end
+    def visit(self, node) -> tuple[bool, set, set]:
+        """(nullable, first, last) of the node; numbers its positions and
+        adds the follow pairs inside it."""
+        if isinstance(node, (Empty, Epsilon)):
+            return isinstance(node, Epsilon), set(), set()
+        if isinstance(node, Literal):
+            p = len(self.symbols)
+            self.symbols.append(node.symbol)
+            self.follow.append(set())
+            return False, {p}, {p}
+        if isinstance(node, Concat):
+            return self.concat(self.visit(part) for part in node.parts)
+        if isinstance(node, Alt):
+            nullable, first, last = zip(*(self.visit(o) for o in node.options))
+            return any(nullable), set().union(*first), set().union(*last)
+        if isinstance(node, Star):
+            _nullable, first, last = self.visit(node.child)
+            self.link(last, first)
+            return True, first, last
+        if isinstance(node, Repeat):
+            # without positions the child denotes at most the empty word,
+            # so one copy stands for any positive count
+            count = node.count if _positions(node.child) else min(node.count, 1)
+            return self.concat(self.visit(node.child) for _ in range(count))
+        raise TypeError(f"not a regex node: {node!r}")
 
 
 def compile_to_nfa(ast: RegexAst, alphabet=None) -> Nfa:
-    """Thompson-style construction with epsilon moves.
+    """Glushkov (McNaughton-Yamada) position automaton, free of epsilon
+    moves: one state per literal occurrence plus the initial state 0.
 
-    The NFA accepts exactly the tree's language; bounded repetition is
-    expanded by concatenation.
+    Bounded repetition is expanded by concatenation.  Raises
+    StateLimitError before building when the state count would exceed
+    `state_cap()`.
     """
     symbols = set(alphabet) if alphabet is not None else literal_set(ast)
     missing = literal_set(ast) - symbols
@@ -262,13 +269,20 @@ def compile_to_nfa(ast: RegexAst, alphabet=None) -> Nfa:
         raise AlphabetError(
             f"literals {sorted(missing)!r} are outside the declared alphabet"
         )
-    builder = _NfaBuilder()
-    start, end = builder.fragment(ast)
+    cap = state_cap()
+    if _positions(ast) + 1 > cap:
+        raise StateLimitError(f"position automaton would exceed {cap} states")
+    builder = _Glushkov()
+    nullable, first, last = builder.visit(ast)
+    builder.link({0}, first)
+    transitions = {}
+    for p, targets in enumerate(builder.follow):
+        for t in targets:
+            transitions.setdefault((p, builder.symbols[t]), set()).add(t)
     return Nfa(
         alphabet=tuple(sorted(symbols)),
-        n_states=builder.n,
-        transitions=builder.transitions,
-        epsilon=builder.epsilon,
-        initial=start,
-        accepting=frozenset({end}),
+        n_states=len(builder.symbols),
+        transitions={key: frozenset(ts) for key, ts in transitions.items()},
+        initial=0,
+        accepting=frozenset(last | {0} if nullable else last),
     )

@@ -64,7 +64,7 @@ def classify_radius(radius: float) -> str:
     return "expanding"
 
 
-def _perron_root(step, n: int, tol: float, max_iter: int, start=None):
+def _perron_root(step, n: int, tol: float, start=None):
     """Largest eigenvalue of the n x n non-negative matrix B that `step`
     multiplies a vector by, where B's diagonal blocks are primitive with
     a common dominant eigenvalue.
@@ -79,7 +79,7 @@ def _perron_root(step, n: int, tol: float, max_iter: int, start=None):
         v = np.asarray(start, dtype=float)
         if v.shape != (n,) or (v <= 0).any():
             raise ValueError("start vector must be strictly positive")
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, POWER_MAX_ITER + 1):
         w = step(v)
         ratios = w / v
         low = float(ratios.min())
@@ -89,9 +89,9 @@ def _perron_root(step, n: int, tol: float, max_iter: int, start=None):
             return 0.5 * (low + high), iteration, width
         v = w / w.max()
     raise ConvergenceError(
-        f"power iteration missed tolerance {tol} after {max_iter} steps",
+        f"power iteration missed tolerance {tol} after {POWER_MAX_ITER} steps",
         partial=0.5 * (low + high),
-        diagnostics={"residual": width, "iterations": max_iter},
+        diagnostics={"residual": width, "iterations": POWER_MAX_ITER},
     )
 
 
@@ -99,7 +99,6 @@ def component_spectrum(
     graph: LabeledGraph,
     component,
     tol: float = POWER_TOL,
-    max_iter: int = POWER_MAX_ITER,
     start=None,
     period=None,
 ) -> ComponentSpectrum:
@@ -121,7 +120,7 @@ def component_spectrum(
             v = np.bincount(src, weights=v[dst], minlength=n)
         return v
 
-    root, iterations, residual = _perron_root(step, n, tol, max_iter, start=start)
+    root, iterations, residual = _perron_root(step, n, tol, start=start)
     radius = root ** (1.0 / period) if period > 1 else root
     return ComponentSpectrum(vertices, period, radius, iterations, residual)
 
@@ -198,7 +197,7 @@ def language_entropy(dfa: Dfa, tol: float = POWER_TOL) -> SpectralReport:
     return analyze_graph(trim(dfa), tol=tol)
 
 
-def graph_from_matrix(rows, role: str = "trim") -> LabeledGraph:
+def graph_from_matrix(rows) -> LabeledGraph:
     """Labeled graph with synthetic edge labels realizing an adjacency
     matrix with multiplicities; handy for working directly on matrices."""
     n = len(rows)
@@ -214,7 +213,7 @@ def graph_from_matrix(rows, role: str = "trim") -> LabeledGraph:
             for _ in range(count):
                 edges.append((i, f"e{tag}", j))
                 tag += 1
-    return LabeledGraph(tuple(range(n)), tuple(edges), role)
+    return LabeledGraph(tuple(range(n)), tuple(edges), "trim")
 
 
 def matrix_spectral_radius(rows, tol: float = POWER_TOL) -> float:

@@ -31,6 +31,19 @@ def test_entropy_command_ternary(capsys):
     assert payload["entropy_bits"] == pytest.approx(math.log2(3), abs=1e-9)
 
 
+def test_entropy_of_giant_repeat_is_budget_error(capsys):
+    code, out, err = run_cli(capsys, "entropy", "a{99999999999999999999}")
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_entropy_of_repeated_empty_word_is_zero(capsys):
+    code, out, _ = run_cli(capsys, "entropy", "~{100000000}")
+    assert code == 0
+    assert json.loads(out)["entropy_bits"] == 0.0
+
+
 def test_distance_cesaro(capsys):
     code, out, _ = run_cli(
         capsys, "distance", "--metric", "jc", "(a|b)*", "((a|b){2})*"

@@ -88,14 +88,6 @@ def test_count_upto_monotone(corpus):
         assert values == sorted(values), lang.name
 
 
-def test_trimming_leaves_counts_unchanged(corpus):
-    for lang in corpus:
-        trimmed = CountVectors.from_dfa(lang.dfa, trimmed=True)
-        full = CountVectors.from_dfa(lang.dfa, trimmed=False)
-        for n in range(13):
-            assert count_len(trimmed, n) == count_len(full, n), (lang.name, n)
-
-
 def _with_vectors(rows):
     vector = st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))
     return st.tuples(st.just(rows), vector, vector)

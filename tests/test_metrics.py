@@ -197,6 +197,26 @@ def test_cesaro_polynomial_and_finite_limits_are_exact(left, right, expected, by
     assert rl.cesaro_jaccard(d1, d2).value == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        ("a*b*", "(aa)*b*", 1 / 2),
+        ("a*", "(aaa)*", 2 / 3),
+        ("(aa)*", "(aaa)*", 1 / 2),
+        ("(ab)*", "(ab)*|(ba)*", 1 / 4),
+    ],
+)
+def test_cesaro_fixed_length_ties_are_exact(left, right, expected):
+    # radius at most one: each residue class of the fixed-length terms
+    # tends to a ratio of leading coefficients, and the limit is their mean
+    d1, d2 = rl.dfa_from_regex(left, "ab"), rl.dfa_from_regex(right, "ab")
+    result = rl.cesaro_jaccard(d1, d2, CesaroConfig(sequence="exact"))
+    assert result.mode == "exact"
+    assert result.value == pytest.approx(expected, abs=1e-12)
+    ratio = result.diagnostics["numerator"] / result.diagnostics["denominator"]
+    assert ratio == pytest.approx(expected, abs=1e-12)
+
+
 def test_cesaro_growth_index_two_tie_is_a_diagnostic():
     # radius 2 with two dominant components in a row: the Jaccard terms
     # approach one half like 1/n, which no stopping rule can certify

@@ -111,6 +111,37 @@ def test_repeat_zero_means_empty_string():
     assert not dfa.accepts("a")
 
 
+@pytest.mark.parametrize(
+    "text, states",
+    [("a{3}", 4), ("(a|b)*a(a|b){7}", 18), ("~", 1), ("#", 1)],
+)
+def test_nfa_has_one_state_per_literal_occurrence(text, states):
+    # the position automaton: the initial state plus one per literal
+    # occurrence once bounded repeats are expanded
+    assert rl.compile_to_nfa(rl.parse_regex(text)).n_states == states
+
+
+@pytest.mark.parametrize(
+    "text, states",
+    [
+        ("(a|b)*a(a|b){7}", 257),
+        ("(a|b)*a(a|b){6}", 129),
+        ("a{2000}(a|b)*", 2004),
+        ("(a|b){1000}", 2002),
+        ("a{3000}", 3002),
+    ],
+)
+def test_dfa_sizes_of_benchmark_inputs(text, states):
+    assert rl.dfa_from_regex(text, "ab").n_states == states
+
+
+@pytest.mark.parametrize("text", ["a{200000}", "((a|b){300}){300}"])
+def test_nfa_budget_is_checked_before_building(text, monkeypatch):
+    monkeypatch.setenv("REGLANG_MAX_STATES", "1000")
+    with pytest.raises(rl.StateLimitError):
+        rl.compile_to_nfa(rl.parse_regex(text))
+
+
 def test_epsilon_nfa_membership():
     nfa = rl.compile_to_nfa(Epsilon(), {"a"})
     assert nfa.accepts("")
@@ -170,3 +201,4 @@ _asts = st.recursive(
 def test_matcher_agrees_with_nfa(ast, word):
     nfa = rl.compile_to_nfa(ast, {"a", "b"})
     assert ast_matches(ast, word) == nfa.accepts(word)
+    assert rl.determinize(nfa).accepts(word) == nfa.accepts(word)
