@@ -11,6 +11,7 @@ from .automata import (
     Dfa,
     LabeledGraph,
     Nfa,
+    Product,
     combine,
     complement,
     determinize,
@@ -20,6 +21,7 @@ from .automata import (
     harmonize_all,
     is_empty,
     minimize,
+    product,
     shortest_accepted,
     trim,
 )

@@ -343,25 +343,32 @@ def _with_alphabet(dfa: Dfa, alphabet: tuple[str, ...]) -> Dfa:
     return Dfa(alphabet, tuple(rows), dfa.accepting, dfa.initial)
 
 
-_COMBINE = {
-    "intersect": lambda a, b: a and b,
-    "union": lambda a, b: a or b,
-    "symdiff": lambda a, b: a != b,
-    "minus": lambda a, b: a and not b,
-}
+@dataclass(frozen=True)
+class Product:
+    """Reachable part of the product of two harmonized DFAs.
 
-
-def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
-    """Product automaton for a boolean set combination of two languages.
-
-    Requires harmonized alphabets (see `harmonize`); only the reachable
-    part of the product is built.
+    Product state 0 is the pair of initial states.  A boolean combination
+    of the two languages is the product DFA whose accepting set combines
+    `left` and `right` by the same set operation: `left ^ right` for the
+    symmetric difference, `right - left` for the second language minus
+    the first.  All combinations share one transition table.
     """
-    if op not in _COMBINE:
-        raise ValueError(f"unknown combination {op!r}")
+
+    alphabet: tuple[str, ...]
+    transitions: tuple[tuple[int, ...], ...]
+    left: frozenset  # product states whose first component accepts
+    right: frozenset  # product states whose second component accepts
+
+    def dfa(self, accepting) -> Dfa:
+        """The product DFA with the given set of accepting product states."""
+        return Dfa(self.alphabet, self.transitions, frozenset(accepting), 0)
+
+
+def product(d1: Dfa, d2: Dfa) -> Product:
+    """The reachable product of two DFAs over one alphabet (see
+    `harmonize`), built once for any number of boolean combinations."""
     if d1.alphabet != d2.alphabet:
-        raise AlphabetError("combine requires harmonized alphabets")
-    keep = _COMBINE[op]
+        raise AlphabetError("a product requires harmonized alphabets")
     cap = state_cap()
 
     start = (d1.initial, d2.initial)
@@ -382,12 +389,30 @@ def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
                 queue.append(target)
             row.append(ids[target])
         rows.append(tuple(row))
-    accepting = frozenset(
-        i
-        for i, (p, q) in enumerate(order)
-        if keep(p in d1.accepting, q in d2.accepting)
-    )
-    return Dfa(d1.alphabet, tuple(rows), accepting, 0)
+    left = frozenset(i for i, (p, _q) in enumerate(order) if p in d1.accepting)
+    right = frozenset(i for i, (_p, q) in enumerate(order) if q in d2.accepting)
+    return Product(d1.alphabet, tuple(rows), left, right)
+
+
+_COMBINE = {
+    "intersect": frozenset.__and__,
+    "union": frozenset.__or__,
+    "symdiff": frozenset.__xor__,
+    "minus": frozenset.__sub__,
+}
+
+
+def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
+    """Product automaton for a boolean set combination of two languages.
+
+    Requires harmonized alphabets (see `harmonize`); only the reachable
+    part of the product is built.  Callers needing several combinations
+    of one pair build the `product` once instead.
+    """
+    if op not in _COMBINE:
+        raise ValueError(f"unknown combination {op!r}")
+    prod = product(d1, d2)
+    return prod.dfa(_COMBINE[op](prod.left, prod.right))
 
 
 def complement(dfa: Dfa) -> Dfa:
@@ -431,19 +456,33 @@ def trim(dfa: Dfa) -> LabeledGraph:
 def essential(graph: LabeledGraph) -> LabeledGraph:
     """Iteratively drop vertices lacking an incoming or outgoing edge.
 
-    Idempotent; finite languages end up with the empty graph.
+    Peels in O(V + E): every vertex counts its edges from and to live
+    vertices, and dropping a vertex lowers its neighbours' counts,
+    queueing those that reach zero.  Idempotent; finite languages end up
+    with the empty graph.
     """
-    vertices = set(graph.vertices)
-    edges = list(graph.edges)
-    while True:
-        has_out = {src for src, _s, _d in edges}
-        has_in = {dst for _s, _sym, dst in edges}
-        alive = {v for v in vertices if v in has_out and v in has_in}
-        if alive == vertices:
-            break
-        vertices = alive
-        edges = [e for e in edges if e[0] in vertices and e[2] in vertices]
-    return LabeledGraph(tuple(sorted(vertices)), tuple(edges), "essential")
+    in_degree = dict.fromkeys(graph.vertices, 0)
+    out_degree = dict.fromkeys(graph.vertices, 0)
+    succ = {v: [] for v in graph.vertices}
+    pred = {v: [] for v in graph.vertices}
+    for src, _symbol, dst in graph.edges:
+        out_degree[src] += 1
+        in_degree[dst] += 1
+        succ[src].append(dst)
+        pred[dst].append(src)
+    dead = {v for v in graph.vertices if not (in_degree[v] and out_degree[v])}
+    queue = list(dead)
+    while queue:
+        v = queue.pop()
+        for degree, neighbours in ((in_degree, succ[v]), (out_degree, pred[v])):
+            for w in neighbours:
+                degree[w] -= 1
+                if not degree[w] and w not in dead:
+                    dead.add(w)
+                    queue.append(w)
+    vertices = tuple(sorted(v for v in graph.vertices if v not in dead))
+    edges = tuple(e for e in graph.edges if e[0] not in dead and e[2] not in dead)
+    return LabeledGraph(vertices, edges, "essential")
 
 
 def is_empty(dfa: Dfa) -> bool:

@@ -1,18 +1,26 @@
-"""Exact word counting by big-integer vector-matrix products.
+"""Exact word counting by sparse big-integer vector-matrix steps.
 
 A counting system is (A, i, f): the adjacency matrix of a trimmed
 automaton graph, an initial indicator row vector, and a final column
 vector (possibly with multiplicities).  The number of words of length n
 is then i . A^n . f, with A^0 the identity, so the length-0 term is just
-i . f.  Each step walks the nonzero entries of A, kept per row as
-(column, entry) pairs, so it costs O(edges) rather than O(states^2).
-Exactness is the point: everything here is arbitrary-precision integer
-arithmetic, off-limits to floating point.
+i . f.
+
+A is kept as sparse rows of (column, entry) pairs, built from the
+graph's edges in O(E); the dense matrix is formed only when a caller
+reads it (`matrix_power` and `CountVectors(matrix, ...)` are the dense
+reference API).  One stepping loop, `final_counts`, advances the single
+vector i . A^n at O(E) per length and reads one count per final vector
+from it: a symmetric difference lies inside the union of the same pair,
+so `shared_system` counts both over the union's trim graph.
+`length_counts` is its one-final case.  Exactness is the point:
+everything here is arbitrary-precision integer arithmetic, off-limits to
+floating point.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import add, mul
 
 from .automata import Dfa, LabeledGraph, trim
 
@@ -46,47 +54,132 @@ def matrix_power(matrix, exponent: int):
     return result
 
 
-@dataclass(frozen=True)
 class CountVectors:
-    """Counting system (matrix, initial row, final column)."""
+    """Counting system (A, i, f) with A kept as sparse rows: `rows[i]`
+    holds the (column, entry) pairs of the nonzero entries of row i.
 
-    matrix: tuple
-    initial: tuple
-    final: tuple
+    `CountVectors(matrix, initial, final)` takes A as a dense matrix;
+    `from_dfa` builds the rows from a trim graph's edges and forms the
+    dense `matrix` only if it is read.
+    """
+
+    def __init__(self, matrix, initial, final):
+        self.matrix = matrix
+        self.rows = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in matrix
+        )
+        self.initial = tuple(initial)
+        self.final = tuple(final)
 
     @property
     def n(self) -> int:
         return len(self.initial)
 
     @cached_property
-    def rows(self) -> tuple:
-        """Per matrix row, the (column, entry) pairs of its nonzero entries."""
-        return tuple(
-            tuple((j, a) for j, a in enumerate(row) if a) for row in self.matrix
-        )
+    def matrix(self) -> tuple:
+        """A as a dense matrix."""
+        dense = [[0] * self.n for _ in self.rows]
+        for out, row in zip(dense, self.rows):
+            for j, a in row:
+                out[j] = a
+        return tuple(map(tuple, dense))
 
     @classmethod
     def from_dfa(cls, dfa: Dfa) -> "CountVectors":
         """Counting system for a DFA's language, on its trim graph: the
         discarded states would only contribute zero terms."""
-        graph = trim(dfa)
-        initial = tuple(1 if v == dfa.initial else 0 for v in graph.vertices)
-        final = tuple(1 if v in dfa.accepting else 0 for v in graph.vertices)
-        return cls(graph.matrix, initial, final)
+        return cls._on_graph(trim(dfa), {dfa.initial}, dfa.accepting)
+
+    @classmethod
+    def _on_graph(cls, graph: LabeledGraph, initial, final) -> "CountVectors":
+        """System on a graph's adjacency matrix, in O(E): the vectors
+        indicate the vertex sets `initial` and `final`."""
+        index = graph.vertex_index
+        rows = [{} for _ in graph.vertices]
+        for src, _symbol, dst in graph.edges:
+            row = rows[index[src]]
+            j = index[dst]
+            row[j] = row.get(j, 0) + 1
+        cv = cls.__new__(cls)
+        cv.rows = tuple(tuple(sorted(row.items())) for row in rows)
+        cv.initial = _indicator(graph, initial)
+        cv.final = _indicator(graph, final)
+        return cv
+
+
+def _indicator(graph: LabeledGraph, states) -> tuple:
+    return tuple(1 if v in states else 0 for v in graph.vertices)
+
+
+def shared_system(dfa: Dfa, parts) -> tuple[CountVectors, tuple]:
+    """The counting system of a DFA on its trim graph, and the final
+    vector of each part over the same vertices.
+
+    A part is a subset of the DFA's accepting states.  Every state on a
+    path into it lies on the trim graph, so one `final_counts` stream
+    over the system counts the words of every part; for instance the
+    symmetric difference and the union of a pair, over the union.
+    """
+    graph = trim(dfa)
+    cv = CountVectors._on_graph(graph, {dfa.initial}, dfa.accepting)
+    return cv, tuple(_indicator(graph, part) for part in parts)
+
+
+def final_counts(cv: CountVectors, finals):
+    """Yield, for n = 0, 1, ..., the tuple of i . A^n . f over the final
+    vectors f; one O(E) step of the vector i . A^n per length, however
+    many counts are read from it."""
+    n = cv.n
+    columns = [[] for _ in range(n)]  # column j of A as (row, entry) pairs
+    for i, row in enumerate(cv.rows):
+        for j, a in row:
+            columns[j].append((i, a))
+    # The vector's coordinates are held in order of decreasing column
+    # length, so the k-th entries of the columns that have one form the
+    # layer k over a prefix of the coordinates.  A step sums the layers
+    # coordinate by coordinate in `map` calls: O(E) work, no Python loop
+    # over the vertices.
+    order = sorted(range(n), key=lambda j: -len(columns[j]))
+    position = [0] * n
+    for p, j in enumerate(order):
+        position[j] = p
+    layers = [[] for _ in range(max(1, max(map(len, columns), default=0)))]
+    for j in order:
+        for layer, (i, a) in zip(layers, columns[j]):
+            layer.append((position[i], a))
+    (first, first_weights), *rest = map(_split, layers)
+    padding = [0] * (n - len(first))
+    reads = [
+        _split([(position[j], f) for j, f in enumerate(final) if f]) for final in finals
+    ]
+    vector = [cv.initial[j] for j in order]
+    while True:
+        get = vector.__getitem__
+        yield tuple(
+            [sum(map(get, i) if w is None else map(mul, map(get, i), w)) for i, w in reads]
+        )
+        values = map(get, first)
+        if first_weights is not None:
+            values = map(mul, values, first_weights)
+        vector = [*values, *padding]
+        for indices, weights in rest:
+            values = map(get, indices)
+            if weights is not None:
+                values = map(mul, values, weights)
+            vector[: len(indices)] = map(add, vector, values)
+
+
+def _split(entries):
+    """(indices, weights) of (index, weight) pairs; weights None if all 1."""
+    indices = tuple(i for i, _a in entries)
+    weights = tuple(a for _i, a in entries)
+    return indices, None if all(a == 1 for a in weights) else weights
 
 
 def length_counts(cv: CountVectors):
-    """Yield |W_0|, |W_1|, ... forever; one vector-matrix product per step."""
-    rows = cv.rows
-    vector = cv.initial
-    while True:
-        yield sum(x * f for x, f in zip(vector, cv.final))
-        nxt = [0] * len(vector)
-        for x, row in zip(vector, rows):
-            if x:
-                for j, a in row:
-                    nxt[j] += x * a
-        vector = nxt
+    """Yield |W_0|, |W_1|, ... forever; one sparse step per length."""
+    for (count,) in final_counts(cv, (cv.final,)):
+        yield count
 
 
 def cumulative_counts(cv: CountVectors):
@@ -124,9 +217,8 @@ def block_count(graph: LabeledGraph, n: int) -> int:
     """
     if n < 0:
         raise ValueError("length must be non-negative")
-    ones = tuple(1 for _ in graph.vertices)
-    cv = CountVectors(graph.matrix, ones, ones)
-    return count_len(cv, n)
+    everything = frozenset(graph.vertices)
+    return count_len(CountVectors._on_graph(graph, everything, everything), n)
 
 
 def residue_language(cv: CountVectors, q: int, k: int) -> CountVectors:

@@ -28,19 +28,15 @@ from math import comb, lcm
 
 from .automata import (
     Dfa,
+    Product,
     combine,
     harmonize,
     harmonize_all,
     minimize,
+    product,
     shortest_accepted,
 )
-from .counting import (
-    CountVectors,
-    count_len,
-    count_upto,
-    cumulative_counts,
-    length_counts,
-)
+from .counting import CountVectors, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
 from .spectral import ENTROPY_EPS, language_entropy
 
@@ -76,26 +72,39 @@ class DistanceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pair_dfas(d1: Dfa, d2: Dfa):
-    a, b = harmonize(d1, d2)
-    return a, b, combine(a, b, "symdiff"), combine(a, b, "union")
+def _pair(d1: Dfa, d2: Dfa) -> Product:
+    return product(*harmonize(d1, d2))
+
+
+def _pair_counts(cv: CountVectors, finals, cumulative: bool):
+    """Yield the (sym diff, union) word counts for n = 0, 1, ...: of
+    length exactly n, or at most n when `cumulative`."""
+    total_sym = total_uni = 0
+    for w_sym, w_uni in final_counts(cv, finals):
+        total_sym += w_sym
+        total_uni += w_uni
+        yield (total_sym, total_uni) if cumulative else (w_sym, w_uni)
+
+
+def _jaccard_n(d1: Dfa, d2: Dfa, n: int, cumulative: bool) -> Fraction:
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    prod = _pair(d1, d2)
+    left, right = prod.left, prod.right
+    cv, finals = shared_system(prod.dfa(left | right), (left ^ right, left | right))
+    num, den = next(islice(_pair_counts(cv, finals, cumulative), n, None))
+    return Fraction(num, den) if den else Fraction(0)
 
 
 def jaccard_exact_n(d1: Dfa, d2: Dfa, n: int) -> Fraction:
     """Jaccard distance restricted to words of length exactly n,
     |W_n(sym diff)| / |W_n(union)|, and 0 when the denominator is 0."""
-    _a, _b, sym, uni = _pair_dfas(d1, d2)
-    num = count_len(CountVectors.from_dfa(sym), n)
-    den = count_len(CountVectors.from_dfa(uni), n)
-    return Fraction(num, den) if den else Fraction(0)
+    return _jaccard_n(d1, d2, n, cumulative=False)
 
 
 def jaccard_cum_n(d1: Dfa, d2: Dfa, n: int) -> Fraction:
     """Jaccard distance over words of length at most n."""
-    _a, _b, sym, uni = _pair_dfas(d1, d2)
-    num = count_upto(CountVectors.from_dfa(sym), n)
-    den = count_upto(CountVectors.from_dfa(uni), n)
-    return Fraction(num, den) if den else Fraction(0)
+    return _jaccard_n(d1, d2, n, cumulative=True)
 
 
 def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> DistanceResult:
@@ -106,7 +115,9 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
         raise ValueError(f"unknown sequence {config.sequence!r}")
     if config.mode == "analytic" and config.sequence != "cum":
         raise ValueError("analytic mode requires the cumulative sequence")
-    a, b, sym, uni = _pair_dfas(d1, d2)
+    prod = _pair(d1, d2)
+    left, right = prod.left, prod.right
+    sym, uni = prod.dfa(left ^ right), prod.dfa(left | right)
     metric = "cesaro"
     diagnostics = {"sequence": config.sequence}
     cumulative = config.sequence == "cum"
@@ -114,7 +125,7 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     sym_report, uni_report = language_entropy(sym), language_entropy(uni)
     if cumulative:
         reports = {"sym_diff": sym_report, "union": uni_report}
-        reports["intersection"] = language_entropy(combine(a, b, "intersect"))
+        reports["intersection"] = language_entropy(prod.dfa(left & right))
         for name, report in reports.items():
             diagnostics[f"entropy_{name}"] = report.entropy_bits
             diagnostics[f"index_{name}"] = report.index
@@ -123,13 +134,13 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
         if _grows_slower(reports["intersection"], uni_report):
             return DistanceResult(metric, 1.0, "analytic-shortcut", diagnostics)
 
-    sym_cv, uni_cv = CountVectors.from_dfa(sym), CountVectors.from_dfa(uni)
+    cv, finals = shared_system(uni, (sym.accepting, uni.accepting))
     q = lcm(*(c.period for c in sym_report.components + uni_report.components))
-    n0 = -(-max(sym_cv.n, uni_cv.n) // q) * q
+    n0 = -(-cv.n // q) * q
     d = uni_report.index
     diagnostics["residue_period"] = q
     if uni_report.lambda_class != "expanding":
-        limit = _exact_tie_limit(sym_cv, uni_cv, q, n0, d, cumulative)
+        limit = _exact_tie_limit(cv, finals, q, n0, d, cumulative)
         diagnostics.update(numerator=limit.numerator, denominator=limit.denominator)
         return DistanceResult(metric, float(limit), "exact", diagnostics)
 
@@ -139,7 +150,7 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
         reason = f"sym, union and intersection all grow as ({order}); the limit {slow}"
     else:
         limits, deltas, terms = _per_residue_limits(
-            sym_cv, uni_cv, q, config.tol, cumulative
+            cv, finals, q, config.tol, cumulative
         )
         if limits is not None:
             diagnostics.update(
@@ -148,7 +159,7 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
             return DistanceResult(metric, sum(limits) / q, "per-residue", diagnostics)
         diagnostics.update(residue_cap_terms=terms)
         reason = f"a residue class still moves after {terms} terms"
-    partial = next(islice(_ratio_stream(sym_cv, uni_cv, cumulative), n0 - 1, None))
+    partial = next(islice(_ratio_stream(cv, finals, cumulative), n0 - 1, None))
     raise ConvergenceError(reason, partial=partial, diagnostics=diagnostics)
 
 
@@ -160,22 +171,22 @@ def _grows_slower(low, high) -> bool:
     return gap > 10 * ENTROPY_EPS or (tie and low.index < high.index)
 
 
-def _exact_tie_limit(sym_cv, uni_cv, q, n0, d, cumulative) -> Fraction:
+def _exact_tie_limit(cv, finals, q, n0, d, cumulative) -> Fraction:
     """Cesaro limit of the Jaccard sequence for a tie with radius at most 1
     and index d.
 
-    Past n0 (a multiple of q, at least both matrix sizes) the nilpotent
-    part of a count matrix is spent, and its other eigenvalues are q-th
-    roots of unity of index at most d.  So along each residue class k,
-    the fixed-length count W(n0 + k + q m) is a polynomial in m of degree
-    below d, and the cumulative count S(n0 + q m) one of degree d.  The
-    cumulative sequence converges to the ratio of the leading
+    Past n0 (a multiple of q, at least the union's matrix size) the
+    nilpotent part of a count matrix is spent, and its other eigenvalues
+    are q-th roots of unity of index at most d.  So along each residue
+    class k, the fixed-length count W(n0 + k + q m) is a polynomial in m
+    of degree below d, and the cumulative count S(n0 + q m) one of degree
+    d.  The cumulative sequence converges to the ratio of the leading
     coefficients of S (|sym| / |union| when d = 0, a finite union); the
     fixed-length one has such a limit per class, and its Cesaro limit is
     their mean.
     """
-    counts = cumulative_counts if cumulative else length_counts
-    sym, uni = (list(islice(counts(cv), n0 + q * (d + 1))) for cv in (sym_cv, uni_cv))
+    counts = islice(_pair_counts(cv, finals, cumulative), n0 + q * (d + 1))
+    sym, uni = zip(*counts)
     classes = range(1 if cumulative else q)
     limits = [_leading_ratio(sym[n0 + k :: q], uni[n0 + k :: q]) for k in classes]
     return sum(limits) / len(limits)
@@ -200,31 +211,22 @@ def _difference(values, order) -> int:
     )
 
 
-def _ratio_stream(sym_cv: CountVectors, uni_cv: CountVectors, cumulative: bool):
+def _ratio_stream(cv: CountVectors, finals, cumulative: bool):
     """Yield the Jaccard sequence J_1, J_2, ... as floats.
 
     Counts are exact integers throughout; each term is converted by one
     correctly rounded big-integer division at the end.
     """
-    sym_gen = length_counts(sym_cv)
-    uni_gen = length_counts(uni_cv)
-    total_sym = next(sym_gen)
-    total_uni = next(uni_gen)
-    while True:
-        w_sym = next(sym_gen)
-        w_uni = next(uni_gen)
-        total_sym += w_sym
-        total_uni += w_uni
-        num, den = (total_sym, total_uni) if cumulative else (w_sym, w_uni)
+    for num, den in islice(_pair_counts(cv, finals, cumulative), 1, None):
         yield (num / den) if den else 0.0
 
 
-def _per_residue_limits(sym_cv, uni_cv, q, tol, cumulative):
+def _per_residue_limits(cv, finals, q, tol, cumulative):
     """Estimate lim J_{q m + k} for each residue class k.
 
     A class counts as settled once CONSECUTIVE successive values agree
-    within `tol` and the term index exceeds both state counts, so that a
-    plateau over the short lengths is not taken for the limit.  Returns
+    within `tol` and the term index exceeds the union's state count, so
+    that a plateau over the short lengths is not taken for the limit.  Returns
     (limits, last_deltas, terms), with limits None if any class is still
     moving after m has reached RESIDUE_M_CAP.
     """
@@ -233,8 +235,8 @@ def _per_residue_limits(sym_cv, uni_cv, q, tol, cumulative):
     streak = [0] * q
     settled = [False] * q
     cap_terms = q * RESIDUE_M_CAP
-    transient = max(sym_cv.n, uni_cv.n)
-    stream = _ratio_stream(sym_cv, uni_cv, cumulative)
+    transient = cv.n
+    stream = _ratio_stream(cv, finals, cumulative)
     i = 0
     for value in stream:
         i += 1
@@ -258,9 +260,10 @@ def _per_residue_limits(sym_cv, uni_cv, q, tol, cumulative):
 def entropy_distance(d1: Dfa, d2: Dfa) -> DistanceResult:
     """Ratio of entropies h(sym diff) / h(union); 0 when the union has
     entropy 0.  Always lands in [0, 1]."""
-    _a, _b, sym, uni = _pair_dfas(d1, d2)
-    h_sym = language_entropy(sym).entropy_bits
-    h_uni = language_entropy(uni).entropy_bits
+    prod = _pair(d1, d2)
+    left, right = prod.left, prod.right
+    h_sym = language_entropy(prod.dfa(left ^ right)).entropy_bits
+    h_uni = language_entropy(prod.dfa(left | right)).entropy_bits
     value = 0.0 if h_uni == 0.0 else min(1.0, h_sym / h_uni)
     return DistanceResult(
         "entropy",
@@ -275,9 +278,9 @@ def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
 
     Reported unnormalized, so the range is [0, 2 log2 |alphabet|].
     """
-    a, b = harmonize(d1, d2)
-    left = language_entropy(combine(a, b, "minus")).entropy_bits
-    right = language_entropy(combine(b, a, "minus")).entropy_bits
+    prod = _pair(d1, d2)
+    left = language_entropy(prod.dfa(prod.left - prod.right)).entropy_bits
+    right = language_entropy(prod.dfa(prod.right - prod.left)).entropy_bits
     return DistanceResult(
         "entropy_sum",
         left + right,

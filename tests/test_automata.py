@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 import reglang as rl
 from reglang.errors import AlphabetError
 from reglang.oracle import acceptance_by_length, all_strings
+from reglang.spectral import graph_from_matrix
 from corpus import SHOWCASE_MATRIX, showcase_machine
+from test_graphs import _matrices
 
 
 def language_table(dfa, alphabet, depth):
@@ -235,6 +237,34 @@ def test_essential_idempotent(corpus):
     for lang in corpus:
         once = rl.essential(rl.trim(lang.dfa))
         assert rl.essential(once) == once, lang.name
+
+
+def essential_by_fixpoint(graph):
+    """The essential graph by its definition: drop every vertex without
+    an incoming or an outgoing edge among the rest, until none is left."""
+    vertices = set(graph.vertices)
+    edges = list(graph.edges)
+    while True:
+        has_out = {src for src, _s, _d in edges}
+        has_in = {dst for _s, _sym, dst in edges}
+        alive = {v for v in vertices if v in has_out and v in has_in}
+        if alive == vertices:
+            return rl.LabeledGraph(tuple(sorted(vertices)), tuple(edges), "essential")
+        vertices = alive
+        edges = [e for e in edges if e[0] in vertices and e[2] in vertices]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_matrices)
+def test_essential_matches_fixpoint_definition(rows):
+    graph = graph_from_matrix(rows)
+    assert rl.essential(graph) == essential_by_fixpoint(graph)
+
+
+def test_essential_of_long_chain_is_empty():
+    graph = rl.trim(rl.dfa_from_regex("a{4000}"))
+    assert graph.n_vertices == 4001
+    assert rl.essential(graph).is_empty
 
 
 # --- state budget ------------------------------------------------------------

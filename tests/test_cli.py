@@ -76,6 +76,14 @@ def test_distance_missing_n_is_input_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("metric", ["jn", "jnp"])
+def test_distance_negative_n_is_input_error(capsys, metric):
+    code, out, err = run_cli(capsys, "distance", "--metric", metric, "--n", "-1", "a*", "(aa)*")
+    assert code == 1
+    assert not out
+    assert "error" in err
+
+
 def test_bad_regex_is_input_error(capsys):
     code, _, err = run_cli(capsys, "entropy", "(a|b")
     assert code == 1

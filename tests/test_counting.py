@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from reglang.counting import (
     count_len,
     count_upto,
     cumulative_counts,
+    final_counts,
     length_counts,
     matrix_power,
     residue_language,
+    shared_system,
     trim_system,
 )
 from reglang.oracle import acceptance_by_length
@@ -25,6 +28,7 @@ from corpus import (
     showcase_machine,
 )
 from test_graphs import _matrices
+from test_spectral import _dfas
 
 
 def system(pattern, alphabet=None):
@@ -106,6 +110,31 @@ def test_sparse_counts_match_dense_matrix_power(system):
             for j in range(cv.n)
         )
         assert count_len(cv, n) == dense, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_dfas, b=_dfas)
+def test_one_product_stream_counts_every_combination(a, b):
+    prod = rl.product(a, b)
+    left, right = prod.left, prod.right
+    combinations = [
+        (rl.combine(a, b, "intersect"), left & right),
+        (rl.combine(a, b, "union"), left | right),
+        (rl.combine(a, b, "symdiff"), left ^ right),
+        (rl.combine(a, b, "minus"), left - right),
+        (rl.combine(b, a, "minus"), right - left),
+    ]
+    cv, finals = shared_system(prod.dfa(left | right), [part for _d, part in combinations])
+    for n, counts in enumerate(islice(final_counts(cv, finals), 13)):
+        expected = tuple(count_len(CountVectors.from_dfa(d), n) for d, _part in combinations)
+        assert counts == expected, n
+
+
+def test_counting_system_of_a_large_dfa_is_built_from_edges():
+    # 8193 states: a dense matrix would hold 67 million entries.
+    dfa = rl.dfa_from_regex("(a|b)*a(a|b){12}")
+    assert dfa.n_states == 8193
+    assert count_len(CountVectors.from_dfa(dfa), 20) == 2**19
 
 
 # --- admissible-block path counts ---------------------------------------------

@@ -89,6 +89,12 @@ def test_jaccard_on_empty_union_is_zero(n, by_name):
     assert rl.jaccard_cum_n(empty, empty, n) == 0
 
 
+@pytest.mark.parametrize("jaccard", [rl.jaccard_exact_n, rl.jaccard_cum_n])
+def test_jaccard_rejects_negative_horizon(jaccard, by_name):
+    with pytest.raises(ValueError):
+        jaccard(by_name["a_star"].dfa, by_name["even_a"].dfa, -1)
+
+
 # --- Cesaro Jaccard ------------------------------------------------------------------
 
 
