@@ -253,8 +253,11 @@ def _canonical(dfa: Dfa) -> Dfa:
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """Hopcroft partition refinement; returns the unique minimal complete
-    DFA in canonical state order."""
+    """The unique minimal complete DFA in canonical state order, by
+    partition refinement.  Each splitter rescans every block for each
+    symbol, and the worklist is a list searched for membership, so the cost
+    is about O(|alphabet| V^2), not Hopcroft's O(|alphabet| V log V)
+    (ROADMAP item 4)."""
     reach = sorted(_reachable(dfa))
     finals = frozenset(q for q in reach if q in dfa.accepting)
     others = frozenset(q for q in reach if q not in dfa.accepting)

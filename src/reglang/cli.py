@@ -24,7 +24,7 @@ from .errors import (
 from .graphs import scc_decompose
 from .metrics import CesaroConfig, distance_result
 from .oracle import DEFAULT_BUDGET, oracle_counts
-from .spectral import POWER_TOL, language_entropy
+from .spectral import language_entropy
 
 _METRIC_CODES = {
     "jn": "jn_cum",
@@ -65,7 +65,6 @@ def build_parser() -> _Parser:
     entropy = sub.add_parser("entropy", help="entropy of one language")
     entropy.add_argument("regex")
     entropy.add_argument("--alphabet", default=None)
-    entropy.add_argument("--tol", type=float, default=POWER_TOL)
     entropy.set_defaults(handler=cmd_entropy)
 
     distance = sub.add_parser("distance", help="distance between two languages")
@@ -74,7 +73,6 @@ def build_parser() -> _Parser:
     distance.add_argument(
         "--mode", choices=("auto", "analytic"), default="auto"
     )
-    distance.add_argument("--tol", type=float, default=1e-9)
     distance.add_argument("--alphabet", default=None)
     distance.add_argument("regex1")
     distance.add_argument("regex2")
@@ -87,7 +85,6 @@ def build_parser() -> _Parser:
     matrix.add_argument(
         "--mode", choices=("auto", "analytic"), default="auto"
     )
-    matrix.add_argument("--tol", type=float, default=1e-9)
     matrix.add_argument("--alphabet", default=None)
     matrix.set_defaults(handler=cmd_matrix)
 
@@ -105,7 +102,7 @@ def build_parser() -> _Parser:
 
 def cmd_entropy(args) -> int:
     dfa = dfa_from_regex(args.regex, args.alphabet)
-    report = language_entropy(dfa, tol=args.tol)
+    report = language_entropy(dfa)
     _emit(
         {
             "entropy_bits": report.entropy_bits,
@@ -124,7 +121,7 @@ def cmd_distance(args) -> int:
     metric = _METRIC_CODES[args.metric]
     d1 = dfa_from_regex(args.regex1, args.alphabet)
     d2 = dfa_from_regex(args.regex2, args.alphabet)
-    config = CesaroConfig(tol=args.tol, mode=args.mode)
+    config = CesaroConfig(mode=args.mode)
     result = distance_result(metric, d1, d2, n=args.n, config=config)
     _emit(asdict(result))
     return 0
@@ -139,7 +136,7 @@ def cmd_matrix(args) -> int:
     dfas = harmonize_all(
         [dfa_from_regex(p, args.alphabet) for p in patterns]
     )
-    config = CesaroConfig(tol=args.tol, mode=args.mode)
+    config = CesaroConfig(mode=args.mode)
     cache = {}
 
     def value(i: int, j: int) -> float:

@@ -111,7 +111,7 @@ def _indicator(graph: LabeledGraph, states) -> tuple:
     return tuple(1 if v in states else 0 for v in graph.vertices)
 
 
-def shared_system(dfa: Dfa, parts) -> tuple[CountVectors, tuple]:
+def shared_system(dfa: Dfa, parts, graph=None) -> tuple[CountVectors, tuple]:
     """The counting system of a DFA on its trim graph, and the final
     vector of each part over the same vertices.
 
@@ -119,8 +119,9 @@ def shared_system(dfa: Dfa, parts) -> tuple[CountVectors, tuple]:
     path into it lies on the trim graph, so one `final_counts` stream
     over the system counts the words of every part; for instance the
     symmetric difference and the union of a pair, over the union.
+    `graph` is the DFA's trim graph when the caller already has it.
     """
-    graph = trim(dfa)
+    graph = trim(dfa) if graph is None else graph
     cv = CountVectors._on_graph(graph, {dfa.initial}, dfa.accepting)
     return cv, tuple(_indicator(graph, part) for part in parts)
 

@@ -9,13 +9,14 @@ of running averages of the cumulative distances, is decided in stages:
    symmetric difference has a lower order (radius, d) than the union,
    and 1 if the intersection does.  No iteration needed.
 2. Exact ties.  If all three share an order with radius at most 1, the
-   limit is an exact ratio of word counts taken past the transient (for
-   the fixed-length sequence, the mean of such ratios over the residue
-   classes).
-3. Per-residue estimation.  A tie with radius above 1 and d = 1 has
-   convergent Jaccard terms along each residue class modulo the graph
-   period; their limits are iterated until they settle, then averaged.
-   With d > 1 they converge like 1/n, too slowly: ConvergenceError.
+   limit is an exact ratio of word counts taken past the transient.
+3. Leading coefficients.  A tie with radius above 1, of any index, has
+   a limit along each residue class modulo the graph period, read off the
+   leading vector of one power stream stopped on a stated residual; the
+   value is the mean over the classes.
+
+The fixed-length sequence is averaged through the same stages, applied
+to the words of each residue class of lengths.
 
 The entropy distance and the entropy-sum distance are ratios and sums of
 spectral entropies of boolean combinations.
@@ -24,7 +25,9 @@ spectral entropies of boolean combinations.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import comb, lcm
+from math import comb, inf, lcm
+
+import numpy as np
 
 from .automata import (
     Dfa,
@@ -35,16 +38,17 @@ from .automata import (
     minimize,
     product,
     shortest_accepted,
+    trim,
 )
 from .counting import CountVectors, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
-from .spectral import ENTROPY_EPS, language_entropy
+from .spectral import ENTROPY_EPS, POWER_MAX_ITER, analyze_graph, language_entropy
 
 METRIC_NAMES = ("jn_exact", "jn_cum", "cesaro", "entropy", "entropy_sum")
 
-
-CONSECUTIVE = 3  # successive agreeing values that settle a residue class
-RESIDUE_M_CAP = 5000  # terms per residue class before the estimate gives up
+# Residual that settles the leading vector.  The float radius it is
+# normalized by leaves a floor of about 5e-13.
+LIMIT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -54,18 +58,21 @@ class CesaroConfig:
     `sequence` selects which Jaccard sequence is averaged: "cum" uses the
     cumulative distances (the default and the recommended definition),
     "exact" averages the fixed-length distances instead, which is useful
-    as a diagnostic because the two can disagree.  Growth orders only
-    apply to the cumulative sequence; exact ties (radius at most 1) apply
-    to both.
+    as a diagnostic because the two can disagree.  `mode="analytic"` runs
+    no power stream, so a tie with radius above 1 raises ConvergenceError.
     """
 
-    tol: float = 1e-9
     mode: str = "auto"  # "auto" | "analytic" (decided without iteration)
     sequence: str = "cum"  # "cum" | "exact"
 
 
 @dataclass
 class DistanceResult:
+    """A distance, the stage that decided it, and its evidence: an "exact"
+    Cesaro value has `numerator` and `denominator`; a "per-residue" one has
+    the `residue_limits` per residue class, the stopping `residual` and the
+    power-stream `blocks` taken."""
+
     metric: str
     value: float
     mode: str  # "exact" | "analytic-shortcut" | "per-residue"
@@ -115,52 +122,81 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
         raise ValueError(f"unknown sequence {config.sequence!r}")
     if config.mode == "analytic" and config.sequence != "cum":
         raise ValueError("analytic mode requires the cumulative sequence")
+    diagnostics = {"sequence": config.sequence}
+    if config.sequence == "cum":
+        limit, mode = _cumulative_limit(d1, d2, diagnostics, config.mode == "analytic")
+    else:
+        limit, mode = _fixed_length_limit(d1, d2, diagnostics)
+    if mode == "exact":
+        diagnostics.update(numerator=limit.numerator, denominator=limit.denominator)
+    return DistanceResult("cesaro", float(limit), mode, diagnostics)
+
+
+def _cumulative_limit(d1: Dfa, d2: Dfa, diagnostics: dict, analytic=False):
+    """(limit, mode) of the cumulative Jaccard sequence, the limit a
+    Fraction unless the power stream ran; the growth orders and the
+    evidence go into `diagnostics`."""
     prod = _pair(d1, d2)
     left, right = prod.left, prod.right
-    sym, uni = prod.dfa(left ^ right), prod.dfa(left | right)
-    metric = "cesaro"
-    diagnostics = {"sequence": config.sequence}
-    cumulative = config.sequence == "cum"
+    parts = (left ^ right, left | right)
+    uni = prod.dfa(left | right)
+    graph = trim(uni)
+    reports = {
+        "sym_diff": language_entropy(prod.dfa(left ^ right)),
+        "union": analyze_graph(graph),
+        "intersection": language_entropy(prod.dfa(left & right)),
+    }
+    for name, report in reports.items():
+        diagnostics[f"entropy_{name}"] = report.entropy_bits
+        diagnostics[f"index_{name}"] = report.index
+    uni_report = reports["union"]
+    if _grows_slower(reports["sym_diff"], uni_report):
+        return Fraction(0), "analytic-shortcut"
+    if _grows_slower(reports["intersection"], uni_report):
+        return Fraction(1), "analytic-shortcut"
 
-    sym_report, uni_report = language_entropy(sym), language_entropy(uni)
-    if cumulative:
-        reports = {"sym_diff": sym_report, "union": uni_report}
-        reports["intersection"] = language_entropy(prod.dfa(left & right))
-        for name, report in reports.items():
-            diagnostics[f"entropy_{name}"] = report.entropy_bits
-            diagnostics[f"index_{name}"] = report.index
-        if _grows_slower(sym_report, uni_report):
-            return DistanceResult(metric, 0.0, "analytic-shortcut", diagnostics)
-        if _grows_slower(reports["intersection"], uni_report):
-            return DistanceResult(metric, 1.0, "analytic-shortcut", diagnostics)
-
-    cv, finals = shared_system(uni, (sym.accepting, uni.accepting))
-    q = lcm(*(c.period for c in sym_report.components + uni_report.components))
-    n0 = -(-cv.n // q) * q
-    d = uni_report.index
+    # sym's nontrivial components lie inside union ones: same periods
+    q = lcm(*(c.period for c in uni_report.components))
+    radius, d = uni_report.spectral_radius, uni_report.index
     diagnostics["residue_period"] = q
     if uni_report.lambda_class != "expanding":
-        limit = _exact_tie_limit(cv, finals, q, n0, d, cumulative)
-        diagnostics.update(numerator=limit.numerator, denominator=limit.denominator)
-        return DistanceResult(metric, float(limit), "exact", diagnostics)
+        return _exact_tie_limit(*shared_system(uni, parts, graph), q, d), "exact"
+    if analytic:
+        order = f"radius {radius:.6g}, index {d}"
+        reason = f"sym, union and intersection all grow as ({order}); the limit needs iteration"
+        raise ConvergenceError(reason, diagnostics=diagnostics)
+    limits, residual, blocks = _leading_limits(graph, uni.initial, parts, radius, q, d)
+    diagnostics.update(residue_limits=limits, residual=residual, blocks=blocks)
+    return sum(limits) / q, "per-residue"
 
-    if config.mode == "analytic" or (cumulative and d > 1):
-        order = f"radius {uni_report.spectral_radius:.6g}, index {d}"
-        slow = "needs iteration" if d == 1 else "converges too slowly to certify"
-        reason = f"sym, union and intersection all grow as ({order}); the limit {slow}"
-    else:
-        limits, deltas, terms = _per_residue_limits(
-            cv, finals, q, config.tol, cumulative
-        )
-        if limits is not None:
-            diagnostics.update(
-                residue_limits=limits, residue_deltas=deltas, terms_used=terms
-            )
-            return DistanceResult(metric, sum(limits) / q, "per-residue", diagnostics)
-        diagnostics.update(residue_cap_terms=terms)
-        reason = f"a residue class still moves after {terms} terms"
-    partial = next(islice(_ratio_stream(cv, finals, cumulative), n0 - 1, None))
-    raise ConvergenceError(reason, partial=partial, diagnostics=diagnostics)
+
+def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
+    """(limit, mode) of the fixed-length Jaccard sequence.
+
+    Along a residue class k modulo the union's period q, the terms tend to
+    the cumulative limit of the words of length k modulo q: the newest
+    length dominates a cumulative count that grows exponentially, and has
+    the leading coefficient of one that grows polynomially.  A class with
+    a finite union has terms 0.
+    """
+    a, b = harmonize(d1, d2)
+    prod = product(a, b)
+    uni_report = language_entropy(prod.dfa(prod.left | prod.right))
+    q = lcm(*(c.period for c in uni_report.components))
+    diagnostics["residue_period"] = q
+    counter = tuple(((i + 1) % q,) * len(a.alphabet) for i in range(q))
+    limits, residual, blocks = [], 0.0, 0
+    for k in range(q):
+        length_k = Dfa(a.alphabet, counter, frozenset({k}))
+        found, pair = {}, (combine(x, length_k, "intersect") for x in (a, b))
+        limit, _mode = _cumulative_limit(*pair, found)
+        limits.append(limit if found["index_union"] else Fraction(0))
+        residual = max(residual, found.get("residual", 0.0))
+        blocks += found.get("blocks", 0)
+    if uni_report.lambda_class != "expanding":
+        return sum(limits) / q, "exact"
+    diagnostics.update(residue_limits=list(map(float, limits)), residual=residual, blocks=blocks)
+    return sum(limits) / q, "per-residue"
 
 
 def _grows_slower(low, high) -> bool:
@@ -171,90 +207,73 @@ def _grows_slower(low, high) -> bool:
     return gap > 10 * ENTROPY_EPS or (tie and low.index < high.index)
 
 
-def _exact_tie_limit(cv, finals, q, n0, d, cumulative) -> Fraction:
-    """Cesaro limit of the Jaccard sequence for a tie with radius at most 1
-    and index d.
-
-    Past n0 (a multiple of q, at least the union's matrix size) the
-    nilpotent part of a count matrix is spent, and its other eigenvalues
-    are q-th roots of unity of index at most d.  So along each residue
-    class k, the fixed-length count W(n0 + k + q m) is a polynomial in m
-    of degree below d, and the cumulative count S(n0 + q m) one of degree
-    d.  The cumulative sequence converges to the ratio of the leading
-    coefficients of S (|sym| / |union| when d = 0, a finite union); the
-    fixed-length one has such a limit per class, and its Cesaro limit is
-    their mean.
+def _exact_tie_limit(cv, finals, q, d) -> Fraction:
+    """Cesaro limit of the cumulative Jaccard sequence for a tie with
+    radius at most 1 and index d.  Past n0 (a multiple of q, at least the
+    union's matrix size) the nilpotent part of a count matrix is spent,
+    and its other eigenvalues are q-th roots of unity of index at most d.
+    So the cumulative count S(n0 + q m) is a polynomial in m of degree at
+    most d, exactly d for the union, and the sequence tends to the ratio
+    of the d-th differences (|sym| / |union| when d = 0, a finite union).
     """
-    counts = islice(_pair_counts(cv, finals, cumulative), n0 + q * (d + 1))
-    sym, uni = zip(*counts)
-    classes = range(1 if cumulative else q)
-    limits = [_leading_ratio(sym[n0 + k :: q], uni[n0 + k :: q]) for k in classes]
-    return sum(limits) / len(limits)
-
-
-def _leading_ratio(sym, uni) -> Fraction:
-    """lim sym(m) / uni(m) for polynomials in m given by their values at
-    m = 0, 1, ..., with 0 <= sym <= uni: the ratio of their differences of
-    the order of uni's degree (its highest nonzero difference), 0 when uni
-    is zero."""
-    for order in reversed(range(len(uni))):
-        den = _difference(uni, order)
-        if den:
-            return Fraction(_difference(sym, order), den)
-    return Fraction(0)
-
-
-def _difference(values, order) -> int:
-    """The order-th forward difference at 0 of the sequence `values`."""
-    return sum(
-        (-1) ** (order - k) * comb(order, k) * values[k] for k in range(order + 1)
+    n0 = -(-cv.n // q) * q
+    counts = islice(_pair_counts(cv, finals, cumulative=True), n0 + q * (d + 1))
+    sym, uni = (
+        sum((-1) ** (d - k) * comb(d, k) * s for k, s in enumerate(totals[n0::q]))
+        for totals in zip(*counts)
     )
+    return Fraction(sym, uni) if uni else Fraction(0)
 
 
-def _ratio_stream(cv: CountVectors, finals, cumulative: bool):
-    """Yield the Jaccard sequence J_1, J_2, ... as floats.
+def _leading_limits(graph, initial, parts, radius, q, d):
+    """(limits, residual, blocks) of the cumulative Jaccard sequence along
+    each residue class k mod q, for a tie with radius above 1 and index d.
 
-    Counts are exact integers throughout; each term is converted by one
-    correctly rounded big-integer division at the end.
+    The eigenvalues of A of modulus `radius` are `radius` times q-th roots
+    of unity, so b_m = u A^(q m) / radius^(q m) tends to a polynomial in m
+    of degree d - 1, whose (d-1)-th difference l leads the counts: words
+    of length q m + j in f number about m^(d-1) radius^(q m + j) c_j(f),
+    c_j(f) = l A^j f / radius^j.  A cumulative count weighs length n - r
+    by radius^-r, so class k tends to the ratio of the sums of
+    c_(k-r) radius^-r over r < q for sym and union.  The stream stops once
+    the d-th difference is at most LIMIT_TOL times the (d-1)-th, the
+    residual; a stationary vector is the limit, never a transient.
     """
-    for num, den in islice(_pair_counts(cv, finals, cumulative), 1, None):
-        yield (num / den) if den else 0.0
+    index = graph.vertex_index
+    src, dst = np.array([(index[s], index[t]) for s, _symbol, t in graph.edges]).T
+    finals = np.array([[v in part for part in parts] for v in graph.vertices], float)
 
+    def step(v):
+        return np.bincount(dst, weights=v[src], minlength=len(v)) / radius
 
-def _per_residue_limits(cv, finals, q, tol, cumulative):
-    """Estimate lim J_{q m + k} for each residue class k.
+    def limits(lead):
+        c = []
+        for _ in range(q):
+            c.append(lead @ finals)
+            lead = step(lead)
+        r = np.arange(q)
+        sums = radius ** -r @ np.array(c)[(r[:, None] - r) % q]
+        return [float(s / u) for s, u in sums]
 
-    A class counts as settled once CONSECUTIVE successive values agree
-    within `tol` and the term index exceeds the union's state count, so
-    that a plateau over the short lengths is not taken for the limit.  Returns
-    (limits, last_deltas, terms), with limits None if any class is still
-    moving after m has reached RESIDUE_M_CAP.
-    """
-    last = [None] * q
-    delta = [None] * q
-    streak = [0] * q
-    settled = [False] * q
-    cap_terms = q * RESIDUE_M_CAP
-    transient = cv.n
-    stream = _ratio_stream(cv, finals, cumulative)
-    i = 0
-    for value in stream:
-        i += 1
-        k = i % q
-        previous = last[k]
-        if previous is not None:
-            delta[k] = abs(value - previous)
-        if previous is not None and delta[k] < tol:
-            streak[k] += 1
-            settled[k] = streak[k] >= CONSECUTIVE and i > transient
-        else:
-            streak[k] = 0
-            settled[k] = False
-        last[k] = value
-        if all(settled):
-            return [last[k] for k in range(q)], [delta[k] for k in range(q)], i
-        if i >= cap_terms:
-            return None, delta, i
+    b = np.array([float(v == initial) for v in graph.vertices])
+    diffs = []
+    for blocks in range(POWER_MAX_ITER):
+        diffs = [b, *diffs[:d]]  # backward differences of b_m, orders 0 to d
+        for j in range(1, len(diffs)):
+            diffs[j] = diffs[j - 1] - diffs[j]
+        if len(diffs) > d:
+            lead = np.abs(diffs[d - 1]).max()
+            residual = float(np.abs(diffs[d]).max() / lead) if lead else inf
+            if residual <= LIMIT_TOL:
+                return limits(diffs[d - 1]), residual, blocks
+        for _ in range(q):
+            b = step(b)
+        # one scale for all stored vectors: exact differences, no underflow
+        scale = np.abs(b).max()
+        b, diffs = b / scale, [x / scale for x in diffs]
+    reason = f"the leading vector's residual is {residual:.3g} after {POWER_MAX_ITER} blocks"
+    partial = sum(limits(diffs[d - 1])) / q if residual < inf else None
+    raise ConvergenceError(reason, partial=partial, diagnostics={"residual": residual})
 
 
 def entropy_distance(d1: Dfa, d2: Dfa) -> DistanceResult:
@@ -265,12 +284,8 @@ def entropy_distance(d1: Dfa, d2: Dfa) -> DistanceResult:
     h_sym = language_entropy(prod.dfa(left ^ right)).entropy_bits
     h_uni = language_entropy(prod.dfa(left | right)).entropy_bits
     value = 0.0 if h_uni == 0.0 else min(1.0, h_sym / h_uni)
-    return DistanceResult(
-        "entropy",
-        value,
-        "exact",
-        {"entropy_sym_diff": h_sym, "entropy_union": h_uni},
-    )
+    diagnostics = {"entropy_sym_diff": h_sym, "entropy_union": h_uni}
+    return DistanceResult("entropy", value, "exact", diagnostics)
 
 
 def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
@@ -281,12 +296,8 @@ def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
     prod = _pair(d1, d2)
     left = language_entropy(prod.dfa(prod.left - prod.right)).entropy_bits
     right = language_entropy(prod.dfa(prod.right - prod.left)).entropy_bits
-    return DistanceResult(
-        "entropy_sum",
-        left + right,
-        "exact",
-        {"entropy_left_only": left, "entropy_right_only": right},
-    )
+    diagnostics = {"entropy_left_only": left, "entropy_right_only": right}
+    return DistanceResult("entropy_sum", left + right, "exact", diagnostics)
 
 
 def separating_bound(dfas) -> int:
@@ -377,11 +388,9 @@ def check_metric_axioms(metric, dfas, kind: str = "pseudo", tol: float = 1e-9) -
                 violations.append(("negative", i, j, forward))
             table[i][j] = table[j][i] = forward
 
-    n_triples = 0
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                n_triples += 1
                 for x, y, z in ((i, j, k), (j, i, k), (i, k, j)):
                     lhs = table[x][z]
                     if kind == "ultra-pseudo":
@@ -390,7 +399,7 @@ def check_metric_axioms(metric, dfas, kind: str = "pseudo", tol: float = 1e-9) -
                         rhs = table[x][y] + table[y][z]
                     if lhs > rhs + tol:
                         violations.append(("inequality", x, y, z, lhs, rhs))
-    return AxiomReport(kind, n, n * (n - 1) // 2, n_triples, violations)
+    return AxiomReport(kind, n, comb(n, 2), comb(n, 3), violations)
 
 
 def distance_result(
@@ -401,24 +410,13 @@ def distance_result(
     config: CesaroConfig | None = None,
 ) -> DistanceResult:
     """Uniform entry point used by the command-line surface."""
-    if metric == "jn_exact" or metric == "jn_cum":
+    if metric in ("jn_exact", "jn_cum"):
         if n is None:
             raise ValueError(f"metric {metric!r} needs a horizon n")
-        fraction = (
-            jaccard_exact_n(d1, d2, n)
-            if metric == "jn_exact"
-            else jaccard_cum_n(d1, d2, n)
-        )
-        return DistanceResult(
-            metric,
-            float(fraction),
-            "exact",
-            {
-                "n": n,
-                "numerator": fraction.numerator,
-                "denominator": fraction.denominator,
-            },
-        )
+        jaccard = jaccard_exact_n if metric == "jn_exact" else jaccard_cum_n
+        fraction = jaccard(d1, d2, n)
+        diagnostics = dict(n=n, numerator=fraction.numerator, denominator=fraction.denominator)
+        return DistanceResult(metric, float(fraction), "exact", diagnostics)
     if metric == "cesaro":
         return cesaro_jaccard(d1, d2, config)
     if metric == "entropy":

@@ -64,7 +64,7 @@ def classify_radius(radius: float) -> str:
     return "expanding"
 
 
-def _perron_root(step, n: int, tol: float, start=None):
+def _perron_root(step, n: int, start=None):
     """Largest eigenvalue of the n x n non-negative matrix B that `step`
     multiplies a vector by, where B's diagonal blocks are primitive with
     a common dominant eigenvalue.
@@ -85,11 +85,11 @@ def _perron_root(step, n: int, tol: float, start=None):
         low = float(ratios.min())
         high = float(ratios.max())
         width = high - low
-        if width <= tol * max(1.0, high):
+        if width <= POWER_TOL * max(1.0, high):
             return 0.5 * (low + high), iteration, width
         v = w / w.max()
     raise ConvergenceError(
-        f"power iteration missed tolerance {tol} after {POWER_MAX_ITER} steps",
+        f"power iteration missed tolerance {POWER_TOL} after {POWER_MAX_ITER} steps",
         partial=0.5 * (low + high),
         diagnostics={"residual": width, "iterations": POWER_MAX_ITER},
     )
@@ -98,7 +98,6 @@ def _perron_root(step, n: int, tol: float, start=None):
 def component_spectrum(
     graph: LabeledGraph,
     component,
-    tol: float = POWER_TOL,
     start=None,
     period=None,
 ) -> ComponentSpectrum:
@@ -120,16 +119,16 @@ def component_spectrum(
             v = np.bincount(src, weights=v[dst], minlength=n)
         return v
 
-    root, iterations, residual = _perron_root(step, n, tol, start=start)
+    root, iterations, residual = _perron_root(step, n, start=start)
     radius = root ** (1.0 / period) if period > 1 else root
     return ComponentSpectrum(vertices, period, radius, iterations, residual)
 
 
-def component_radius(graph: LabeledGraph, component, tol: float = POWER_TOL) -> float:
-    return component_spectrum(graph, component, tol=tol).radius
+def component_radius(graph: LabeledGraph, component) -> float:
+    return component_spectrum(graph, component).radius
 
 
-def analyze_graph(graph: LabeledGraph, tol: float = POWER_TOL) -> SpectralReport:
+def analyze_graph(graph: LabeledGraph) -> SpectralReport:
     """Spectral report over the nontrivial components of a graph, with
     the index of its dominant radius."""
     report = scc_decompose(graph)
@@ -138,7 +137,7 @@ def analyze_graph(graph: LabeledGraph, tol: float = POWER_TOL) -> SpectralReport
         zip(report.components, report.periods, report.trivial)
     ):
         if not trivial:
-            spectra[c] = component_spectrum(graph, comp, tol=tol, period=period)
+            spectra[c] = component_spectrum(graph, comp, period=period)
     radius = max((s.radius for s in spectra.values()), default=0.0)
     label = classify_radius(radius)
     entropy = max(0.0, math.log2(radius)) if label == "expanding" else 0.0
@@ -178,13 +177,13 @@ def _longest_chain(graph: LabeledGraph, components, marked) -> int:
     return max(best, default=0)
 
 
-def topological_entropy(graph: LabeledGraph, tol: float = POWER_TOL) -> float:
+def topological_entropy(graph: LabeledGraph) -> float:
     """Growth rate of admissible blocks of an essential graph: the max of
     log2(radius) over components, 0 for the empty graph."""
-    return analyze_graph(graph, tol=tol).entropy_bits
+    return analyze_graph(graph).entropy_bits
 
 
-def language_entropy(dfa: Dfa, tol: float = POWER_TOL) -> SpectralReport:
+def language_entropy(dfa: Dfa) -> SpectralReport:
     """Entropy of a DFA's language in bits per symbol.
 
     Empty and finite languages report entropy 0; otherwise the value is
@@ -194,7 +193,7 @@ def language_entropy(dfa: Dfa, tol: float = POWER_TOL) -> SpectralReport:
     the same nontrivial components, internal edges and periods, hence
     the same spectrum.
     """
-    return analyze_graph(trim(dfa), tol=tol)
+    return analyze_graph(trim(dfa))
 
 
 def graph_from_matrix(rows) -> LabeledGraph:
@@ -216,10 +215,10 @@ def graph_from_matrix(rows) -> LabeledGraph:
     return LabeledGraph(tuple(range(n)), tuple(edges), "trim")
 
 
-def matrix_spectral_radius(rows, tol: float = POWER_TOL) -> float:
+def matrix_spectral_radius(rows) -> float:
     """Spectral radius of a non-negative integer matrix: the maximum of
     the component radii of the induced graph (0 for nilpotent)."""
-    return analyze_graph(graph_from_matrix(rows), tol=tol).spectral_radius
+    return analyze_graph(graph_from_matrix(rows)).spectral_radius
 
 
 def entropies_equal(h1: float, h2: float, eps: float = ENTROPY_EPS) -> bool:

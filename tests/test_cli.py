@@ -191,13 +191,23 @@ def test_console_script_entry_point():
 
 
 def test_distance_cesaro_without_certified_limit_is_diagnostic(capsys):
+    # analytic mode runs no power stream, so the parity tie has no limit
     code, out, err = run_cli(
-        capsys, "distance", "--metric", "jc", "(a|b)*c(a|b)*", "a(a|b)*c(a|b)*"
+        capsys, "distance", "--metric", "jc", "--mode", "analytic", "(a|b)*", "((a|b){2})*"
     )
     assert code == 2
     assert out == ""
     assert err.startswith("diagnostic:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["distance", "--metric", "jc"], ["entropy"]])
+def test_tolerance_flag_is_gone(capsys, command):
+    # limits stop on a module constant, not on a flag
+    code, out, err = run_cli(capsys, *command, "--tol", "1e-6", "(a|b)*", "((a|b){2})*")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
-from reglang.counting import CountVectors, count_upto
+from reglang.counting import CountVectors, count_upto, cumulative_counts
 from reglang.errors import ConvergenceError, DuplicateLanguageError
 from reglang.metrics import CesaroConfig
 from reglang.oracle import oracle_distance
@@ -120,15 +121,29 @@ def test_cesaro_shortcut_fires_on_slower_difference():
 
 def test_cesaro_exact_sequence_disagrees_on_showcase_pair():
     # averaging the fixed-length distances instead of the cumulative ones
-    # lands at one half on the same pair
+    # lands at one half on the same pair: the even lengths are decided by
+    # the slower difference, the odd ones by the empty intersection
     left = rl.dfa_from_regex("((a|b|c){2})*|(d|e)*")
     right = rl.dfa_from_regex("((a|b|c){2})*|(f|g)*")
     result = rl.cesaro_jaccard(left, right, CesaroConfig(sequence="exact"))
     assert result.mode == "per-residue"
-    assert abs(result.value - 0.5) < 1e-3
-    limits = sorted(result.diagnostics["residue_limits"])
-    assert limits[0] == pytest.approx(0.0, abs=1e-6)
-    assert limits[1] == pytest.approx(1.0, abs=1e-6)
+    assert result.value == 0.5
+    assert result.diagnostics["residue_limits"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "left, right, expected",
+    [
+        ("((a|b){2})*|a(aa)*", "a(aa)*", 0.5),
+        ("((a|b){2})*", "a(aa)*", 1.0),
+    ],
+)
+def test_cesaro_exact_sequence_with_a_polynomial_class(left, right, expected):
+    # the odd lengths of the union hold one word each: a class with radius
+    # one beside an exponential one
+    d1, d2 = rl.dfa_from_regex(left, "ab"), rl.dfa_from_regex(right, "ab")
+    result = rl.cesaro_jaccard(d1, d2, CesaroConfig(sequence="exact"))
+    assert result.value == expected
 
 
 def test_cesaro_diagonal_is_zero(by_name):
@@ -146,17 +161,31 @@ def test_cesaro_intersection_shortcut(by_name):
     assert result.value == 1.0
 
 
+@pytest.mark.parametrize("k", [4, 7, 10, 12])
+def test_cesaro_suffix_tie_is_two_thirds(k):
+    # of the words of length n > k, 2^(n-1) end in a(a|b){k}, 2^(n-1) in
+    # a(a|b){k-1}, and 2^(n-2) in both; at k = 12 the union has 8,193 states
+    left = rl.dfa_from_regex(f"(a|b)*a(a|b){{{k}}}")
+    right = rl.dfa_from_regex(f"(a|b)*a(a|b){{{k - 1}}}")
+    result = rl.cesaro_jaccard(left, right)
+    assert result.mode == "per-residue"
+    assert result.value == pytest.approx(2 / 3, abs=1e-12)
+    assert result.diagnostics["residual"] <= 1e-10
+
+
 @pytest.mark.parametrize(
     "left, right, expected",
     [
         ("(a|b)*a(a|b){4}", "(a|b)*", 0.5),
         ("(a|b){5}(a|b)*", "(a|b)*a", 0.5),
         ("(a|b)*a(a|b){7}", "(a|b)*a(a|b){6}", 2 / 3),
+        ("c{1200}(a|b)*", "c{1200}a(a|b)*", 0.5),
     ],
 )
 def test_cesaro_sees_past_the_short_length_plateau(left, right, expected):
     # the Jaccard sequence sits still over the lengths shorter than the
-    # suffix (or prefix) window, far from its limit
+    # suffix (or prefix) window, far from its limit; past a prefix of 1200
+    # the stream's vector would underflow if it were not rescaled
     result = rl.cesaro_jaccard(rl.dfa_from_regex(left), rl.dfa_from_regex(right))
     assert result.mode == "per-residue"
     assert result.value == pytest.approx(expected, abs=1e-6)
@@ -223,15 +252,16 @@ def test_cesaro_fixed_length_ties_are_exact(left, right, expected):
     assert ratio == pytest.approx(expected, abs=1e-12)
 
 
-def test_cesaro_growth_index_two_tie_is_a_diagnostic():
-    # radius 2 with two dominant components in a row: the Jaccard terms
-    # approach one half like 1/n, which no stopping rule can certify
+def test_cesaro_growth_index_two_tie_is_one_half():
+    # radius 2 with two dominant components in a row: the fixed-length
+    # terms are (n + 1) / (2 n), approaching one half like 1/n, and the
+    # leading vector of the stream gives one half outright
     left = rl.dfa_from_regex("(a|b)*c(a|b)*")
     right = rl.dfa_from_regex("a(a|b)*c(a|b)*")
-    with pytest.raises(ConvergenceError) as caught:
-        rl.cesaro_jaccard(left, right)
-    assert 0.0 <= caught.value.partial <= 1.0
-    assert caught.value.diagnostics["index_union"] == 2
+    result = rl.cesaro_jaccard(left, right)
+    assert result.mode == "per-residue"
+    assert result.value == 0.5
+    assert result.diagnostics["index_union"] == 2
 
 
 _unary_dfas = st.integers(min_value=1, max_value=6).flatmap(
@@ -261,6 +291,44 @@ def test_cesaro_matches_membership_oracle_on_unary_pairs(d1, d2):
         either, both = tally(range(7))
     expected = 1 - Fraction(both, either) if either else Fraction(0)
     assert rl.cesaro_jaccard(d1, d2).value == pytest.approx(float(expected), abs=1e-12)
+
+
+# Random DFAs over "ab" whose a-edges run through every state in one
+# cycle: strongly connected with radius 2, so most pairs tie above radius 1.
+_cyclic_dfas = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.builds(
+        lambda b_edges, accepting, initial: rl.Dfa(
+            ("a", "b"),
+            tuple(((i + 1) % n, t) for i, t in enumerate(b_edges)),
+            accepting,
+            initial,
+        ),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+        st.frozensets(st.integers(0, n - 1), min_size=1),
+        st.integers(0, n - 1),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d1=_cyclic_dfas, d2=_cyclic_dfas)
+def test_cesaro_stream_matches_exact_terms_at_a_long_horizon(d1, d2):
+    # the running mean of the exact cumulative terms over one period of
+    # lengths tends to the Cesaro limit; pairs whose means still move
+    # between the horizons 300 and 600 are dropped
+    result = rl.cesaro_jaccard(d1, d2)
+    assume(result.mode == "per-residue")
+    q = result.diagnostics["residue_period"]
+    sym, uni = (
+        list(islice(cumulative_counts(CountVectors.from_dfa(rl.combine(d1, d2, op))), 601))
+        for op in ("symdiff", "union")
+    )
+
+    def window_mean(end):
+        return sum(sym[n] / uni[n] for n in range(end - q + 1, end + 1)) / q
+
+    assume(abs(window_mean(600) - window_mean(300)) < 1e-9)
+    assert result.value == pytest.approx(window_mean(600), abs=1e-6)
 
 
 # --- entropy distance -----------------------------------------------------------------
