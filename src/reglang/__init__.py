@@ -60,7 +60,6 @@ from .metrics import (
 from .regex import RegexAst, compile_to_nfa, literal_set, parse_regex
 from .spectral import (
     SpectralReport,
-    component_radius,
     entropies_equal,
     language_entropy,
     matrix_spectral_radius,

@@ -13,7 +13,6 @@ and safe to share across threads.
 
 import json
 import os
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,13 +142,14 @@ class LabeledGraph:
 
     Vertices keep their original state ids.  `role` records whether the
     graph is merely trimmed or also essential (every vertex has at least
-    one incoming and one outgoing edge).  The adjacency matrix counts
-    parallel edges, so entries are bounded by the alphabet size per row.
+    one incoming and one outgoing edge), or is a whole reachable product
+    (`Product.graph`).  The adjacency matrix counts parallel edges, so
+    entries are bounded by the alphabet size per row.
     """
 
     vertices: tuple[int, ...]
     edges: tuple  # of (src, symbol, dst)
-    role: str  # "trim" | "essential"
+    role: str  # "trim" | "essential" | "reachable"
 
     @property
     def n_vertices(self) -> int:
@@ -185,71 +185,58 @@ class LabeledGraph:
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction.  Always yields a complete DFA; the empty
     subset plays the trash state when it is reachable."""
-    cap = state_cap()
     alphabet = tuple(sorted(set(nfa.alphabet)))
     if not alphabet:
         raise AlphabetError("cannot determinize over an empty alphabet")
+    order, rows = _explore(
+        frozenset({nfa.initial}),
+        lambda subset: [nfa.step(subset, symbol) for symbol in alphabet],
+        "subset construction",
+    )
+    accepting = frozenset(i for i, subset in enumerate(order) if subset & nfa.accepting)
+    return Dfa(alphabet=alphabet, transitions=rows, accepting=accepting, initial=0)
 
-    start = frozenset({nfa.initial})
+
+def _explore(start, moves, what: str) -> tuple[list, tuple]:
+    """Number the states reachable from `start` breadth first, where
+    `moves(state)` lists a state's successors in symbol order.  Returns
+    the states in number order and the transition rows over the numbers;
+    raises StateLimitError when a state past `state_cap()` appears."""
+    cap = state_cap()
     ids = {start: 0}
     order = [start]
     rows = []
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
+    for state in order:  # a queue: numbered states are appended
         row = []
-        for symbol in alphabet:
-            target = nfa.step(subset, symbol)
+        for target in moves(state):
             if target not in ids:
                 if len(ids) >= cap:
-                    raise StateLimitError(
-                        f"subset construction exceeded {cap} states"
-                    )
+                    raise StateLimitError(f"{what} exceeded {cap} states")
                 ids[target] = len(order)
                 order.append(target)
-                queue.append(target)
             row.append(ids[target])
-        rows.append(row)
-    accepting = frozenset(i for i, subset in enumerate(order) if subset & nfa.accepting)
-    return Dfa(
-        alphabet=alphabet,
-        transitions=tuple(tuple(r) for r in rows),
-        accepting=accepting,
-        initial=0,
-    )
+        rows.append(tuple(row))
+    return order, tuple(rows)
 
 
-def _reachable(dfa: Dfa) -> set:
-    seen = {dfa.initial}
-    queue = deque([dfa.initial])
+def _reach(seeds, neighbours) -> set:
+    """The vertices reachable from `seeds`; `neighbours[v]` lists v's successors."""
+    seen = set(seeds)
+    queue = list(seen)
     while queue:
-        q = queue.popleft()
-        for t in dfa.transitions[q]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
+        for w in neighbours[queue.pop()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
     return seen
 
 
 def _canonical(dfa: Dfa) -> Dfa:
     """Renumber states in BFS order from the initial state (symbol order),
     making equal-language minimal DFAs structurally identical."""
-    order = {dfa.initial: 0}
-    sequence = [dfa.initial]
-    queue = deque([dfa.initial])
-    while queue:
-        q = queue.popleft()
-        for t in dfa.transitions[q]:
-            if t not in order:
-                order[t] = len(sequence)
-                sequence.append(t)
-                queue.append(t)
-    rows = [
-        tuple(order[t] for t in dfa.transitions[q])
-        for q in sequence
-    ]
-    accepting = frozenset(order[q] for q in dfa.accepting if q in order)
-    return Dfa(dfa.alphabet, tuple(rows), accepting, 0)
+    order, rows = _explore(dfa.initial, dfa.transitions.__getitem__, "minimization")
+    accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
+    return Dfa(dfa.alphabet, rows, accepting, 0)
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -258,7 +245,7 @@ def minimize(dfa: Dfa) -> Dfa:
     symbol, and the worklist is a list searched for membership, so the cost
     is about O(|alphabet| V^2), not Hopcroft's O(|alphabet| V log V)
     (ROADMAP item 4)."""
-    reach = sorted(_reachable(dfa))
+    reach = sorted(_reach({dfa.initial}, dfa.transitions))
     finals = frozenset(q for q in reach if q in dfa.accepting)
     others = frozenset(q for q in reach if q not in dfa.accepting)
 
@@ -366,35 +353,26 @@ class Product:
         """The product DFA with the given set of accepting product states."""
         return Dfa(self.alphabet, self.transitions, frozenset(accepting), 0)
 
+    @cached_property
+    def graph(self) -> LabeledGraph:
+        """Every state and edge of the product.  All states are reachable, so a
+        combination's trim graph is the part reaching its accepting states."""
+        return _subgraph(self, range(len(self.transitions)), "reachable")
+
 
 def product(d1: Dfa, d2: Dfa) -> Product:
     """The reachable product of two DFAs over one alphabet (see
     `harmonize`), built once for any number of boolean combinations."""
     if d1.alphabet != d2.alphabet:
         raise AlphabetError("a product requires harmonized alphabets")
-    cap = state_cap()
-
-    start = (d1.initial, d2.initial)
-    ids = {start: 0}
-    order = [start]
-    rows = []
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        row = []
-        for k in range(len(d1.alphabet)):
-            target = (d1.transitions[p][k], d2.transitions[q][k])
-            if target not in ids:
-                if len(ids) >= cap:
-                    raise StateLimitError(f"product construction exceeded {cap} states")
-                ids[target] = len(order)
-                order.append(target)
-                queue.append(target)
-            row.append(ids[target])
-        rows.append(tuple(row))
+    order, rows = _explore(
+        (d1.initial, d2.initial),
+        lambda pair: zip(d1.transitions[pair[0]], d2.transitions[pair[1]]),
+        "product construction",
+    )
     left = frozenset(i for i, (p, _q) in enumerate(order) if p in d1.accepting)
     right = frozenset(i for i, (_p, q) in enumerate(order) if q in d2.accepting)
-    return Product(d1.alphabet, tuple(rows), left, right)
+    return Product(d1.alphabet, rows, left, right)
 
 
 _COMBINE = {
@@ -431,29 +409,25 @@ def trim(dfa: Dfa) -> LabeledGraph:
     not an error, because the distance definitions assign 0 to empty
     denominators downstream.
     """
-    forward = _reachable(dfa)
+    reverse = [[] for _ in dfa.transitions]
+    for q, row in enumerate(dfa.transitions):
+        for t in row:
+            reverse[t].append(q)
+    forward = _reach({dfa.initial}, dfa.transitions)
+    return _subgraph(dfa, forward & _reach(dfa.accepting, reverse), "trim")
 
-    reverse = {q: set() for q in range(dfa.n_states)}
-    for q in range(dfa.n_states):
-        for t in dfa.transitions[q]:
-            reverse[t].add(q)
-    backward = set(dfa.accepting)
-    queue = deque(backward)
-    while queue:
-        q = queue.popleft()
-        for p in reverse[q]:
-            if p not in backward:
-                backward.add(p)
-                queue.append(p)
 
-    keep = sorted(forward & backward)
+def _subgraph(dfa, keep, role: str) -> LabeledGraph:
+    """The graph of a DFA's (or a product's) transitions among the states
+    `keep`, its edges in state then symbol order."""
+    keep = sorted(keep)
     keep_set = set(keep)
     edges = []
     for q in keep:
         for symbol, t in zip(dfa.alphabet, dfa.transitions[q]):
             if t in keep_set:
                 edges.append((q, symbol, t))
-    return LabeledGraph(tuple(keep), tuple(edges), "trim")
+    return LabeledGraph(tuple(keep), tuple(edges), role)
 
 
 def essential(graph: LabeledGraph) -> LabeledGraph:
@@ -489,7 +463,7 @@ def essential(graph: LabeledGraph) -> LabeledGraph:
 
 
 def is_empty(dfa: Dfa) -> bool:
-    return not (_reachable(dfa) & dfa.accepting)
+    return not (_reach({dfa.initial}, dfa.transitions) & dfa.accepting)
 
 
 def shortest_accepted(dfa: Dfa) -> int | None:

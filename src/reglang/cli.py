@@ -224,6 +224,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit:  # --help printed the usage; `error` never exits
+        return 0
     try:
         return args.handler(args)
     except (

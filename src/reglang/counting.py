@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import islice
 from operator import add, mul
 
-from .automata import Dfa, LabeledGraph, trim
+from .automata import Dfa, LabeledGraph, _reach, trim
 
 
 def _identity(n):
@@ -238,17 +238,6 @@ def residue_language(cv: CountVectors, q: int, k: int) -> CountVectors:
     for _ in range(k):
         new_final = tuple(sum(a * new_final[j] for j, a in row) for row in cv.rows)
     return CountVectors(matrix_power(cv.matrix, q), cv.initial, new_final)
-
-
-def _reach(seeds, neighbours) -> set:
-    seen = set(seeds)
-    queue = list(seen)
-    while queue:
-        for j in neighbours[queue.pop()]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return seen
 
 
 def trim_system(cv: CountVectors) -> CountVectors:

@@ -19,7 +19,10 @@ The fixed-length sequence is averaged through the same stages, applied
 to the words of each residue class of lengths.
 
 The entropy distance and the entropy-sum distance are ratios and sums of
-spectral entropies of boolean combinations.
+spectral entropies of boolean combinations.  All combinations of a pair
+are parts of its one product, which `cesaro_jaccard`, `entropy_distance`
+and `entropy_sum` decompose once per call (`spectral.Decomposition`) to
+read every combination's report; the finite horizons never decompose.
 """
 
 from dataclasses import dataclass, field
@@ -42,7 +45,7 @@ from .automata import (
 )
 from .counting import CountVectors, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
-from .spectral import ENTROPY_EPS, POWER_MAX_ITER, analyze_graph, language_entropy
+from .spectral import ENTROPY_EPS, POWER_MAX_ITER, Decomposition
 
 METRIC_NAMES = ("jn_exact", "jn_cum", "cesaro", "entropy", "entropy_sum")
 
@@ -141,10 +144,11 @@ def _cumulative_limit(d1: Dfa, d2: Dfa, diagnostics: dict, analytic=False):
     parts = (left ^ right, left | right)
     uni = prod.dfa(left | right)
     graph = trim(uni)
+    pair = Decomposition(prod.graph)
     reports = {
-        "sym_diff": language_entropy(prod.dfa(left ^ right)),
-        "union": analyze_graph(graph),
-        "intersection": language_entropy(prod.dfa(left & right)),
+        "sym_diff": pair.report(left ^ right),
+        "union": pair.report(left | right),
+        "intersection": pair.report(left & right),
     }
     for name, report in reports.items():
         diagnostics[f"entropy_{name}"] = report.entropy_bits
@@ -181,7 +185,7 @@ def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
     """
     a, b = harmonize(d1, d2)
     prod = product(a, b)
-    uni_report = language_entropy(prod.dfa(prod.left | prod.right))
+    uni_report = Decomposition(prod.graph).report(prod.left | prod.right)
     q = lcm(*(c.period for c in uni_report.components))
     diagnostics["residue_period"] = q
     counter = tuple(((i + 1) % q,) * len(a.alphabet) for i in range(q))
@@ -281,8 +285,9 @@ def entropy_distance(d1: Dfa, d2: Dfa) -> DistanceResult:
     entropy 0.  Always lands in [0, 1]."""
     prod = _pair(d1, d2)
     left, right = prod.left, prod.right
-    h_sym = language_entropy(prod.dfa(left ^ right)).entropy_bits
-    h_uni = language_entropy(prod.dfa(left | right)).entropy_bits
+    pair = Decomposition(prod.graph)
+    h_sym = pair.report(left ^ right).entropy_bits
+    h_uni = pair.report(left | right).entropy_bits
     value = 0.0 if h_uni == 0.0 else min(1.0, h_sym / h_uni)
     diagnostics = {"entropy_sym_diff": h_sym, "entropy_union": h_uni}
     return DistanceResult("entropy", value, "exact", diagnostics)
@@ -294,8 +299,9 @@ def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
     Reported unnormalized, so the range is [0, 2 log2 |alphabet|].
     """
     prod = _pair(d1, d2)
-    left = language_entropy(prod.dfa(prod.left - prod.right)).entropy_bits
-    right = language_entropy(prod.dfa(prod.right - prod.left)).entropy_bits
+    pair = Decomposition(prod.graph)
+    left = pair.report(prod.left - prod.right).entropy_bits
+    right = pair.report(prod.right - prod.left).entropy_bits
     diagnostics = {"entropy_left_only": left, "entropy_right_only": right}
     return DistanceResult("entropy_sum", left + right, "exact", diagnostics)
 

@@ -10,15 +10,19 @@ matrices", LAA 1975).  Radii are computed by power iteration on each
 component's internal edge arrays: one step applies the component matrix
 A `period` times with `np.bincount`, so the iterated A^period is
 aperiodic and the min/max ratio bounds converge geometrically from both
-sides, while A^period itself is never formed.
+sides, while A^period itself is never formed.  The boolean combinations
+of a pair of languages are parts of one product graph: its
+`Decomposition` is found once, and every combination's report is read
+from it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .automata import Dfa, LabeledGraph, trim
+from .automata import Dfa, LabeledGraph, _reach, trim
 from .errors import ConvergenceError
 from .graphs import component_period, scc_decompose
 
@@ -124,44 +128,71 @@ def component_spectrum(
     return ComponentSpectrum(vertices, period, radius, iterations, residual)
 
 
-def component_radius(graph: LabeledGraph, component) -> float:
-    return component_spectrum(graph, component).radius
+class Decomposition:
+    """A graph's strongly connected components, found once, and the
+    report of the whole graph or of its part that reaches a vertex set.
+
+    If every vertex is reachable, as in `Product.graph`, trimming to an
+    accepting set keeps or drops each component whole, and no path
+    between kept components leaves them: `report(accepting)` equals
+    `analyze_graph` of the trim graph, for every combination of a pair.
+    """
+
+    def __init__(self, graph: LabeledGraph):
+        self.graph = graph
+        self.scc = scc_decompose(graph)
+        self._spectra = {}  # computed when a report first keeps the component
+
+    @cached_property
+    def _condensation(self) -> tuple:
+        """(component of each vertex, predecessors of each component)."""
+        component_of = {v: c for c, comp in enumerate(self.scc.components) for v in comp}
+        predecessors = [set() for _ in self.scc.components]
+        for v, targets in self.graph.successors.items():
+            for w in targets:
+                if component_of[v] != component_of[w]:
+                    predecessors[component_of[w]].add(component_of[v])
+        return component_of, predecessors
+
+    def _spectrum(self, c: int) -> ComponentSpectrum:
+        if c not in self._spectra:
+            comp, period = self.scc.components[c], self.scc.periods[c]
+            self._spectra[c] = component_spectrum(self.graph, comp, period=period)
+        return self._spectra[c]
+
+    def report(self, accepting=None) -> SpectralReport:
+        """Report over the components that reach `accepting` (all if None)."""
+        kept = range(len(self.scc.components))
+        if accepting is not None:
+            component_of, predecessors = self._condensation
+            kept = sorted(_reach({component_of[v] for v in accepting}, predecessors))
+        spectra = {c: self._spectrum(c) for c in kept if not self.scc.trivial[c]}
+        radius = max((s.radius for s in spectra.values()), default=0.0)
+        label = classify_radius(radius)
+        entropy = max(0.0, math.log2(radius)) if label == "expanding" else 0.0
+        dominant = [
+            c in spectra
+            and abs(math.log2(spectra[c].radius / radius)) <= 10 * ENTROPY_EPS
+            for c in range(len(self.scc.components))
+        ]
+        index = sum(dominant)  # the index when at most one component dominates
+        if index > 1:
+            index = _longest_chain(self._condensation[1], dominant)
+        return SpectralReport(tuple(spectra.values()), radius, entropy, label, index)
 
 
 def analyze_graph(graph: LabeledGraph) -> SpectralReport:
     """Spectral report over the nontrivial components of a graph, with
     the index of its dominant radius."""
-    report = scc_decompose(graph)
-    spectra = {}
-    for c, (comp, period, trivial) in enumerate(
-        zip(report.components, report.periods, report.trivial)
-    ):
-        if not trivial:
-            spectra[c] = component_spectrum(graph, comp, period=period)
-    radius = max((s.radius for s in spectra.values()), default=0.0)
-    label = classify_radius(radius)
-    entropy = max(0.0, math.log2(radius)) if label == "expanding" else 0.0
-    dominant = [
-        c in spectra
-        and abs(math.log2(spectra[c].radius / radius)) <= 10 * ENTROPY_EPS
-        for c in range(len(report.components))
-    ]
-    index = sum(dominant)  # the index when at most one component dominates
-    if index > 1:
-        index = _longest_chain(graph, report.components, dominant)
-    return SpectralReport(tuple(spectra.values()), radius, entropy, label, index)
+    return Decomposition(graph).report()
 
 
-def _longest_chain(graph: LabeledGraph, components, marked) -> int:
+def _longest_chain(successors, marked) -> int:
     """Largest number of marked components on one path of the
-    condensation DAG, by longest path in Kahn's topological order."""
-    component_of = {v: c for c, comp in enumerate(components) for v in comp}
-    successors = [set() for _ in components]
-    for v, targets in graph.successors.items():
-        for w in targets:
-            if component_of[v] != component_of[w]:
-                successors[component_of[v]].add(component_of[w])
-    indegree = [0] * len(components)
+    condensation DAG, by longest path in Kahn's topological order.  The
+    DAG is each component's successors, or its predecessors: a path
+    reversed holds the same components."""
+    indegree = [0] * len(successors)
     for targets in successors:
         for c in targets:
             indegree[c] += 1

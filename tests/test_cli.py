@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reglang.cli import main
 
@@ -221,3 +227,29 @@ def test_deeply_nested_regex_is_input_error(capsys, regex):
     assert out == ""
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+_TOKENS = (
+    "entropy distance matrix analyze --metric jn jnp jc h hs --n --mode auto analytic"
+    " --alphabet --file --counts --dump --verify --format json csv -h --help"
+).split()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    argv=st.lists(
+        # short free text keeps horizons such as --n and --counts small
+        st.one_of(
+            st.sampled_from(_TOKENS),
+            st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4),
+        ),
+        max_size=8,
+    )
+)
+def test_any_printable_arguments_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"REGLANG_MAX_STATES": "200"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()

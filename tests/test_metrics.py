@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -7,6 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
+import reglang.automata
+import reglang.graphs
 from reglang.counting import CountVectors, count_upto, cumulative_counts
 from reglang.errors import ConvergenceError, DuplicateLanguageError
 from reglang.metrics import CesaroConfig
@@ -474,6 +477,47 @@ def test_axiom_checker_diagonal_passes_on_duplicates(by_name):
     dfas = [by_name["a_star"].dfa, by_name["a_star"].dfa, by_name["even_a"].dfa]
     report = rl.check_metric_axioms("entropy", dfas, kind="ultra-pseudo")
     assert report.passed  # pseudo-metrics tolerate equal languages
+
+
+# --- work per call ----------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record each call of `module.name`, at every reglang binding of it."""
+    original, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, bound in list(sys.modules.items()):
+        if module_name.startswith("reglang") and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("(a|b)*a(a|b){4}", "(a|b)*a(a|b){3}"), ("(a|b)*c(a|b)*", "a(a|b)*c(a|b)*")],
+)
+def test_each_pair_is_decomposed_once(monkeypatch, left, right):
+    # every boolean combination's report is read from one decomposition
+    # of the pair's product; the finite horizons need no decomposition
+    d1, d2 = rl.dfa_from_regex(left, "abc"), rl.dfa_from_regex(right, "abc")
+    tarjan = _count_calls(monkeypatch, reglang.graphs, "_tarjan")
+    trims = _count_calls(monkeypatch, reglang.automata, "trim")
+    for metric, runs, most_trims in (
+        (rl.cesaro_jaccard, 1, 1),
+        (rl.entropy_distance, 1, 0),
+        (rl.entropy_sum, 1, 0),
+        (lambda a, b: rl.jaccard_cum_n(a, b, 9), 0, 1),
+        (lambda a, b: rl.jaccard_exact_n(a, b, 9), 0, 1),
+    ):
+        tarjan.clear()
+        trims.clear()
+        metric(d1, d2)
+        assert len(tarjan) == runs, metric
+        assert len(trims) <= most_trims, metric
 
 
 # --- dispatch ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
+from reglang.counting import CountVectors, count_len
 from reglang.errors import AlphabetError, RegexSyntaxError
 from reglang.oracle import ast_language_upto, ast_matches, all_strings
 from reglang.regex import (
@@ -179,21 +180,25 @@ def test_round_trip_tree_semantics_vs_automata(corpus):
             assert lang.dfa.accepts(word) == expected, (lang.name, word)
 
 
-_literals = st.sampled_from("ab")
-_asts = st.recursive(
-    st.one_of(
-        st.builds(Literal, _literals),
-        st.just(Epsilon()),
-        st.just(Empty()),
-    ),
-    lambda children: st.one_of(
-        st.builds(Star, children),
-        st.builds(lambda x, y: Alt((x, y)), children, children),
-        st.builds(lambda x, y: Concat((x, y)), children, children),
-        st.builds(Repeat, children, st.integers(min_value=0, max_value=3)),
-    ),
-    max_leaves=8,
-)
+def _asts_over(symbols):
+    """Random syntax trees of at most 8 leaves over the given literals."""
+    return st.recursive(
+        st.one_of(
+            st.builds(Literal, st.sampled_from(symbols)),
+            st.just(Epsilon()),
+            st.just(Empty()),
+        ),
+        lambda children: st.one_of(
+            st.builds(Star, children),
+            st.builds(lambda x, y: Alt((x, y)), children, children),
+            st.builds(lambda x, y: Concat((x, y)), children, children),
+            st.builds(Repeat, children, st.integers(min_value=0, max_value=3)),
+        ),
+        max_leaves=8,
+    )
+
+
+_asts = _asts_over("ab")
 
 
 @settings(max_examples=120, deadline=None)
@@ -202,3 +207,13 @@ def test_matcher_agrees_with_nfa(ast, word):
     nfa = rl.compile_to_nfa(ast, {"a", "b"})
     assert ast_matches(ast, word) == nfa.accepts(word)
     assert rl.determinize(nfa).accepts(word) == nfa.accepts(word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ast=_asts_over("abc"))
+def test_compiled_counts_match_set_semantics(ast):
+    # exact counting on the compiled DFA against the tree's word sets
+    cv = CountVectors.from_dfa(rl.determinize(rl.compile_to_nfa(ast, "abc")))
+    words = ast_language_upto(ast, 8)
+    for n in range(9):
+        assert count_len(cv, n) == sum(len(w) == n for w in words), n

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
 from reglang.counting import CountVectors, count_len, count_upto
 from reglang.spectral import (
     ENTROPY_EPS,
+    Decomposition,
     analyze_graph,
     classify_radius,
     component_spectrum,
@@ -115,19 +116,24 @@ def test_trim_and_essential_graphs_have_one_spectrum(corpus):
         assert analyze_graph(graph) == analyze_graph(rl.essential(graph)), lang.name
 
 
-_dfas = st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.builds(
-        rl.Dfa,
-        st.just(("a", "b")),
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-            min_size=n,
-            max_size=n,
-        ).map(tuple),
-        st.frozensets(st.integers(0, n - 1)),
-        st.integers(0, n - 1),
+def _dfas_upto(max_states):
+    """Random complete DFAs over {a, b} with 1 to `max_states` states."""
+    return st.integers(min_value=1, max_value=max_states).flatmap(
+        lambda n: st.builds(
+            rl.Dfa,
+            st.just(("a", "b")),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                min_size=n,
+                max_size=n,
+            ).map(tuple),
+            st.frozensets(st.integers(0, n - 1)),
+            st.integers(0, n - 1),
+        )
     )
-)
+
+
+_dfas = _dfas_upto(6)
 
 
 @settings(max_examples=150, deadline=None)
@@ -152,6 +158,21 @@ def test_trim_and_essential_graphs_have_one_spectrum_on_random_dfas(dfa):
 )
 def test_index_counts_dominant_components_on_one_path(pattern, index):
     assert rl.language_entropy(rl.dfa_from_regex(pattern)).index == index
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_dfas_upto(7), b=_dfas_upto(7))
+@example(a=rl.dfa_from_regex("a*b*"), b=rl.dfa_from_regex("(aa)*b*"))
+@example(a=rl.dfa_from_regex("a*b*c*"), b=rl.dfa_from_regex("a*c*", "abc"))
+def test_one_decomposition_reports_every_combination(a, b):
+    # every product state is reachable, so each combination's trim graph
+    # keeps or drops the product's components whole; the examples have
+    # reports of index 2 and 3, which random DFAs this small rarely reach
+    prod = rl.product(a, b)
+    pair = Decomposition(prod.graph)
+    left, right = prod.left, prod.right
+    for part in (left ^ right, left | right, left & right, left - right, right - left):
+        assert repr(pair.report(part)) == repr(rl.language_entropy(prod.dfa(part)))
 
 
 def test_classify_radius_boundaries():
