@@ -239,62 +239,89 @@ def _canonical(dfa: Dfa) -> Dfa:
     return Dfa(dfa.alphabet, rows, accepting, 0)
 
 
+def coarsest_partition(keys, into) -> list:
+    """The block number of each vertex 0, 1, ... in the coarsest partition
+    that refines `keys` (vertices in one block have equal keys) and in
+    which all vertices of a block send the same total weight into each
+    block; blocks are numbered in the order of their smallest vertex.
+    `into[v]` lists the (u, weight) pairs of the edges u -> v, a vertex u
+    with several edges into v once per edge; weights are positive.
+
+    Splits by Valmari and Franceschinis' rule ("Simple O(m log n) time
+    Markov chain lumping", TACAS 2010): a splitter block's predecessors
+    are grouped by their weight into it, only those touched vertices
+    leave their blocks, and of the parts of a split block every one but
+    the largest becomes a splitter (all of them if the block still waits
+    to be one).  A vertex is thus in a splitter at most log2 V times
+    after the initial blocks: O(E log V) with hashed weights.
+    """
+    numbers = {}
+    block_of = [numbers.setdefault(key, len(numbers)) for key in keys]
+    members = [set() for _ in numbers]
+    for v, b in enumerate(block_of):
+        members[b].add(v)
+    queue = list(range(len(members)))
+    waiting = set(queue)
+    while queue:
+        splitter = queue.pop()
+        waiting.discard(splitter)
+        weight = {}
+        for v in members[splitter]:
+            for u, w in into[v]:
+                weight[u] = weight.get(u, 0) + w
+        touched = {}  # block of more than one vertex -> weight -> its touched vertices
+        for u, w in weight.items():
+            b = block_of[u]
+            if len(members[b]) > 1:
+                touched.setdefault(b, {}).setdefault(w, []).append(u)
+        for b, groups in touched.items():
+            block = members[b]
+            parts = list(groups.values())
+            if sum(map(len, parts)) == len(block):  # no untouched remainder
+                if len(parts) == 1:
+                    continue
+                parts.remove(max(parts, key=len))  # it stays block b
+            new = []
+            for part in parts:
+                block.difference_update(part)
+                c = len(members)
+                members.append(set(part))
+                for u in part:
+                    block_of[u] = c
+                new.append(c)
+            if b not in waiting:
+                sizes = list(map(len, parts))
+                k = sizes.index(max(sizes))
+                if sizes[k] > len(block):  # queue block b instead of the largest part
+                    new[k] = b
+            waiting.update(new)
+            queue.extend(new)
+    number = {}
+    return [number.setdefault(b, len(number)) for b in block_of]
+
+
 def minimize(dfa: Dfa) -> Dfa:
-    """The unique minimal complete DFA in canonical state order, by
-    partition refinement.  Each splitter rescans every block for each
-    symbol, and the worklist is a list searched for membership, so the cost
-    is about O(|alphabet| V^2), not Hopcroft's O(|alphabet| V log V)
-    (ROADMAP item 4)."""
+    """The unique minimal complete DFA in canonical state order.
+
+    Two reachable states are equivalent when `coarsest_partition` puts
+    them in one block, where the key is acceptance and the edge on the
+    k-th symbol weighs 2^k: a state's weight into a block is then the set
+    of symbols that lead into it.  O(|alphabet| V log V) for V reachable
+    states.
+    """
     reach = sorted(_reach({dfa.initial}, dfa.transitions))
-    finals = frozenset(q for q in reach if q in dfa.accepting)
-    others = frozenset(q for q in reach if q not in dfa.accepting)
-
-    partition = [s for s in (finals, others) if s]
-    worklist = list(partition)
-
-    preimage = {symbol: {} for symbol in dfa.alphabet}
-    for q in reach:
-        for symbol, t in zip(dfa.alphabet, dfa.transitions[q]):
-            preimage[symbol].setdefault(t, set()).add(q)
-
-    while worklist:
-        splitter = worklist.pop()
-        for symbol in dfa.alphabet:
-            pre = preimage[symbol]
-            x = set()
-            for q in splitter:
-                x.update(pre.get(q, ()))
-            if not x:
-                continue
-            next_partition = []
-            for block in partition:
-                inside = block & x
-                outside = block - x
-                if inside and outside:
-                    inside = frozenset(inside)
-                    outside = frozenset(outside)
-                    next_partition.extend((inside, outside))
-                    if block in worklist:
-                        worklist.remove(block)
-                        worklist.extend((inside, outside))
-                    else:
-                        worklist.append(min(inside, outside, key=len))
-                else:
-                    next_partition.append(block)
-            partition = next_partition
-
-    block_of = {}
-    for i, block in enumerate(partition):
-        for q in block:
-            block_of[q] = i
-    representative = {i: min(block) for i, block in enumerate(partition)}
-    rows = []
-    for i in range(len(partition)):
-        q = representative[i]
-        rows.append(tuple(block_of[t] for t in dfa.transitions[q]))
-    accepting = frozenset(i for i, block in enumerate(partition) if block & dfa.accepting)
-    merged = Dfa(dfa.alphabet, tuple(rows), accepting, block_of[dfa.initial])
-    return _canonical(merged)
+    index = {q: i for i, q in enumerate(reach)}
+    into = [[] for _ in reach]
+    for i, q in enumerate(reach):
+        for k, t in enumerate(dfa.transitions[q]):
+            into[index[t]].append((i, 1 << k))
+    block_of = coarsest_partition([q in dfa.accepting for q in reach], into)
+    rows = {}
+    for i, q in enumerate(reach):
+        rows.setdefault(block_of[i], tuple(block_of[index[t]] for t in dfa.transitions[q]))
+    accepting = frozenset(block_of[i] for i, q in enumerate(reach) if q in dfa.accepting)
+    rows = tuple(rows.values())
+    return _canonical(Dfa(dfa.alphabet, rows, accepting, block_of[index[dfa.initial]]))
 
 
 def harmonize(d1: Dfa, d2: Dfa) -> tuple[Dfa, Dfa]:

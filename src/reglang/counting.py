@@ -12,8 +12,11 @@ reads it (`matrix_power` and `CountVectors(matrix, ...)` are the dense
 reference API).  One stepping loop, `final_counts`, advances the single
 vector i . A^n at O(E) per length and reads one count per final vector
 from it: a symmetric difference lies inside the union of the same pair,
-so `shared_system` counts both over the union's trim graph.
-`length_counts` is its one-final case.  Exactness is the point:
+so `shared_system` counts both over the union.  That stream runs on the
+lumped quotient of the union's system, which has the same word counts
+and often far fewer vertices (257 -> 9 for the suffix pair
+`(a|b)*a(a|b){7}` / `(a|b)*a(a|b){6}`).  `length_counts` is the
+one-final case of the stream.  Exactness is the point:
 everything here is arbitrary-precision integer arithmetic, off-limits to
 floating point.
 """
@@ -22,7 +25,7 @@ from functools import cached_property
 from itertools import islice
 from operator import add, mul
 
-from .automata import Dfa, LabeledGraph, _reach, trim
+from .automata import Dfa, LabeledGraph, _reach, coarsest_partition, trim
 
 
 def _identity(n):
@@ -100,10 +103,13 @@ class CountVectors:
             row = rows[index[src]]
             j = index[dst]
             row[j] = row.get(j, 0) + 1
+        rows = tuple(tuple(sorted(row.items())) for row in rows)
+        return cls._from_rows(rows, _indicator(graph, initial), _indicator(graph, final))
+
+    @classmethod
+    def _from_rows(cls, rows, initial, final) -> "CountVectors":
         cv = cls.__new__(cls)
-        cv.rows = tuple(tuple(sorted(row.items())) for row in rows)
-        cv.initial = _indicator(graph, initial)
-        cv.final = _indicator(graph, final)
+        cv.rows, cv.initial, cv.final = tuple(rows), tuple(initial), tuple(final)
         return cv
 
 
@@ -111,19 +117,86 @@ def _indicator(graph: LabeledGraph, states) -> tuple:
     return tuple(1 if v in states else 0 for v in graph.vertices)
 
 
-def shared_system(dfa: Dfa, parts, graph=None) -> tuple[CountVectors, tuple]:
-    """The counting system of a DFA on its trim graph, and the final
-    vector of each part over the same vertices.
+def shared_system(dfa: Dfa, parts) -> tuple[CountVectors, tuple]:
+    """The counting system of a DFA's language, and the final vector of
+    each part over the same vertices.
 
-    A part is a subset of the DFA's accepting states.  Every state on a
-    path into it lies on the trim graph, so one `final_counts` stream
-    over the system counts the words of every part; for instance the
-    symmetric difference and the union of a pair, over the union.
-    `graph` is the DFA's trim graph when the caller already has it.
+    A part is a set of the DFA's accepting states, so one `final_counts`
+    stream over the system counts the words of every part; for instance
+    the symmetric difference and the union of a pair, over the union.
+
+    The system is a quotient of the DFA's own (A, i, f) with the same
+    word counts (exact and ordinary lumpability: Buchholz, "Bisimulation
+    relations for weighted automata", TCS 2008).  First the states with
+    equal final values and the same number of edges into each block are
+    merged, the initial vector summed per block, and the blocks off every
+    accepting path dropped; then, on the reversed edges of that quotient,
+    the vertices with equal initial values and the same number of edges
+    from each block, the final vectors summed per block.  The other order
+    leaves more vertices.
     """
-    graph = trim(dfa) if graph is None else graph
-    cv = CountVectors._on_graph(graph, {dfa.initial}, dfa.accepting)
-    return cv, tuple(_indicator(graph, part) for part in parts)
+    ones = (1,) * len(dfa.alphabet)
+    rows = [tuple(zip(row, ones)) for row in dfa.transitions]
+    initial = [0] * dfa.n_states
+    initial[dfa.initial] = 1
+    finals = tuple(
+        tuple(int(q in part) for q in range(dfa.n_states)) for part in (dfa.accepting, *parts)
+    )
+    rows, finals, (initial,) = _lump(rows, _transpose(rows), finals, (initial,))
+    rows, initial, finals = _trimmed(rows, initial, finals)
+    back, (initial,), finals = _lump(_transpose(rows), rows, (initial,), finals)
+    return CountVectors._from_rows(_transpose(back), initial, finals[0]), finals[1:]
+
+
+def _transpose(rows) -> list:
+    """The sparse rows of the transposed matrix."""
+    columns = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            columns[j].append((i, a))
+    return columns
+
+
+def _lump(rows, into, keyed, summed) -> tuple:
+    """(rows, keyed, summed) of the quotient of the matrix `rows`, whose
+    transpose is `into`, by its coarsest partition in which the vertices of
+    a block have equal `keyed` values and the same weight into each block.
+    A keyed vector takes its blocks' values and a summed one its sums over
+    the blocks, so s . A^n . f is unchanged for every summed s and keyed f."""
+    block_of = coarsest_partition(list(zip(*keyed)), into)
+    first = {}  # block -> its first vertex, in block order
+    for v, b in enumerate(block_of):
+        first.setdefault(b, v)
+    if len(first) == len(rows):  # every block one vertex, numbered as before
+        return rows, keyed, summed
+    quotient = []
+    for v in first.values():
+        row = {}
+        for j, a in rows[v]:
+            c = block_of[j]
+            row[c] = row.get(c, 0) + a
+        quotient.append(tuple(row.items()))
+    keyed = tuple(tuple(f[v] for v in first.values()) for f in keyed)
+    sums = [[0] * len(first) for _ in summed]
+    for total, s in zip(sums, summed):
+        for b, x in zip(block_of, s):
+            total[b] += x
+    return quotient, keyed, tuple(map(tuple, sums))
+
+
+def _trimmed(rows, initial, finals) -> tuple:
+    """(rows, initial, finals) restricted to the vertices reachable from
+    the support of `initial` that reach the support of some final vector."""
+    succ = [[j for j, _a in row] for row in rows]
+    pred = [[] for _ in rows]
+    for i, targets in enumerate(succ):
+        for j in targets:
+            pred[j].append(i)
+    forward = _reach((i for i, x in enumerate(initial) if x), succ)
+    keep = sorted(forward & _reach((i for f in finals for i, x in enumerate(f) if x), pred))
+    new = {v: k for k, v in enumerate(keep)}
+    rows = [tuple((new[j], a) for j, a in rows[i] if j in new) for i in keep]
+    return rows, tuple(initial[i] for i in keep), tuple(tuple(f[i] for i in keep) for f in finals)
 
 
 def final_counts(cv: CountVectors, finals):
@@ -131,10 +204,7 @@ def final_counts(cv: CountVectors, finals):
     vectors f; one O(E) step of the vector i . A^n per length, however
     many counts are read from it."""
     n = cv.n
-    columns = [[] for _ in range(n)]  # column j of A as (row, entry) pairs
-    for i, row in enumerate(cv.rows):
-        for j, a in row:
-            columns[j].append((i, a))
+    columns = _transpose(cv.rows)  # column j of A as (row, entry) pairs
     # The vector's coordinates are held in order of decreasing column
     # length, so the k-th entries of the columns that have one form the
     # layer k over a prefix of the coordinates.  A step sums the layers
@@ -244,18 +314,5 @@ def trim_system(cv: CountVectors) -> CountVectors:
     """Drop states that cannot contribute: unreachable from the support
     of the initial vector or unable to reach the support of the final
     vector through nonzero matrix entries."""
-    succ = [[j for j, _a in row] for row in cv.rows]
-    pred = [[] for _ in succ]
-    for i, targets in enumerate(succ):
-        for j in targets:
-            pred[j].append(i)
-    forward = _reach((i for i, x in enumerate(cv.initial) if x), succ)
-    backward = _reach((i for i, x in enumerate(cv.final) if x), pred)
-
-    keep = sorted(forward & backward)
-    matrix = tuple(tuple(cv.matrix[i][j] for j in keep) for i in keep)
-    return CountVectors(
-        matrix,
-        tuple(cv.initial[i] for i in keep),
-        tuple(cv.final[i] for i in keep),
-    )
+    rows, initial, (final,) = _trimmed(cv.rows, cv.initial, (cv.final,))
+    return CountVectors._from_rows(rows, initial, final)

@@ -17,13 +17,15 @@ class ComponentReport:
     Components partition the vertex set.  A component is trivial when it
     is a single vertex without a self-loop (no cycle at all); trivial
     components carry period 1 by convention and are excluded from the
-    residue-period lcm.
+    residue-period lcm.  `internal` holds each component's internal edges
+    as (src, dst) pairs in the graph's edge order.
     """
 
     components: tuple  # of frozenset of vertices
     periods: tuple  # of int, aligned with components
     trivial: tuple  # of bool, aligned with components
     residue_period: int
+    internal: tuple  # of tuples of (src, dst), aligned with components
 
 
 def _tarjan(vertices, successors) -> list:
@@ -91,8 +93,12 @@ def component_period(graph: LabeledGraph, component) -> int:
         raise TrivialComponentError(
             f"component {sorted(comp)} has no cycle; period undefined"
         )
-    internal = [(s, d) for s, _sym, d in graph.edges if s in comp and d in comp]
-    root = min(comp)
+    return _period(comp, [(s, d) for s, _sym, d in graph.edges if s in comp and d in comp])
+
+
+def _period(component, internal) -> int:
+    """The period of a nontrivial component with the given internal edges."""
+    root = min(component)
     level = {root: 0}
     frontier = [root]
     adjacency = {}
@@ -119,17 +125,26 @@ def is_primitive(graph: LabeledGraph, component) -> bool:
 
 def scc_decompose(graph: LabeledGraph) -> ComponentReport:
     """Maximal strongly connected components, ordered by smallest vertex,
-    with per-component period and the global residue period."""
+    with per-component period and the global residue period.  One pass
+    over the edges groups each component's internal edges, which give
+    the periods (and the spectra of `spectral.Decomposition`)."""
     succ = graph.successors
     components = _tarjan(graph.vertices, lambda v: succ.get(v, ()))
     components.sort(key=min)
-    trivial = tuple(_is_trivial(graph, c) for c in components)
+    component_of = {v: c for c, comp in enumerate(components) for v in comp}
+    internal = [[] for _ in components]
+    for s, _sym, d in graph.edges:
+        c = component_of[s]
+        if c == component_of[d]:
+            internal[c].append((s, d))
+    trivial = tuple(not edges for edges in internal)
     periods = tuple(
-        1 if t else component_period(graph, c) for c, t in zip(components, trivial)
+        1 if t else _period(c, edges) for c, t, edges in zip(components, trivial, internal)
     )
-    report = ComponentReport(tuple(components), periods, trivial, 1)
+    internal = tuple(map(tuple, internal))
+    report = ComponentReport(tuple(components), periods, trivial, 1, internal)
     q = residue_period(report)
-    return ComponentReport(tuple(components), periods, trivial, q)
+    return ComponentReport(tuple(components), periods, trivial, q, internal)
 
 
 def residue_period(report: ComponentReport) -> int:

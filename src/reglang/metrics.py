@@ -143,7 +143,6 @@ def _cumulative_limit(d1: Dfa, d2: Dfa, diagnostics: dict, analytic=False):
     left, right = prod.left, prod.right
     parts = (left ^ right, left | right)
     uni = prod.dfa(left | right)
-    graph = trim(uni)
     pair = Decomposition(prod.graph)
     reports = {
         "sym_diff": pair.report(left ^ right),
@@ -164,12 +163,12 @@ def _cumulative_limit(d1: Dfa, d2: Dfa, diagnostics: dict, analytic=False):
     radius, d = uni_report.spectral_radius, uni_report.index
     diagnostics["residue_period"] = q
     if uni_report.lambda_class != "expanding":
-        return _exact_tie_limit(*shared_system(uni, parts, graph), q, d), "exact"
+        return _exact_tie_limit(*shared_system(uni, parts), q, d), "exact"
     if analytic:
         order = f"radius {radius:.6g}, index {d}"
         reason = f"sym, union and intersection all grow as ({order}); the limit needs iteration"
         raise ConvergenceError(reason, diagnostics=diagnostics)
-    limits, residual, blocks = _leading_limits(graph, uni.initial, parts, radius, q, d)
+    limits, residual, blocks = _leading_limits(trim(uni), uni.initial, parts, radius, q, d)
     diagnostics.update(residue_limits=limits, residual=residual, blocks=blocks)
     return sum(limits) / q, "per-residue"
 
@@ -214,8 +213,10 @@ def _grows_slower(low, high) -> bool:
 def _exact_tie_limit(cv, finals, q, d) -> Fraction:
     """Cesaro limit of the cumulative Jaccard sequence for a tie with
     radius at most 1 and index d.  Past n0 (a multiple of q, at least the
-    union's matrix size) the nilpotent part of a count matrix is spent,
-    and its other eigenvalues are q-th roots of unity of index at most d.
+    size of the lumped matrix that `shared_system` counts on) the
+    nilpotent part of that matrix is spent.  Its other eigenvalues, and
+    their Jordan blocks, are among those of the union's trim-graph
+    matrix: q-th roots of unity of index at most d.
     So the cumulative count S(n0 + q m) is a polynomial in m of degree at
     most d, exactly d for the union, and the sequence tends to the ratio
     of the d-th differences (|sym| / |union| when d = 0, a finite union).

@@ -109,14 +109,20 @@ def component_spectrum(
 
     `period` is the component's period when the caller already has it.
     """
-    vertices = tuple(sorted(component))
     if period is None:
         period = component_period(graph, component)
+    comp = set(component)
+    internal = [(s, d) for s, _sym, d in graph.edges if s in comp and d in comp]
+    return _spectrum(component, internal, period, start)
+
+
+def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
+    """Perron root of a component of the given period from its internal
+    (src, dst) edges, iterated in their order."""
+    vertices = tuple(sorted(component))
     pos = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
-    src, dst = np.array(
-        [(pos[s], pos[d]) for s, _sym, d in graph.edges if s in pos and d in pos]
-    ).T
+    src, dst = np.array([(pos[s], pos[d]) for s, d in internal]).T
 
     def step(v):
         for _ in range(period):
@@ -156,8 +162,8 @@ class Decomposition:
 
     def _spectrum(self, c: int) -> ComponentSpectrum:
         if c not in self._spectra:
-            comp, period = self.scc.components[c], self.scc.periods[c]
-            self._spectra[c] = component_spectrum(self.graph, comp, period=period)
+            scc = self.scc
+            self._spectra[c] = _spectrum(scc.components[c], scc.internal[c], scc.periods[c])
         return self._spectra[c]
 
     def report(self, accepting=None) -> SpectralReport:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
+from reglang.automata import _canonical, coarsest_partition
 from reglang.errors import AlphabetError
 from reglang.oracle import acceptance_by_length, all_strings
 from reglang.spectral import graph_from_matrix
@@ -91,6 +92,120 @@ def test_minimize_idempotent(corpus):
 def test_minimize_preserves_language(corpus):
     for lang in corpus:
         assert rl.equivalent(rl.minimize(lang.dfa), lang.dfa), lang.name
+
+
+def minimize_by_rescanning(dfa):
+    """Minimal DFA by the earlier refinement: each splitter rescans every
+    block for each symbol, O(|alphabet| V^2); then the canonical order."""
+    reach = set()
+    frontier = [dfa.initial]
+    while frontier:
+        q = frontier.pop()
+        if q not in reach:
+            reach.add(q)
+            frontier.extend(dfa.transitions[q])
+    finals = frozenset(q for q in reach if q in dfa.accepting)
+    partition = [s for s in (finals, frozenset(reach) - finals) if s]
+    worklist = list(partition)
+    preimage = {symbol: {} for symbol in dfa.alphabet}
+    for q in reach:
+        for symbol, t in zip(dfa.alphabet, dfa.transitions[q]):
+            preimage[symbol].setdefault(t, set()).add(q)
+    while worklist:
+        splitter = worklist.pop()
+        for symbol in dfa.alphabet:
+            x = set().union(*(preimage[symbol].get(q, ()) for q in splitter))
+            next_partition = []
+            for block in partition:
+                inside, outside = block & x, block - x
+                if not (inside and outside):
+                    next_partition.append(block)
+                    continue
+                next_partition.extend((inside, outside))
+                if block in worklist:
+                    worklist.remove(block)
+                    worklist.extend((inside, outside))
+                else:
+                    worklist.append(min(inside, outside, key=len))
+            partition = next_partition
+    block_of = {q: i for i, block in enumerate(partition) for q in block}
+    rows = tuple(
+        tuple(block_of[t] for t in dfa.transitions[min(block)]) for block in partition
+    )
+    accepting = frozenset(i for i, block in enumerate(partition) if block & dfa.accepting)
+    return _canonical(rl.Dfa(dfa.alphabet, rows, accepting, block_of[dfa.initial]))
+
+
+@st.composite
+def _complete_dfas(draw):
+    n = draw(st.integers(1, 9))
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    row = st.tuples(*(st.integers(0, n - 1) for _ in alphabet))
+    return rl.Dfa(
+        tuple(alphabet),
+        tuple(draw(st.lists(row, min_size=n, max_size=n))),
+        frozenset(draw(st.sets(st.integers(0, n - 1)))),
+        draw(st.integers(0, n - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfa=_complete_dfas())
+def test_minimize_matches_rescanning_refinement(dfa):
+    assert rl.minimize(dfa) == minimize_by_rescanning(dfa)
+
+
+def partition_by_signatures(keys, rows):
+    """Moore-style refinement: split every block by each vertex's weight
+    into each block until no block splits; the blocks as a set of sets."""
+    block = list(keys)
+    while True:
+        signature = []
+        for v, row in enumerate(rows):
+            into = {}
+            for j, a in enumerate(row):
+                if a:
+                    into[block[j]] = into.get(block[j], 0) + a
+            signature.append((block[v], tuple(sorted(into.items()))))
+        numbers = {sig: i for i, sig in enumerate(dict.fromkeys(signature))}
+        refined = [numbers[sig] for sig in signature]
+        if len(numbers) == len(set(block)):
+            return {frozenset(v for v, b in enumerate(refined) if b == c) for c in numbers.values()}
+        block = refined
+
+
+_weighted = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        st.lists(
+            st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        ),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=_weighted)
+def test_coarsest_partition_matches_signature_refinement(graph):
+    keys, rows = graph
+    into = [[] for _ in rows]
+    for u, row in enumerate(rows):
+        for v, a in enumerate(row):
+            into[v].extend([(u, 1)] * a)  # parallel edges, one entry each
+    block_of = coarsest_partition(keys, into)
+    blocks = {frozenset(v for v, b in enumerate(block_of) if b == c) for c in set(block_of)}
+    assert blocks == partition_by_signatures(keys, rows)
+    assert list(dict.fromkeys(block_of)) == sorted(set(block_of))  # numbered by smallest vertex
+
+
+@pytest.mark.parametrize(
+    "pattern, states",
+    [("(a|b)*a(a|b){12}", 8192), ("a{16000}(a|b)*", 16002)],
+)
+def test_minimize_large_dfas(pattern, states):
+    assert rl.minimize(rl.dfa_from_regex(pattern)).n_states == states
 
 
 # --- harmonize -------------------------------------------------------------

@@ -125,9 +125,30 @@ def test_one_product_stream_counts_every_combination(a, b):
         (rl.combine(b, a, "minus"), right - left),
     ]
     cv, finals = shared_system(prod.dfa(left | right), [part for _d, part in combinations])
-    for n, counts in enumerate(islice(final_counts(cv, finals), 13)):
-        expected = tuple(count_len(CountVectors.from_dfa(d), n) for d, _part in combinations)
-        assert counts == expected, n
+    # 40 lengths pass every transient of these products of at most 36 states
+    expected = zip(*(length_counts(CountVectors.from_dfa(d)) for d, _part in combinations))
+    for n, (counts, want) in enumerate(zip(islice(final_counts(cv, finals), 40), expected)):
+        assert counts == want, n
+
+
+@pytest.mark.parametrize(
+    "p1, p2, size, counts_at_30",
+    [
+        # union trim graph of 257 vertices; sym diff and union at n = 30
+        ("(a|b)*a(a|b){7}", "(a|b)*a(a|b){6}", 9, (2**29, 3 * 2**28)),
+        # 16,383 vertices; the languages are disjoint
+        ("(a|b)*a(a|b){12}", "(a|b)*b(a|b){12}", 14, (2**30, 2**30)),
+        # 5 vertices; the trash state has no accepting path and is dropped
+        ("(ab)*", "(ba)*", 3, (2, 2)),
+    ],
+    ids=["suffix-pair-k7", "disjoint-pair-k12", "alternating-pair"],
+)
+def test_shared_system_counts_on_the_lumped_quotient(p1, p2, size, counts_at_30):
+    prod = rl.product(rl.dfa_from_regex(p1), rl.dfa_from_regex(p2))
+    left, right = prod.left, prod.right
+    cv, finals = shared_system(prod.dfa(left | right), (left ^ right, left | right))
+    assert cv.n <= size
+    assert next(islice(final_counts(cv, finals), 30, None)) == counts_at_30
 
 
 def test_counting_system_of_a_large_dfa_is_built_from_edges():

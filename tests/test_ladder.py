@@ -1,0 +1,38 @@
+import importlib.util
+from pathlib import Path
+
+import reglang as rl
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ladder.py"
+
+
+def _ladder():
+    spec = importlib.util.spec_from_file_location("ladder", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_smallest_rung_of_each_family_is_timed():
+    ladder = _ladder()
+    smallest = {name: (sizes[:1], patterns) for name, (sizes, patterns) in ladder.FAMILIES.items()}
+    records = ladder.measure(rl, smallest, runs=1)
+    assert [(r["family"], r["size"]) for r in records] == [
+        ("tie", 4),
+        ("disjoint", 4),
+        ("chain", 1000),
+    ]
+    for record in records:
+        for layer in ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s"):
+            assert isinstance(record[layer], float), (record, layer)
+
+
+def _spin():
+    for _ in range(10**9):
+        pass
+
+
+def test_a_run_over_budget_is_a_timeout():
+    ladder = _ladder()
+    assert ladder.median_time(_spin, runs=1, budget=0.05) is None
+    assert ladder.median_time(lambda: None, runs=3) >= 0.0
