@@ -1,6 +1,6 @@
 """Time two layers of reglang on a ladder of input sizes and write JSON.
 
-    python scripts/ladder.py --out BENCH_8.json
+    python scripts/ladder.py --out ladder.json
     python scripts/ladder.py --src ../other-checkout/src --out other.json
 
 Layers: `minimize` of each operand of a pair, and `jaccard_cum_n(a, b, 200)`
