@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import AlphabetError, StateLimitError
+from .graphs import _strong_components
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -144,7 +145,8 @@ class LabeledGraph:
     graph is merely trimmed or also essential (every vertex has at least
     one incoming and one outgoing edge), or is a whole reachable product
     (`Product.graph`).  The adjacency matrix counts parallel edges, so
-    entries are bounded by the alphabet size per row.
+    entries are bounded by the alphabet size per row.  The graph's
+    `component_report` is found once and kept.
     """
 
     vertices: tuple[int, ...]
@@ -180,6 +182,18 @@ class LabeledGraph:
         for src, _symbol, dst in self.edges:
             out[src].add(dst)
         return {v: tuple(sorted(ts)) for v, ts in out.items()}
+
+    @cached_property
+    def component_report(self):
+        """The graph's `graphs.ComponentReport`.  `trim` and `Product.graph`
+        set it from the search that built the graph; any other graph runs
+        that search over its own edges here, once."""
+        index = self.vertex_index
+        rows = [[] for _ in self.vertices]
+        for src, _symbol, dst in self.edges:
+            rows[index[src]].append(index[dst])
+        report, _kept = _strong_components(rows, range(len(rows)), names=self.vertices)
+        return report
 
 
 def determinize(nfa: Nfa) -> Dfa:
@@ -382,9 +396,10 @@ class Product:
 
     @cached_property
     def graph(self) -> LabeledGraph:
-        """Every state and edge of the product.  All states are reachable, so a
+        """Every state and edge of the product, with the components that one
+        search from state 0 finds.  All states are reachable, so a
         combination's trim graph is the part reaching its accepting states."""
-        return _subgraph(self, range(len(self.transitions)), "reachable")
+        return _subgraph(self, *_strong_components(self.transitions, (0,)), "reachable")
 
 
 def product(d1: Dfa, d2: Dfa) -> Product:
@@ -432,29 +447,32 @@ def complement(dfa: Dfa) -> Dfa:
 def trim(dfa: Dfa) -> LabeledGraph:
     """Restrict to states lying on some accepting path.
 
-    The result can be empty (empty language); that is a flagged graph,
-    not an error, because the distance definitions assign 0 to empty
-    denominators downstream.
+    One search from the initial state (`graphs._strong_components`)
+    visits the reachable states and keeps each strongly connected
+    component that reaches an accepting state; the graph keeps the
+    components, periods and internal edges it found.  The result can be
+    empty (empty language); that is a flagged graph, not an error,
+    because the distance definitions assign 0 to empty denominators
+    downstream.
     """
-    reverse = [[] for _ in dfa.transitions]
-    for q, row in enumerate(dfa.transitions):
-        for t in row:
-            reverse[t].append(q)
-    forward = _reach({dfa.initial}, dfa.transitions)
-    return _subgraph(dfa, forward & _reach(dfa.accepting, reverse), "trim")
+    found = _strong_components(dfa.transitions, (dfa.initial,), dfa.accepting)
+    return _subgraph(dfa, *found, "trim")
 
 
-def _subgraph(dfa, keep, role: str) -> LabeledGraph:
+def _subgraph(dfa, report, kept, role: str) -> LabeledGraph:
     """The graph of a DFA's (or a product's) transitions among the states
-    `keep`, its edges in state then symbol order."""
-    keep = sorted(keep)
-    keep_set = set(keep)
-    edges = []
-    for q in keep:
-        for symbol, t in zip(dfa.alphabet, dfa.transitions[q]):
-            if t in keep_set:
-                edges.append((q, symbol, t))
-    return LabeledGraph(tuple(keep), tuple(edges), role)
+    with `kept[q]` set, its edges in state then symbol order, keeping the
+    `report` of its components."""
+    vertices = tuple(q for q, k in enumerate(kept) if k)
+    edges = [
+        (q, symbol, t)
+        for q in vertices
+        for symbol, t in zip(dfa.alphabet, dfa.transitions[q])
+        if kept[t]
+    ]
+    graph = LabeledGraph(vertices, tuple(edges), role)
+    graph.__dict__["component_report"] = report  # the cached property's value
+    return graph
 
 
 def essential(graph: LabeledGraph) -> LabeledGraph:
@@ -516,6 +534,35 @@ def shortest_accepted(dfa: Dfa) -> int | None:
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Language equality as string sets, via symmetric-difference emptiness."""
-    a, b = harmonize(d1, d2)
-    return is_empty(combine(a, b, "symdiff"))
+    """Language equality as string sets: no word tells them apart."""
+    return _separation(*harmonize(d1, d2)) is None
+
+
+def _separation(d1: Dfa, d2: Dfa) -> int | None:
+    """Length of a shortest word accepted by exactly one of two DFAs over
+    one alphabet, or None when their languages are equal.  A breadth-first
+    search over the pairs of states reached together, built as it goes and
+    stopped at the first pair that differs in acceptance; raises
+    StateLimitError when more than `state_cap()` pairs are reached."""
+    rows1, rows2, accept1, accept2 = d1.transitions, d2.transitions, d1.accepting, d2.accepting
+    if (d1.initial in accept1) != (d2.initial in accept2):
+        return 0
+    cap, width = state_cap(), len(rows2)
+    seen = {d1.initial * width + d2.initial}
+    frontier = [(d1.initial, d2.initial)]
+    length = 0
+    while frontier:
+        length += 1
+        reached = []
+        for p, q in frontier:
+            for s, t in zip(rows1[p], rows2[q]):
+                if s * width + t in seen:
+                    continue
+                if (s in accept1) != (t in accept2):
+                    return length
+                if len(seen) >= cap:
+                    raise StateLimitError(f"product construction exceeded {cap} states")
+                seen.add(s * width + t)
+                reached.append((s, t))
+        frontier = reached
+    return None

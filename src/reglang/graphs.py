@@ -1,12 +1,20 @@
 """Structural analysis of labeled graphs: strongly connected components,
 cyclic periods, primitivity, and the global residue period used when
 estimating limits along arithmetic progressions of word lengths.
+
+Every structural question is answered by one iterative Tarjan search
+(Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
+Comput. 1972) over integer successor rows: the components, which of them
+reach a target vertex set, each component's internal edges and period,
+and the condensation DAG.  `automata.trim` and `Product.graph` run it
+while they build their graphs, and the graph keeps the report it found;
+any other graph runs it over its own edges the first time its report is
+read.  This module imports nothing from `automata`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .automata import LabeledGraph
 from .errors import TrivialComponentError
 
 
@@ -14,11 +22,15 @@ from .errors import TrivialComponentError
 class ComponentReport:
     """SCC decomposition of a labeled graph.
 
-    Components partition the vertex set.  A component is trivial when it
-    is a single vertex without a self-loop (no cycle at all); trivial
-    components carry period 1 by convention and are excluded from the
-    residue-period lcm.  `internal` holds each component's internal edges
-    as (src, dst) pairs in the graph's edge order.
+    Components partition the vertex set and are ordered by smallest
+    vertex.  A component is trivial when it is a single vertex without a
+    self-loop (no cycle at all); trivial components carry period 1 by
+    convention and are excluded from the residue-period lcm.  `internal`
+    holds each component's internal edges as (src, dst) pairs, by source
+    in the graph's vertex order and then in edge order (state then
+    symbol, for the graphs `trim` builds).  `successors` is the
+    condensation DAG: for each component, the sorted numbers of the
+    components its outgoing edges enter.
     """
 
     components: tuple  # of frozenset of vertices
@@ -26,125 +38,175 @@ class ComponentReport:
     trivial: tuple  # of bool, aligned with components
     residue_period: int
     internal: tuple  # of tuples of (src, dst), aligned with components
+    successors: tuple = field(repr=False)  # of sorted tuples of component numbers
 
 
-def _tarjan(vertices, successors) -> list:
-    """Iterative Tarjan; components returned as frozensets."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    out = []
-    counter = 0
-    for root in vertices:
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work = [(root, iter(successors(root)))]
-        while work:
-            v, it = work[-1]
-            pushed = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(successors(w))))
-                    pushed = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.add(w)
-                    if w == v:
-                        break
-                out.append(frozenset(component))
-    return out
+def _strong_components(rows, roots, target=None, names=None) -> tuple:
+    """(report, kept) from one Tarjan search over the vertices 0, 1, ...
+    reachable from `roots`, where `rows[v]` lists v's successors once per
+    edge.
 
-
-def _is_trivial(graph: LabeledGraph, component) -> bool:
-    vertex, *others = component
-    return not others and vertex not in graph.successors[vertex]
-
-
-def component_period(graph: LabeledGraph, component) -> int:
-    """gcd of cycle lengths inside a strongly connected component.
-
-    Computed as the gcd of (level[u] + 1 - level[v]) over internal edges
-    u -> v, with levels from a BFS inside the component.  Undefined for
-    trivial components.
+    A component is kept when it reaches the vertex set `target` (always,
+    when `target` is None).  That is decided as the component is popped,
+    since every component it leads to is finished by then; the same scan
+    of its rows collects its internal edges and the kept components it
+    enters, and gives its period as the gcd of depth(u) + 1 - depth(v)
+    over its internal edges u -> v, with depths in the DFS tree (a
+    component is a subtree of it, so a depth less the root's is a path
+    length inside the component).  The report covers the kept
+    components, its vertices renamed by `names` when given; `kept[v]`
+    tells whether v is in one.  A single vertex, the common case, makes
+    no container unless it has a self-loop or enters a kept component.
     """
-    comp = set(component)
-    if _is_trivial(graph, comp):
+    n = len(rows)
+    number = [0] * n  # DFS number, 0 while unvisited
+    low = [0] * n
+    depth = [0] * n
+    component = [-1] * n  # set when the vertex's component is popped
+    alive = []  # per popped component, whether it is kept
+    stack = []  # visited vertices whose component is not yet popped
+    path, work = [], []  # the DFS path and the iterator over each one's row
+    found = []  # (smallest vertex, component, members, internal, period, entered)
+    counter = 0
+    for root in roots:
+        if number[root]:
+            continue
+        counter += 1
+        number[root] = low[root] = counter
+        stack.append(root)
+        path.append(root)
+        work.append(iter(rows[root]))
+        while work:
+            v = path[-1]
+            for w in work[-1]:
+                if not number[w]:
+                    counter += 1
+                    number[w] = low[w] = counter
+                    depth[w] = len(path)
+                    stack.append(w)
+                    path.append(w)
+                    work.append(iter(rows[w]))
+                    break
+                if component[w] < 0 and number[w] < low[v]:  # w is on the stack
+                    low[v] = number[w]
+            else:
+                work.pop()
+                path.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] != number[v]:
+                    continue
+                c = len(alive)
+                if stack[-1] == v:  # a single vertex
+                    stack.pop()
+                    component[v] = c
+                    internal = entered = ()
+                    for w in rows[v]:
+                        e = component[w]
+                        if e == c:
+                            internal += ((v, v),)
+                        elif alive[e] and e not in entered:
+                            entered += (e,)
+                    keep = target is None or bool(entered) or v in target
+                    if keep:
+                        found.append((v, c, None, internal, 1, entered))
+                else:
+                    i = len(stack) - 1
+                    while stack[i] != v:
+                        i -= 1
+                    members = sorted(stack[i:])
+                    del stack[i:]
+                    for u in members:
+                        component[u] = c
+                    internal, entered = [], set()
+                    for u in members:
+                        for w in rows[u]:
+                            e = component[w]
+                            if e == c:
+                                internal.append((u, w))
+                            elif alive[e]:
+                                entered.add(e)
+                    keep = target is None or bool(entered) or not target.isdisjoint(members)
+                    if keep:
+                        period = gcd(*{depth[u] + 1 - depth[w] for u, w in internal})
+                        found.append((members[0], c, members, internal, period, entered))
+                alive.append(keep)
+    kept = [c >= 0 and alive[c] for c in component]
+    return _report(found, len(alive), names), kept
+
+
+def _report(found, popped, names) -> ComponentReport:
+    """The report of the kept components, ordered by smallest vertex."""
+    if names is not None:
+        found = [
+            (
+                min(names[u] for u in members or (key,)),
+                c,
+                [names[u] for u in members or (key,)],
+                [(names[u], names[w]) for u, w in internal],
+                period,
+                entered,
+            )
+            for key, c, members, internal, period, entered in found
+        ]
+    found.sort()  # no two components share a smallest vertex
+    position = [0] * popped
+    for k, entry in enumerate(found):
+        position[entry[1]] = k
+    at = position.__getitem__
+    components, trivial, internal, successors = [], [], [], []
+    for key, _c, members, edges, _period, entered in found:
+        components.append(frozenset(members or (key,)))
+        trivial.append(not edges)
+        internal.append(tuple(edges))
+        successors.append(tuple(sorted(map(at, entered))))
+    periods = tuple(entry[4] for entry in found)
+    return ComponentReport(
+        components=tuple(components),
+        periods=periods,
+        trivial=tuple(trivial),
+        residue_period=lcm(*(p for p, t in zip(periods, trivial) if not t)),
+        internal=tuple(internal),
+        successors=tuple(successors),
+    )
+
+
+def _find(report: ComponentReport, component) -> int:
+    """The number of a component in the report."""
+    try:
+        return report.components.index(frozenset(component))
+    except ValueError:
+        raise ValueError(
+            f"{sorted(component)} is not a strongly connected component of the graph"
+        ) from None
+
+
+def component_period(graph, component) -> int:
+    """gcd of cycle lengths inside a strongly connected component of the
+    graph, as found by the search that decomposed it: the gcd of
+    depth[u] + 1 - depth[v] over internal edges u -> v, with depths from
+    the DFS.  Undefined for trivial components."""
+    report = scc_decompose(graph)
+    c = _find(report, component)
+    if report.trivial[c]:
         raise TrivialComponentError(
-            f"component {sorted(comp)} has no cycle; period undefined"
+            f"component {sorted(component)} has no cycle; period undefined"
         )
-    return _period(comp, [(s, d) for s, _sym, d in graph.edges if s in comp and d in comp])
+    return report.periods[c]
 
 
-def _period(component, internal) -> int:
-    """The period of a nontrivial component with the given internal edges."""
-    root = min(component)
-    level = {root: 0}
-    frontier = [root]
-    adjacency = {}
-    for s, d in internal:
-        adjacency.setdefault(s, set()).add(d)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adjacency.get(u, ()):
-                if v not in level:
-                    level[v] = level[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    period = 0
-    for u, v in internal:
-        period = gcd(period, level[u] + 1 - level[v])
-    return period
-
-
-def is_primitive(graph: LabeledGraph, component) -> bool:
+def is_primitive(graph, component) -> bool:
     """True iff the component is aperiodic (period 1)."""
     return component_period(graph, component) == 1
 
 
-def scc_decompose(graph: LabeledGraph) -> ComponentReport:
-    """Maximal strongly connected components, ordered by smallest vertex,
-    with per-component period and the global residue period.  One pass
-    over the edges groups each component's internal edges, which give
-    the periods (and the spectra of `spectral.Decomposition`)."""
-    succ = graph.successors
-    components = _tarjan(graph.vertices, lambda v: succ.get(v, ()))
-    components.sort(key=min)
-    component_of = {v: c for c, comp in enumerate(components) for v in comp}
-    internal = [[] for _ in components]
-    for s, _sym, d in graph.edges:
-        c = component_of[s]
-        if c == component_of[d]:
-            internal[c].append((s, d))
-    trivial = tuple(not edges for edges in internal)
-    periods = tuple(
-        1 if t else _period(c, edges) for c, t, edges in zip(components, trivial, internal)
-    )
-    internal = tuple(map(tuple, internal))
-    report = ComponentReport(tuple(components), periods, trivial, 1, internal)
-    q = residue_period(report)
-    return ComponentReport(tuple(components), periods, trivial, q, internal)
+def scc_decompose(graph) -> ComponentReport:
+    """Maximal strongly connected components of a `LabeledGraph`, ordered
+    by smallest vertex, with per-component period, internal edges and
+    the global residue period.  The report is the one the graph keeps:
+    `trim` and `Product.graph` find it while they build the graph, and
+    any other graph finds it with one search the first time it is read."""
+    return graph.component_report
 
 
 def residue_period(report: ComponentReport) -> int:

@@ -35,13 +35,12 @@ import numpy as np
 from .automata import (
     Dfa,
     Product,
+    _separation,
     combine,
     harmonize,
     harmonize_all,
     minimize,
     product,
-    shortest_accepted,
-    trim,
 )
 from .counting import CountVectors, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
@@ -86,6 +85,12 @@ def _pair(d1: Dfa, d2: Dfa) -> Product:
     return product(*harmonize(d1, d2))
 
 
+def _decomposed(d1: Dfa, d2: Dfa) -> tuple[Product, Decomposition]:
+    """The pair's product and the decomposition of its graph."""
+    prod = _pair(d1, d2)
+    return prod, Decomposition(prod.graph)
+
+
 def _pair_counts(cv: CountVectors, finals, cumulative: bool):
     """Yield the (sym diff, union) word counts for n = 0, 1, ...: of
     length exactly n, or at most n when `cumulative`."""
@@ -127,7 +132,8 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
         raise ValueError("analytic mode requires the cumulative sequence")
     diagnostics = {"sequence": config.sequence}
     if config.sequence == "cum":
-        limit, mode = _cumulative_limit(d1, d2, diagnostics, config.mode == "analytic")
+        analytic = config.mode == "analytic"
+        limit, mode = _cumulative_limit(*_decomposed(d1, d2), diagnostics, analytic)
     else:
         limit, mode = _fixed_length_limit(d1, d2, diagnostics)
     if mode == "exact":
@@ -135,15 +141,13 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     return DistanceResult("cesaro", float(limit), mode, diagnostics)
 
 
-def _cumulative_limit(d1: Dfa, d2: Dfa, diagnostics: dict, analytic=False):
-    """(limit, mode) of the cumulative Jaccard sequence, the limit a
-    Fraction unless the power stream ran; the growth orders and the
-    evidence go into `diagnostics`."""
-    prod = _pair(d1, d2)
+def _cumulative_limit(prod: Product, pair: Decomposition, diagnostics: dict, analytic=False):
+    """(limit, mode) of the cumulative Jaccard sequence of a product and
+    its decomposition, the limit a Fraction unless the power stream ran;
+    the growth orders and the evidence go into `diagnostics`."""
     left, right = prod.left, prod.right
     parts = (left ^ right, left | right)
     uni = prod.dfa(left | right)
-    pair = Decomposition(prod.graph)
     reports = {
         "sym_diff": pair.report(left ^ right),
         "union": pair.report(left | right),
@@ -168,7 +172,12 @@ def _cumulative_limit(d1: Dfa, d2: Dfa, diagnostics: dict, analytic=False):
         order = f"radius {radius:.6g}, index {d}"
         reason = f"sym, union and intersection all grow as ({order}); the limit needs iteration"
         raise ConvergenceError(reason, diagnostics=diagnostics)
-    limits, residual, blocks = _leading_limits(trim(uni), uni.initial, parts, radius, q, d)
+    # the union's trim graph: its vertices are the components reaching its
+    # accepting states, its edges the product's edges among them
+    vertices = sorted(v for c in pair.reaching(left | right) for v in pair.scc.components[c])
+    kept = set(vertices)
+    edges = [(s, t) for s, _symbol, t in prod.graph.edges if s in kept and t in kept]
+    limits, residual, blocks = _leading_limits(vertices, edges, parts, radius, q, d)
     diagnostics.update(residue_limits=limits, residual=residual, blocks=blocks)
     return sum(limits) / q, "per-residue"
 
@@ -180,18 +189,22 @@ def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
     the cumulative limit of the words of length k modulo q: the newest
     length dominates a cumulative count that grows exponentially, and has
     the leading coefficient of one that grows polynomially.  A class with
-    a finite union has terms 0.
+    a finite union has terms 0.  When q is 1 the one class holds every
+    length, and the pair's own decomposition serves it.
     """
     a, b = harmonize(d1, d2)
     prod = product(a, b)
-    uni_report = Decomposition(prod.graph).report(prod.left | prod.right)
+    whole = Decomposition(prod.graph)
+    uni_report = whole.report(prod.left | prod.right)
     q = lcm(*(c.period for c in uni_report.components))
     diagnostics["residue_period"] = q
     counter = tuple(((i + 1) % q,) * len(a.alphabet) for i in range(q))
     limits, residual, blocks = [], 0.0, 0
     for k in range(q):
-        length_k = Dfa(a.alphabet, counter, frozenset({k}))
-        found, pair = {}, (combine(x, length_k, "intersect") for x in (a, b))
+        found, pair = {}, (prod, whole)
+        if q > 1:
+            length_k = Dfa(a.alphabet, counter, frozenset({k}))
+            pair = _decomposed(*(combine(x, length_k, "intersect") for x in (a, b)))
         limit, _mode = _cumulative_limit(*pair, found)
         limits.append(limit if found["index_union"] else Fraction(0))
         residual = max(residual, found.get("residual", 0.0))
@@ -230,9 +243,11 @@ def _exact_tie_limit(cv, finals, q, d) -> Fraction:
     return Fraction(sym, uni) if uni else Fraction(0)
 
 
-def _leading_limits(graph, initial, parts, radius, q, d):
+def _leading_limits(vertices, edges, parts, radius, q, d):
     """(limits, residual, blocks) of the cumulative Jaccard sequence along
-    each residue class k mod q, for a tie with radius above 1 and index d.
+    each residue class k mod q, for a tie with radius above 1 and index d,
+    on the union's trim graph: its sorted product states, the first one
+    initial, and its (src, dst) edges in state then symbol order.
 
     The eigenvalues of A of modulus `radius` are `radius` times q-th roots
     of unity, so b_m = u A^(q m) / radius^(q m) tends to a polynomial in m
@@ -244,9 +259,9 @@ def _leading_limits(graph, initial, parts, radius, q, d):
     the d-th difference is at most LIMIT_TOL times the (d-1)-th, the
     residual; a stationary vector is the limit, never a transient.
     """
-    index = graph.vertex_index
-    src, dst = np.array([(index[s], index[t]) for s, _symbol, t in graph.edges]).T
-    finals = np.array([[v in part for part in parts] for v in graph.vertices], float)
+    index = {v: i for i, v in enumerate(vertices)}
+    src, dst = np.array([(index[s], index[t]) for s, t in edges]).T
+    finals = np.array([[v in part for part in parts] for v in vertices], float)
 
     def step(v):
         return np.bincount(dst, weights=v[src], minlength=len(v)) / radius
@@ -260,7 +275,7 @@ def _leading_limits(graph, initial, parts, radius, q, d):
         sums = radius ** -r @ np.array(c)[(r[:, None] - r) % q]
         return [float(s / u) for s, u in sums]
 
-    b = np.array([float(v == initial) for v in graph.vertices])
+    b = np.array([float(v == 0) for v in vertices])
     diffs = []
     for blocks in range(POWER_MAX_ITER):
         diffs = [b, *diffs[:d]]  # backward differences of b_m, orders 0 to d
@@ -326,8 +341,9 @@ def separating_n(dfas) -> int:
     pseudo-metric separates the whole set.
 
     Equals the longest among the shortest witnesses of pairwise symmetric
-    differences; never exceeds `separating_bound` for distinct inputs
-    (the tests check that bound).
+    differences, each found by a breadth-first search over the pair's
+    states that stops at the first witness; never exceeds
+    `separating_bound` for distinct inputs (the tests check that bound).
     """
     if len(dfas) < 2:
         return 0
@@ -335,7 +351,7 @@ def separating_n(dfas) -> int:
     worst = 0
     for i in range(len(common)):
         for j in range(i + 1, len(common)):
-            witness = shortest_accepted(combine(common[i], common[j], "symdiff"))
+            witness = _separation(common[i], common[j])
             if witness is None:
                 raise DuplicateLanguageError(
                     f"languages {i} and {j} are equal; separation is impossible"

@@ -10,10 +10,12 @@ matrices", LAA 1975).  Radii are computed by power iteration on each
 component's internal edge arrays: one step applies the component matrix
 A `period` times with `np.bincount`, so the iterated A^period is
 aperiodic and the min/max ratio bounds converge geometrically from both
-sides, while A^period itself is never formed.  The boolean combinations
-of a pair of languages are parts of one product graph: its
-`Decomposition` is found once, and every combination's report is read
-from it.
+sides, while A^period itself is never formed.  Components, periods,
+internal edges and the condensation DAG come from the graph's
+`ComponentReport`, found by the one search that built the graph (see
+`graphs`).  The boolean combinations of a pair of languages are parts of
+one product graph: every combination's report is read from its
+`Decomposition`.
 """
 
 import math
@@ -135,8 +137,9 @@ def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
 
 
 class Decomposition:
-    """A graph's strongly connected components, found once, and the
-    report of the whole graph or of its part that reaches a vertex set.
+    """A graph's strongly connected components, as its report holds them,
+    and the spectral report of the whole graph or of its part that reaches
+    a vertex set.
 
     If every vertex is reachable, as in `Product.graph`, trimming to an
     accepting set keeps or drops each component whole, and no path
@@ -150,15 +153,22 @@ class Decomposition:
         self._spectra = {}  # computed when a report first keeps the component
 
     @cached_property
-    def _condensation(self) -> tuple:
-        """(component of each vertex, predecessors of each component)."""
-        component_of = {v: c for c, comp in enumerate(self.scc.components) for v in comp}
-        predecessors = [set() for _ in self.scc.components]
-        for v, targets in self.graph.successors.items():
-            for w in targets:
-                if component_of[v] != component_of[w]:
-                    predecessors[component_of[w]].add(component_of[v])
-        return component_of, predecessors
+    def _component_of(self) -> dict:
+        return {v: c for c, comp in enumerate(self.scc.components) for v in comp}
+
+    @cached_property
+    def _predecessors(self) -> list:
+        """The condensation DAG's edges, reversed."""
+        predecessors = [[] for _ in self.scc.components]
+        for c, targets in enumerate(self.scc.successors):
+            for t in targets:
+                predecessors[t].append(c)
+        return predecessors
+
+    def reaching(self, accepting) -> list:
+        """The numbers, in order, of the components that reach `accepting`."""
+        seeds = {self._component_of[v] for v in accepting}
+        return sorted(_reach(seeds, self._predecessors))
 
     def _spectrum(self, c: int) -> ComponentSpectrum:
         if c not in self._spectra:
@@ -170,8 +180,7 @@ class Decomposition:
         """Report over the components that reach `accepting` (all if None)."""
         kept = range(len(self.scc.components))
         if accepting is not None:
-            component_of, predecessors = self._condensation
-            kept = sorted(_reach({component_of[v] for v in accepting}, predecessors))
+            kept = self.reaching(accepting)
         spectra = {c: self._spectrum(c) for c in kept if not self.scc.trivial[c]}
         radius = max((s.radius for s in spectra.values()), default=0.0)
         label = classify_radius(radius)
@@ -183,7 +192,7 @@ class Decomposition:
         ]
         index = sum(dominant)  # the index when at most one component dominates
         if index > 1:
-            index = _longest_chain(self._condensation[1], dominant)
+            index = _longest_chain(self.scc.successors, dominant)
         return SpectralReport(tuple(spectra.values()), radius, entropy, label, index)
 
 
@@ -195,9 +204,8 @@ def analyze_graph(graph: LabeledGraph) -> SpectralReport:
 
 def _longest_chain(successors, marked) -> int:
     """Largest number of marked components on one path of the
-    condensation DAG, by longest path in Kahn's topological order.  The
-    DAG is each component's successors, or its predecessors: a path
-    reversed holds the same components."""
+    condensation DAG, given as each component's successors, by longest
+    path in Kahn's topological order."""
     indegree = [0] * len(successors)
     for targets in successors:
         for c in targets:
@@ -228,7 +236,8 @@ def language_entropy(dfa: Dfa) -> SpectralReport:
     trim graph is analysed directly: peeling it down to the essential
     graph only removes vertices outside every cycle, so both graphs have
     the same nontrivial components, internal edges and periods, hence
-    the same spectrum.
+    the same spectrum.  The components are those the search inside `trim`
+    found; none is searched for again.
     """
     return analyze_graph(trim(dfa))
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import reglang as rl
 from reglang.counting import CountVectors, length_counts, matrix_power
 from reglang.errors import TrivialComponentError
-from reglang.spectral import graph_from_matrix
+from reglang.automata import product
+from reglang.spectral import analyze_graph, graph_from_matrix
 
 
 def figure_graph():
@@ -181,6 +182,139 @@ def test_primitivity_matches_power_positivity(rows):
                 positive = True
                 break
         assert rl.is_primitive(graph, component) == positive
+
+
+# --- one search against the separate passes it replaces ---------------------
+
+
+def tarjan_reference(graph):
+    """The decomposition as separate passes found it: a dict-based Tarjan
+    over the distinct successors, one scan of the edges for the internal
+    edges and the condensation DAG, and each period from BFS levels."""
+    succ = graph.successors
+    index, low, on_stack, stack, components = {}, {}, set(), [], []
+    for root in graph.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    component = set()
+                    while v not in component:
+                        component.add(stack.pop())
+                    on_stack -= component
+                    components.append(frozenset(component))
+    components.sort(key=min)
+    component_of = {v: c for c, comp in enumerate(components) for v in comp}
+    internal = [[] for _ in components]
+    entered = [set() for _ in components]
+    for s, _symbol, d in graph.edges:
+        c = component_of[s]
+        if c == component_of[d]:
+            internal[c].append((s, d))
+        else:
+            entered[c].add(component_of[d])
+    trivial = tuple(not edges for edges in internal)
+    periods = tuple(1 if t else bfs_period(edges) for t, edges in zip(trivial, internal))
+    q = 1
+    for period, t in zip(periods, trivial):
+        q = q if t else q * period // gcd(q, period)
+    return rl.ComponentReport(
+        tuple(components), periods, trivial, q,
+        tuple(map(tuple, internal)), tuple(tuple(sorted(e)) for e in entered),
+    )
+
+
+def bfs_period(internal):
+    """gcd of level[u] + 1 - level[v] over the internal edges u -> v of a
+    nontrivial component, with levels from a BFS from its smallest vertex."""
+    adjacency = {}
+    for s, d in internal:
+        adjacency.setdefault(s, []).append(d)
+    root = min(adjacency)
+    level, frontier = {root: 0}, [root]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in adjacency.get(u, ()):
+                if v not in level:
+                    level[v] = level[u] + 1
+                    reached.append(v)
+        frontier = reached
+    period = 0
+    for u, v in internal:
+        period = gcd(period, level[u] + 1 - level[v])
+    return period
+
+
+def reach(seeds, neighbours):
+    seen, queue = set(seeds), list(seeds)
+    while queue:
+        for w in neighbours(queue.pop()):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+@st.composite
+def _complete_dfas(draw, alphabet=None):
+    n = draw(st.integers(1, 9))
+    alphabet = alphabet or "abc"[: draw(st.integers(1, 3))]
+    row = st.tuples(*(st.integers(0, n - 1) for _ in alphabet))
+    return rl.Dfa(
+        tuple(alphabet),
+        tuple(draw(st.lists(row, min_size=n, max_size=n))),
+        frozenset(draw(st.sets(st.integers(0, n - 1)))),
+        draw(st.integers(0, n - 1)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfa=_complete_dfas())
+def test_one_search_matches_the_separate_passes(dfa):
+    graph = rl.trim(dfa)
+    forward = reach({dfa.initial}, dfa.transitions.__getitem__)
+    live = reach(dfa.accepting, lambda v: [q for q in forward if v in dfa.transitions[q]])
+    assert graph.vertices == tuple(sorted(forward & live))
+    report = rl.scc_decompose(graph)
+    rebuilt = rl.LabeledGraph(graph.vertices, graph.edges, graph.role)
+    assert rl.scc_decompose(rebuilt) == report
+    assert report == tarjan_reference(graph)
+    assert repr(rl.language_entropy(dfa)) == repr(analyze_graph(rebuilt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.tuples(_complete_dfas(), _complete_dfas()))
+def test_separation_search_matches_the_symmetric_difference(pair):
+    d1, d2 = pair
+    whole = product(*rl.harmonize(d1, d2)).graph
+    assert rl.scc_decompose(whole) == tarjan_reference(whole)
+    symdiff = rl.combine(*rl.harmonize(d1, d2), "symdiff")
+    assert rl.equivalent(d1, d2) == rl.is_empty(symdiff)
+    witness = rl.shortest_accepted(symdiff)
+    if witness is None:
+        with pytest.raises(rl.DuplicateLanguageError):
+            rl.separating_n([d1, d2])
+    else:
+        assert rl.separating_n([d1, d2]) == witness
 
 
 # --- aperiodicity as a convergence detector -----------------------------------

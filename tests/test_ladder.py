@@ -15,15 +15,33 @@ def _ladder():
 
 def test_smallest_rung_of_each_family_is_timed():
     ladder = _ladder()
-    smallest = {name: (sizes[:1], patterns) for name, (sizes, patterns) in ladder.FAMILIES.items()}
+    smallest = {
+        name: (sizes[:1], patterns, layers)
+        for name, (sizes, patterns, layers) in ladder.FAMILIES.items()
+    }
     records = ladder.measure(rl, smallest, runs=1)
     assert [(r["family"], r["size"]) for r in records] == [
         ("tie", 4),
         ("disjoint", 4),
         ("chain", 1000),
+        ("periodic", 100),
     ]
+    counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s")
+    structure = (
+        "trim_left_s",
+        "trim_right_s",
+        "scc_decompose_left_s",
+        "scc_decompose_right_s",
+        "language_entropy_left_s",
+        "language_entropy_right_s",
+        "separating_n_s",
+    )
+    expected = {"tie": counting, "disjoint": counting, "chain": counting + structure,
+                "periodic": structure}
     for record in records:
-        for layer in ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s"):
+        timed = [key for key in record if key.endswith("_s")]
+        assert timed == list(expected[record["family"]]), record
+        for layer in timed:
             assert isinstance(record[layer], float), (record, layer)
 
 
