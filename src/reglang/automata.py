@@ -146,7 +146,7 @@ class LabeledGraph:
     one incoming and one outgoing edge), or is a whole reachable product
     (`Product.graph`).  The adjacency matrix counts parallel edges, so
     entries are bounded by the alphabet size per row.  The graph's
-    `component_report` is found once and kept.
+    `component_report` and `condensation` are found once and kept.
     """
 
     vertices: tuple[int, ...]
@@ -184,16 +184,27 @@ class LabeledGraph:
         return {v: tuple(sorted(ts)) for v, ts in out.items()}
 
     @cached_property
-    def component_report(self):
-        """The graph's `graphs.ComponentReport`.  `trim` and `Product.graph`
-        set it from the search that built the graph; any other graph runs
-        that search over its own edges here, once."""
+    def _components(self) -> tuple:
+        """(report, DAG) of `graphs._strong_components`.  `trim` and
+        `Product.graph` set it from the search that built the graph; any
+        other graph runs that search over its own edges here, once."""
         index = self.vertex_index
         rows = [[] for _ in self.vertices]
         for src, _symbol, dst in self.edges:
             rows[index[src]].append(index[dst])
-        report, _kept = _strong_components(rows, range(len(rows)), names=self.vertices)
-        return report
+        report, dag, _kept = _strong_components(rows, range(len(rows)), names=self.vertices)
+        return report, dag
+
+    @property
+    def component_report(self):
+        """The graph's `graphs.ComponentReport`."""
+        return self._components[0]
+
+    @property
+    def condensation(self) -> tuple:
+        """The condensation DAG: for each component of `component_report`,
+        the sorted numbers of the components its outgoing edges enter."""
+        return self._components[1]
 
 
 def determinize(nfa: Nfa) -> Dfa:
@@ -450,19 +461,19 @@ def trim(dfa: Dfa) -> LabeledGraph:
     One search from the initial state (`graphs._strong_components`)
     visits the reachable states and keeps each strongly connected
     component that reaches an accepting state; the graph keeps the
-    components, periods and internal edges it found.  The result can be
-    empty (empty language); that is a flagged graph, not an error,
-    because the distance definitions assign 0 to empty denominators
-    downstream.
+    components, periods, internal edges and condensation DAG it found.
+    The result can be empty (empty language); that is a flagged graph,
+    not an error, because the distance definitions assign 0 to empty
+    denominators downstream.
     """
     found = _strong_components(dfa.transitions, (dfa.initial,), dfa.accepting)
     return _subgraph(dfa, *found, "trim")
 
 
-def _subgraph(dfa, report, kept, role: str) -> LabeledGraph:
+def _subgraph(dfa, report, dag, kept, role: str) -> LabeledGraph:
     """The graph of a DFA's (or a product's) transitions among the states
     with `kept[q]` set, its edges in state then symbol order, keeping the
-    `report` of its components."""
+    `report` and `dag` of its components."""
     vertices = tuple(q for q, k in enumerate(kept) if k)
     edges = [
         (q, symbol, t)
@@ -471,7 +482,7 @@ def _subgraph(dfa, report, kept, role: str) -> LabeledGraph:
         if kept[t]
     ]
     graph = LabeledGraph(vertices, tuple(edges), role)
-    graph.__dict__["component_report"] = report  # the cached property's value
+    graph.__dict__["_components"] = report, dag  # the cached property's value
     return graph
 
 

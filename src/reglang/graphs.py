@@ -7,12 +7,12 @@ Every structural question is answered by one iterative Tarjan search
 Comput. 1972) over integer successor rows: the components, which of them
 reach a target vertex set, each component's internal edges and period,
 and the condensation DAG.  `automata.trim` and `Product.graph` run it
-while they build their graphs, and the graph keeps the report it found;
-any other graph runs it over its own edges the first time its report is
-read.  This module imports nothing from `automata`.
+while they build their graphs, and the graph keeps the report and the
+DAG it found; any other graph runs it over its own edges the first time
+either is read.  This module imports nothing from `automata`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import TrivialComponentError
@@ -28,9 +28,7 @@ class ComponentReport:
     convention and are excluded from the residue-period lcm.  `internal`
     holds each component's internal edges as (src, dst) pairs, by source
     in the graph's vertex order and then in edge order (state then
-    symbol, for the graphs `trim` builds).  `successors` is the
-    condensation DAG: for each component, the sorted numbers of the
-    components its outgoing edges enter.
+    symbol, for the graphs `trim` builds).
     """
 
     components: tuple  # of frozenset of vertices
@@ -38,13 +36,12 @@ class ComponentReport:
     trivial: tuple  # of bool, aligned with components
     residue_period: int
     internal: tuple  # of tuples of (src, dst), aligned with components
-    successors: tuple = field(repr=False)  # of sorted tuples of component numbers
 
 
 def _strong_components(rows, roots, target=None, names=None) -> tuple:
-    """(report, kept) from one Tarjan search over the vertices 0, 1, ...
-    reachable from `roots`, where `rows[v]` lists v's successors once per
-    edge.
+    """(report, dag, kept) from one Tarjan search over the vertices 0, 1,
+    ... reachable from `roots`, where `rows[v]` lists v's successors once
+    per edge.
 
     A component is kept when it reaches the vertex set `target` (always,
     when `target` is None).  That is decided as the component is popped,
@@ -54,9 +51,11 @@ def _strong_components(rows, roots, target=None, names=None) -> tuple:
     over its internal edges u -> v, with depths in the DFS tree (a
     component is a subtree of it, so a depth less the root's is a path
     length inside the component).  The report covers the kept
-    components, its vertices renamed by `names` when given; `kept[v]`
-    tells whether v is in one.  A single vertex, the common case, makes
-    no container unless it has a self-loop or enters a kept component.
+    components, its vertices renamed by `names` when given; `dag` is
+    their condensation DAG, for each component the sorted numbers of
+    those its outgoing edges enter; `kept[v]` tells whether v is in one.
+    A single vertex, the common case, makes no container unless it has a
+    self-loop or enters a kept component.
     """
     n = len(rows)
     number = [0] * n  # DFS number, 0 while unvisited
@@ -132,11 +131,12 @@ def _strong_components(rows, roots, target=None, names=None) -> tuple:
                         found.append((members[0], c, members, internal, period, entered))
                 alive.append(keep)
     kept = [c >= 0 and alive[c] for c in component]
-    return _report(found, len(alive), names), kept
+    return (*_report(found, len(alive), names), kept)
 
 
-def _report(found, popped, names) -> ComponentReport:
-    """The report of the kept components, ordered by smallest vertex."""
+def _report(found, popped, names) -> tuple:
+    """The report and the condensation DAG of the kept components,
+    ordered by smallest vertex."""
     if names is not None:
         found = [
             (
@@ -161,14 +161,14 @@ def _report(found, popped, names) -> ComponentReport:
         internal.append(tuple(edges))
         successors.append(tuple(sorted(map(at, entered))))
     periods = tuple(entry[4] for entry in found)
-    return ComponentReport(
+    report = ComponentReport(
         components=tuple(components),
         periods=periods,
         trivial=tuple(trivial),
         residue_period=lcm(*(p for p, t in zip(periods, trivial) if not t)),
         internal=tuple(internal),
-        successors=tuple(successors),
     )
+    return report, tuple(successors)
 
 
 def _find(report: ComponentReport, component) -> int:

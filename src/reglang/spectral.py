@@ -11,11 +11,10 @@ component's internal edge arrays: one step applies the component matrix
 A `period` times with `np.bincount`, so the iterated A^period is
 aperiodic and the min/max ratio bounds converge geometrically from both
 sides, while A^period itself is never formed.  Components, periods,
-internal edges and the condensation DAG come from the graph's
-`ComponentReport`, found by the one search that built the graph (see
-`graphs`).  The boolean combinations of a pair of languages are parts of
-one product graph: every combination's report is read from its
-`Decomposition`.
+internal edges and the condensation DAG are those the graph keeps, found
+by the one search that built it (see `graphs`).  The boolean
+combinations of a pair of languages are parts of one product graph:
+every combination's report is read from its `Decomposition`.
 """
 
 import math
@@ -160,7 +159,7 @@ class Decomposition:
     def _predecessors(self) -> list:
         """The condensation DAG's edges, reversed."""
         predecessors = [[] for _ in self.scc.components]
-        for c, targets in enumerate(self.scc.successors):
+        for c, targets in enumerate(self.graph.condensation):
             for t in targets:
                 predecessors[t].append(c)
         return predecessors
@@ -192,7 +191,7 @@ class Decomposition:
         ]
         index = sum(dominant)  # the index when at most one component dominates
         if index > 1:
-            index = _longest_chain(self.scc.successors, dominant)
+            index = _longest_chain(self.graph.condensation, dominant)
         return SpectralReport(tuple(spectra.values()), radius, entropy, label, index)
 
 

@@ -188,9 +188,9 @@ def test_primitivity_matches_power_positivity(rows):
 
 
 def tarjan_reference(graph):
-    """The decomposition as separate passes found it: a dict-based Tarjan
-    over the distinct successors, one scan of the edges for the internal
-    edges and the condensation DAG, and each period from BFS levels."""
+    """(report, condensation DAG) as separate passes found them: a
+    dict-based Tarjan over the distinct successors, one scan of the edges
+    for the internal edges and the DAG, and each period from BFS levels."""
     succ = graph.successors
     index, low, on_stack, stack, components = {}, {}, set(), [], []
     for root in graph.vertices:
@@ -236,10 +236,8 @@ def tarjan_reference(graph):
     q = 1
     for period, t in zip(periods, trivial):
         q = q if t else q * period // gcd(q, period)
-    return rl.ComponentReport(
-        tuple(components), periods, trivial, q,
-        tuple(map(tuple, internal)), tuple(tuple(sorted(e)) for e in entered),
-    )
+    report = rl.ComponentReport(tuple(components), periods, trivial, q, tuple(map(tuple, internal)))
+    return report, tuple(tuple(sorted(e)) for e in entered)
 
 
 def bfs_period(internal):
@@ -294,10 +292,10 @@ def test_one_search_matches_the_separate_passes(dfa):
     forward = reach({dfa.initial}, dfa.transitions.__getitem__)
     live = reach(dfa.accepting, lambda v: [q for q in forward if v in dfa.transitions[q]])
     assert graph.vertices == tuple(sorted(forward & live))
-    report = rl.scc_decompose(graph)
+    found = rl.scc_decompose(graph), graph.condensation
     rebuilt = rl.LabeledGraph(graph.vertices, graph.edges, graph.role)
-    assert rl.scc_decompose(rebuilt) == report
-    assert report == tarjan_reference(graph)
+    assert (rl.scc_decompose(rebuilt), rebuilt.condensation) == found
+    assert found == tarjan_reference(graph)
     assert repr(rl.language_entropy(dfa)) == repr(analyze_graph(rebuilt))
 
 
@@ -306,7 +304,7 @@ def test_one_search_matches_the_separate_passes(dfa):
 def test_separation_search_matches_the_symmetric_difference(pair):
     d1, d2 = pair
     whole = product(*rl.harmonize(d1, d2)).graph
-    assert rl.scc_decompose(whole) == tarjan_reference(whole)
+    assert (rl.scc_decompose(whole), whole.condensation) == tarjan_reference(whole)
     symdiff = rl.combine(*rl.harmonize(d1, d2), "symdiff")
     assert rl.equivalent(d1, d2) == rl.is_empty(symdiff)
     witness = rl.shortest_accepted(symdiff)
