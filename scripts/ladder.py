@@ -6,12 +6,20 @@
 Counting layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` of the pair.  Structural layers: `trim`,
 `scc_decompose(trim(d))` and `language_entropy` of each operand, and
-`separating_n` of the pair.  Rungs, each family in increasing size:
+`separating_n` of the pair.  Cold-start layers time whole processes, each
+a fresh interpreter: `build_process_s` imports reglang and builds the
+rung's two operands, in every family; the cold family runs the command
+line on the tie pair: `reglang entropy` of its left operand, `reglang
+distance --metric h` and `--metric jn --n 200` of the pair, and `reglang
+entropy '(a|bb)*'`, whose component needs power iteration.  Beside each
+cold-start time, `<layer>_numpy` records whether the process loaded numpy.
+Rungs, each family in increasing size:
 
 - tie k:        (a|b)*a(a|b){k}  against (a|b)*a(a|b){k-1},  k = 4..12
 - disjoint k:   (a|b)*a(a|b){k}  against (a|b)*b(a|b){k},    k = 4..12
 - chain n:      a{n}(a|b)*       against a{n+1000},          n = 1000..16000
 - periodic m:   P(m)             against P(m+1),             m = 100..3200
+- cold k:       the tie pair,                                k = 4, 7, 12
 
 where P(m) = (a{2})*b(a{3})*b(a{4})*b(a{2})*b... has m starred parts, the
 i-th of period 2 + i mod 3, so its trim graph has m periodic components.
@@ -19,7 +27,8 @@ The first two families time the counting layers, the periodic family the
 structural ones and the chain both.  Under lumping, the counting systems
 of the first two families shrink to a few vertices; the chain's do not
 shrink.  Each time is the median of RUNS
-wall-clock runs, after the operands are built.  A run longer than
+wall-clock runs, after the operands are built (COLD_RUNS processes for a
+cold-start layer).  A run longer than
 BUDGET_S seconds is stopped and recorded as "timeout", and that layer is
 "skipped" on the family's larger rungs.  `--src` selects the reglang
 sources to time, so one script times two checkouts alike.
@@ -36,8 +45,10 @@ import time
 from pathlib import Path
 
 RUNS = 3
+COLD_RUNS = 5
 BUDGET_S = 10.0
 HORIZON = 200
+GOLDEN = "(a|bb)*"
 
 # layer -> the call it times, on the operands a and b of a rung
 LAYERS = {
@@ -55,33 +66,68 @@ LAYERS = {
 COUNTING = tuple(LAYERS)[:3]
 STRUCTURE = tuple(LAYERS)[3:]
 
+# cold-start layer -> the arguments of PROBE, given the rung's patterns
+PROCESSES = {
+    "build_process_s": lambda p1, p2: ["build", p1, p2],
+    "entropy_process_s": lambda p1, p2: ["entropy", p1],
+    "distance_h_process_s": lambda p1, p2: ["distance", "--metric", "h", p1, p2],
+    "distance_jn_process_s": lambda p1, p2: [
+        "distance", "--metric", "jn", "--n", str(HORIZON), p1, p2
+    ],
+    "entropy_golden_process_s": lambda p1, p2: ["entropy", GOLDEN],
+}
+BUILD = ("build_process_s",)
+COMMAND_LINE = tuple(PROCESSES)[1:]
+# Run as `python -c PROBE src build pattern...` to import reglang from src
+# and build each pattern's DFA, or as `python -c PROBE src args...` to run
+# `reglang args...`; its last line of output says whether numpy loaded.
+PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "build":
+    import reglang
+    for pattern in sys.argv[3:]:
+        reglang.dfa_from_regex(pattern)
+    code = 0
+else:
+    from reglang.cli import main
+    code = main(sys.argv[2:])
+print("numpy" in sys.modules)
+sys.exit(code)
+"""
+
 
 def periodic(m: int) -> str:
     return "b".join(f"(a{{{2 + i % 3}}})*" for i in range(m))
+
+
+def tie(k: int) -> tuple:
+    return f"(a|b)*a(a|b){{{k}}}", f"(a|b)*a(a|b){{{k - 1}}}"
 
 
 # family -> (sizes, the rung's pair of patterns, its layers)
 FAMILIES = {
     "tie": (
         range(4, 13),
-        lambda k: (f"(a|b)*a(a|b){{{k}}}", f"(a|b)*a(a|b){{{k - 1}}}"),
-        COUNTING,
+        tie,
+        COUNTING + BUILD,
     ),
     "disjoint": (
         range(4, 13),
         lambda k: (f"(a|b)*a(a|b){{{k}}}", f"(a|b)*b(a|b){{{k}}}"),
-        COUNTING,
+        COUNTING + BUILD,
     ),
     "chain": (
         (1000, 2000, 4000, 8000, 16000),
         lambda n: (f"a{{{n}}}(a|b)*", f"a{{{n + 1000}}}"),
-        COUNTING + STRUCTURE,
+        COUNTING + STRUCTURE + BUILD,
     ),
     "periodic": (
         (100, 200, 400, 800, 1600, 3200),
         lambda m: (periodic(m), periodic(m + 1)),
-        STRUCTURE,
+        STRUCTURE + BUILD,
     ),
+    "cold": ((4, 7, 12), tie, COMMAND_LINE),
 }
 
 
@@ -113,9 +159,27 @@ def median_time(call, runs=RUNS, budget=BUDGET_S):
     return sorted(times)[len(times) // 2]
 
 
-def measure(rl, families=FAMILIES, runs=RUNS):
+def process_time(args, runs=COLD_RUNS, budget=BUDGET_S):
+    """(median wall time of `runs` fresh interpreters running PROBE with
+    `args`, whether numpy loaded in the last), or (None, None) when one
+    exceeds `budget` s."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        try:
+            run = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True,
+                                 text=True, timeout=budget, check=True)
+        except subprocess.TimeoutExpired:
+            return None, None
+        times.append(time.perf_counter() - start)
+    return sorted(times)[len(times) // 2], run.stdout.split()[-1] == "True"
+
+
+def measure(rl, families=FAMILIES, runs=RUNS, cold_runs=COLD_RUNS):
     """One record per rung: the operands' patterns and sizes and each
-    layer's median seconds, "timeout" or "skipped"."""
+    layer's median seconds, "timeout" or "skipped", and for a cold-start
+    layer whether numpy loaded."""
+    src = str(Path(rl.__file__).resolve().parents[1])
     records = []
     for family, (sizes, patterns, layers) in families.items():
         stopped = set()  # layers that timed out on a smaller rung
@@ -128,10 +192,15 @@ def measure(rl, families=FAMILIES, runs=RUNS):
                 if layer in stopped:
                     record[layer] = "skipped"
                     continue
-                seconds = median_time(lambda: LAYERS[layer](rl, a, b), runs)
+                if layer in PROCESSES:
+                    seconds, numpy = process_time([src, *PROCESSES[layer](p1, p2)], cold_runs)
+                else:
+                    seconds = median_time(lambda: LAYERS[layer](rl, a, b), runs)
                 if seconds is None:
                     stopped.add(layer)
                 record[layer] = "timeout" if seconds is None else round(seconds, 6)
+                if layer in PROCESSES:
+                    record[f"{layer[:-2]}_numpy"] = numpy
             records.append(record)
             print(json.dumps(record), file=sys.stderr, flush=True)
     return records
@@ -153,6 +222,7 @@ def environment(src: Path) -> dict:
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
         "runs": RUNS,
+        "cold_runs": COLD_RUNS,
         "budget_s": BUDGET_S,
         "horizon": HORIZON,
     }

@@ -30,8 +30,6 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, inf, lcm
 
-import numpy as np
-
 from .automata import (
     Dfa,
     Product,
@@ -147,7 +145,6 @@ def _cumulative_limit(prod: Product, pair: Decomposition, diagnostics: dict, ana
     the growth orders and the evidence go into `diagnostics`."""
     left, right = prod.left, prod.right
     parts = (left ^ right, left | right)
-    uni = prod.dfa(left | right)
     reports = {
         "sym_diff": pair.report(left ^ right),
         "union": pair.report(left | right),
@@ -167,6 +164,7 @@ def _cumulative_limit(prod: Product, pair: Decomposition, diagnostics: dict, ana
     radius, d = uni_report.spectral_radius, uni_report.index
     diagnostics["residue_period"] = q
     if uni_report.lambda_class != "expanding":
+        uni = prod.dfa(left | right)
         return _exact_tie_limit(*shared_system(uni, parts), q, d), "exact"
     if analytic:
         order = f"radius {radius:.6g}, index {d}"
@@ -259,6 +257,8 @@ def _leading_limits(vertices, edges, parts, radius, q, d):
     the d-th difference is at most LIMIT_TOL times the (d-1)-th, the
     residual; a stationary vector is the limit, never a transient.
     """
+    import numpy as np
+
     index = {v: i for i, v in enumerate(vertices)}
     src, dst = np.array([(index[s], index[t]) for s, t in edges]).T
     finals = np.array([[v in part for part in parts] for v in vertices], float)

@@ -12,8 +12,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
 from .automata import Dfa
 from .errors import BudgetError
 from .regex import Alt, Concat, Empty, Epsilon, Literal, Repeat, Star
@@ -63,6 +61,8 @@ def acceptance_by_length(dfa: Dfa, n_max: int, alphabet=None):
     in lexicographic order, so entry r of level n answers membership of
     the r-th string of length n.
     """
+    import numpy as np
+
     symbols = tuple(sorted(alphabet)) if alphabet is not None else dfa.alphabet
     dead = dfa.n_states  # sink for symbols the DFA does not know
     columns = [dfa.symbol_index.get(s) for s in symbols]

@@ -6,22 +6,33 @@ components of its essential graph.  Its growth order (radius, index)
 refines this: the index d is the largest number of components with the
 dominant radius on one path of the condensation DAG, so word counts grow
 like n^(d-1) radius^n (Rothblum, "Algebraic eigenspaces of nonnegative
-matrices", LAA 1975).  Radii are computed by power iteration on each
-component's internal edge arrays: one step applies the component matrix
-A `period` times with `np.bincount`, so the iterated A^period is
+matrices", LAA 1975).
+
+A component whose vertices all have the same number r of internal
+out-edges, or all the same number of internal in-edges, has radius
+exactly r: A 1 = r 1 (or 1^T A = r 1^T), and a non-negative matrix with
+a positive eigenvector has its spectral radius as that eigenvalue, at any
+period.  Sigma* loops, simple cycles and de Bruijn graphs are such
+components: a count of degrees over their internal edges gives their
+radius.  The radius of any other component is computed by power
+iteration on its internal edge arrays: one step applies the component
+matrix A `period` times with `np.bincount`, so the iterated A^period is
 aperiodic and the min/max ratio bounds converge geometrically from both
-sides, while A^period itself is never formed.  Components, periods,
-internal edges and the condensation DAG are those the graph keeps, found
-by the one search that built it (see `graphs`).  The boolean
-combinations of a pair of languages are parts of one product graph:
-every combination's report is read from its `Decomposition`.
+sides, while A^period itself is never formed.  numpy is imported only
+there, so a process whose components all have a constant degree never
+loads it.
+
+Components, periods, internal edges and the condensation DAG are those
+the graph keeps, found by the one search that built it (see `graphs`).
+The boolean combinations of a pair of languages are parts of one product
+graph: every combination's report is read from its `Decomposition`.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from operator import itemgetter
 
 from .automata import Dfa, LabeledGraph, _reach, trim
 from .errors import ConvergenceError
@@ -69,21 +80,15 @@ def classify_radius(radius: float) -> str:
     return "expanding"
 
 
-def _perron_root(step, n: int, start=None):
-    """Largest eigenvalue of the n x n non-negative matrix B that `step`
+def _perron_root(step, v):
+    """Largest eigenvalue of the non-negative matrix B that `step`
     multiplies a vector by, where B's diagonal blocks are primitive with
-    a common dominant eigenvalue.
+    a common dominant eigenvalue, from the positive float array v.
 
     Uses power iteration with two-sided ratio bounds: for a positive
     vector v, min_i (Bv)_i / v_i and max_i (Bv)_i / v_i bracket the
     dominant eigenvalue, and the bracket collapses geometrically.
     """
-    if start is None:
-        v = np.ones(n)
-    else:
-        v = np.asarray(start, dtype=float)
-        if v.shape != (n,) or (v <= 0).any():
-            raise ValueError("start vector must be strictly positive")
     for iteration in range(1, POWER_MAX_ITER + 1):
         w = step(v)
         ratios = w / v
@@ -98,6 +103,16 @@ def _perron_root(step, n: int, start=None):
         partial=0.5 * (low + high),
         diagnostics={"residual": width, "iterations": POWER_MAX_ITER},
     )
+
+
+def _start_vector(start, n: int):
+    """`start` as a float array, which must be a strictly positive n-vector."""
+    import numpy as np
+
+    v = np.asarray(start, dtype=float)
+    if v.shape != (n,) or (v <= 0).any():
+        raise ValueError("start vector must be strictly positive")
+    return v
 
 
 def component_spectrum(
@@ -119,10 +134,21 @@ def component_spectrum(
 
 def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
     """Perron root of a component of the given period from its internal
-    (src, dst) edges, iterated in their order."""
+    (src, dst) edges: r when every vertex has r internal out-edges, or
+    every vertex r internal in-edges; otherwise by power iteration over
+    the edges in their order."""
     vertices = tuple(sorted(component))
-    pos = {v: i for i, v in enumerate(vertices)}
     n = len(vertices)
+    if start is not None:
+        start = _start_vector(start, n)
+    for end in (0, 1):
+        degrees = Counter(map(itemgetter(end), internal))
+        if len(degrees) == n and len(set(degrees.values())) == 1:
+            return ComponentSpectrum(vertices, period, float(len(internal) // n), 0, 0.0)
+
+    import numpy as np
+
+    pos = {v: i for i, v in enumerate(vertices)}
     src, dst = np.array([(pos[s], pos[d]) for s, d in internal]).T
 
     def step(v):
@@ -130,7 +156,8 @@ def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
             v = np.bincount(src, weights=v[dst], minlength=n)
         return v
 
-    root, iterations, residual = _perron_root(step, n, start=start)
+    start = np.ones(n) if start is None else start
+    root, iterations, residual = _perron_root(step, start)
     radius = root ** (1.0 / period) if period > 1 else root
     return ComponentSpectrum(vertices, period, radius, iterations, residual)
 

@@ -19,12 +19,13 @@ def test_smallest_rung_of_each_family_is_timed():
         name: (sizes[:1], patterns, layers)
         for name, (sizes, patterns, layers) in ladder.FAMILIES.items()
     }
-    records = ladder.measure(rl, smallest, runs=1)
+    records = ladder.measure(rl, smallest, runs=1, cold_runs=1)
     assert [(r["family"], r["size"]) for r in records] == [
         ("tie", 4),
         ("disjoint", 4),
         ("chain", 1000),
         ("periodic", 100),
+        ("cold", 4),
     ]
     counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s")
     structure = (
@@ -36,13 +37,24 @@ def test_smallest_rung_of_each_family_is_timed():
         "language_entropy_right_s",
         "separating_n_s",
     )
-    expected = {"tie": counting, "disjoint": counting, "chain": counting + structure,
-                "periodic": structure}
+    build = ("build_process_s",)
+    command_line = (
+        "entropy_process_s",
+        "distance_h_process_s",
+        "distance_jn_process_s",
+        "entropy_golden_process_s",
+    )
+    expected = {"tie": counting + build, "disjoint": counting + build,
+                "chain": counting + structure + build, "periodic": structure + build,
+                "cold": command_line}
     for record in records:
         timed = [key for key in record if key.endswith("_s")]
         assert timed == list(expected[record["family"]]), record
         for layer in timed:
             assert isinstance(record[layer], float), (record, layer)
+        # only the golden-ratio control has a component that needs iteration
+        loaded = {key for key in record if key.endswith("_numpy") and record[key]}
+        assert loaded == ({"entropy_golden_process_numpy"} if record["family"] == "cold" else set())
 
 
 def _spin():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,37 @@ def test_component_radius_reports_diagnostics():
     assert spectrum.residual <= 1e-12 * max(1.0, spectrum.radius)
 
 
+def _constant_degree_matrix(data):
+    """A strongly connected multigraph's matrix whose rows all sum to r
+    (or, transposed, whose columns do), and r.  Its m * p vertices form p
+    classes of m, and every edge enters the next class: a cycle through
+    all vertices carries one of each vertex's r out-edges, and the other
+    r - 1 go to random vertices of the next class."""
+    p = data.draw(st.integers(1, 4), label="classes")
+    m = data.draw(st.integers(1, 4), label="class size")
+    r = data.draw(st.integers(1, 4), label="degree")
+    n = m * p
+    rows = [[0] * n for _ in range(n)]
+    for v in range(n):
+        rows[v][(v + m) % n if v < n - m else (v + 1) % m] += 1
+        first = (v // m + 1) % p * m
+        for _ in range(r - 1):
+            rows[v][first + data.draw(st.integers(0, m - 1))] += 1
+    if data.draw(st.booleans(), label="transposed"):
+        rows = [list(column) for column in zip(*rows)]
+    return rows, r
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_constant_degree_components_have_radius_r_without_iteration(data):
+    rows, r = _constant_degree_matrix(data)
+    graph = graph_from_matrix(rows)
+    spectrum = component_spectrum(graph, graph.vertices)
+    assert (spectrum.radius, spectrum.iterations, spectrum.residual) == (float(r), 0, 0.0)
+    assert abs(spectrum.radius - max(abs(np.linalg.eigvals(np.array(rows, float))))) < 1e-9
+
+
 def test_radius_independent_of_start_vector():
     graph = graph_from_matrix([[1, 1], [1, 0]])
     uniform = component_spectrum(graph, {0, 1}).radius
@@ -66,6 +101,8 @@ def test_entropy_of_full_binary_language():
     report = rl.language_entropy(rl.dfa_from_regex("(a|b)*"))
     assert report.entropy_bits == pytest.approx(1.0, abs=1e-12)
     assert report.lambda_class == "expanding"
+    # every vertex of the Sigma* loop has 2 out-edges: radius 2, not iterated
+    assert [(c.radius, c.iterations) for c in report.components] == [(2.0, 0)]
 
 
 def test_entropy_of_full_ternary_language():
@@ -238,3 +275,33 @@ def test_exact_length_rate_on_a_nearby_subsequence(corpus, entropy_of, infinite_
                 gap = abs(math.log2(count) / n - entropy_of[lang.name])
                 best = gap if best is None else min(best, gap)
         assert best is not None and best < 0.05, lang.name
+
+
+# --- cold start -------------------------------------------------------------------
+
+# Prints, after the suffix pair's metrics, whether numpy was loaded, and
+# then whether it was after an entropy that needs power iteration.
+COLD_START = """
+import sys
+import reglang as rl
+import reglang.cli
+a = rl.dfa_from_regex("(a|b)*a(a|b){7}")
+b = rl.dfa_from_regex("(a|b)*a(a|b){6}")
+rl.jaccard_cum_n(a, b, 200)
+rl.jaccard_exact_n(a, b, 200)
+rl.entropy_distance(a, b)
+rl.entropy_sum(a, b)
+rl.language_entropy(a)
+rl.language_entropy(b)
+print("numpy" in sys.modules)
+rl.language_entropy(rl.dfa_from_regex("(a|bb)*"))
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_loads_only_for_a_component_that_needs_iteration():
+    src = str(Path(rl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["False", "True"]
