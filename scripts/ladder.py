@@ -193,14 +193,13 @@ def measure(rl, families=FAMILIES, runs=RUNS, cold_runs=COLD_RUNS):
                     record[layer] = "skipped"
                     continue
                 if layer in PROCESSES:
-                    seconds, numpy = process_time([src, *PROCESSES[layer](p1, p2)], cold_runs)
+                    args = [src, *PROCESSES[layer](p1, p2)]
+                    seconds, record[f"{layer[:-2]}_numpy"] = process_time(args, cold_runs)
                 else:
                     seconds = median_time(lambda: LAYERS[layer](rl, a, b), runs)
                 if seconds is None:
                     stopped.add(layer)
                 record[layer] = "timeout" if seconds is None else round(seconds, 6)
-                if layer in PROCESSES:
-                    record[f"{layer[:-2]}_numpy"] = numpy
             records.append(record)
             print(json.dumps(record), file=sys.stderr, flush=True)
     return records

@@ -57,31 +57,34 @@ def test_component_radius_reports_diagnostics():
 
 def _constant_degree_matrix(data):
     """A strongly connected multigraph's matrix whose rows all sum to r
-    (or, transposed, whose columns do), and r.  Its m * p vertices form p
-    classes of m, and every edge enters the next class: a cycle through
-    all vertices carries one of each vertex's r out-edges, and the other
-    r - 1 go to random vertices of the next class."""
-    p = data.draw(st.integers(1, 4), label="classes")
-    m = data.draw(st.integers(1, 4), label="class size")
+    (or, transposed, whose columns do), its period p and r.  Its m * p
+    vertices form p classes of m, and every edge enters the next class: a
+    cycle through all vertices carries one of each vertex's r out-edges,
+    and the other r - 1 go to random vertices of the next class, but the
+    first of vertex n - m goes to vertex 0 and closes a cycle of length p."""
+    p = data.draw(st.integers(1, 4), label="period")
     r = data.draw(st.integers(1, 4), label="degree")
+    m = data.draw(st.integers(1, 4), label="class size") if r > 1 else 1
     n = m * p
     rows = [[0] * n for _ in range(n)]
     for v in range(n):
         rows[v][(v + m) % n if v < n - m else (v + 1) % m] += 1
         first = (v // m + 1) % p * m
-        for _ in range(r - 1):
-            rows[v][first + data.draw(st.integers(0, m - 1))] += 1
+        for k in range(r - 1):
+            j = 0 if (v, k) == (n - m, 0) else data.draw(st.integers(0, m - 1))
+            rows[v][first + j] += 1
     if data.draw(st.booleans(), label="transposed"):
         rows = [list(column) for column in zip(*rows)]
-    return rows, r
+    return rows, p, r
 
 
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_constant_degree_components_have_radius_r_without_iteration(data):
-    rows, r = _constant_degree_matrix(data)
+    rows, period, r = _constant_degree_matrix(data)
     graph = graph_from_matrix(rows)
     spectrum = component_spectrum(graph, graph.vertices)
+    assert spectrum.period == period
     assert (spectrum.radius, spectrum.iterations, spectrum.residual) == (float(r), 0, 0.0)
     assert abs(spectrum.radius - max(abs(np.linalg.eigvals(np.array(rows, float))))) < 1e-9
 
