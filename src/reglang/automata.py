@@ -8,7 +8,14 @@ cannot lie on an accepting path (the trash state among them) and yields
 the labeled graph consumed by the counting and spectral layers.
 
 All operations are pure; the returned automata and graphs are immutable
-and safe to share across threads.
+and safe to share across threads.  Each also keeps what has been read off
+it, so that every automaton is analysed once: a `Dfa` keeps its trim
+graph, found by one search the first time `trim` asks for it, and holds
+that graph as long as the DFA lives; a `LabeledGraph` keeps its
+components and condensation DAG, and `spectral` stores its decomposition
+and spectral report in it.  A kept value is built whole before it is
+stored, so two threads racing to read it may both compute it, but neither
+sees a partial result.
 """
 
 import json
@@ -97,6 +104,12 @@ class Dfa:
     @cached_property
     def symbol_index(self) -> dict:
         return {s: k for k, s in enumerate(self.alphabet)}
+
+    @cached_property
+    def _trim(self) -> "LabeledGraph":
+        """The trim graph, from one search (see `trim`), kept."""
+        found = _strong_components(self.transitions, (self.initial,), self.accepting)
+        return _subgraph(self, *found, "trim")
 
     @property
     def n_states(self) -> int:
@@ -462,12 +475,13 @@ def trim(dfa: Dfa) -> LabeledGraph:
     visits the reachable states and keeps each strongly connected
     component that reaches an accepting state; the graph keeps the
     components, periods, internal edges and condensation DAG it found.
+    The search runs on the first call only: the DFA keeps its trim graph,
+    so `trim(dfa) is trim(dfa)`.
     The result can be empty (empty language); that is a flagged graph,
     not an error, because the distance definitions assign 0 to empty
     denominators downstream.
     """
-    found = _strong_components(dfa.transitions, (dfa.initial,), dfa.accepting)
-    return _subgraph(dfa, *found, "trim")
+    return dfa._trim
 
 
 def _subgraph(dfa, report, dag, kept, role: str) -> LabeledGraph:

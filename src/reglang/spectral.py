@@ -24,8 +24,14 @@ loads it.
 
 Components, periods, internal edges and the condensation DAG are those
 the graph keeps, found by the one search that built it (see `graphs`).
-The boolean combinations of a pair of languages are parts of one product
-graph: every combination's report is read from its `Decomposition`.
+Each graph also keeps one `Decomposition`, stored in its `__dict__` the
+first time `analyze_graph`, `topological_entropy`, `language_entropy` or
+`component_spectrum` reads it.  The decomposition keeps each spectrum it
+computes and its report over the whole graph, so a graph's spectra are
+computed once, and a DFA's, whose trim graph is kept too, once in its
+lifetime.  The boolean combinations of a pair of languages are parts of
+one product graph: every combination's report is read from its
+`Decomposition`, which the metrics build afresh for each pair.
 """
 
 import math
@@ -123,13 +129,21 @@ def component_spectrum(
 ) -> ComponentSpectrum:
     """Perron root of one strongly connected component, with diagnostics.
 
-    `period` is the component's period when the caller already has it.
+    The component's internal edges and period are those the graph's report
+    holds, and without `start` the spectrum is the one the graph's
+    decomposition keeps.  Raises ValueError when `component` is not a
+    component of the graph, or `period` is given and is not its period,
+    and TrivialComponentError when it has no cycle.
     """
-    if period is None:
-        period = component_period(graph, component)
-    comp = set(component)
-    internal = [(s, d) for s, _sym, d in graph.edges if s in comp and d in comp]
-    return _spectrum(component, internal, period, start)
+    kept = component_period(graph, component)
+    if period is not None and period != kept:
+        raise ValueError(f"the component's period is {kept}, not {period}")
+    decomposition = _decomposition(graph)
+    c = decomposition._component_of[min(component)]
+    if start is None:
+        return decomposition._spectrum(c)
+    scc = decomposition.scc
+    return _spectrum(scc.components[c], scc.internal[c], kept, start)
 
 
 def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
@@ -174,7 +188,9 @@ class Decomposition:
     """
 
     def __init__(self, graph: LabeledGraph):
-        self.graph = graph
+        # not the graph itself: a graph keeps its decomposition, and
+        # holds no reference cycle through it
+        self.condensation = graph.condensation
         self.scc = scc_decompose(graph)
         self._spectra = {}  # computed when a report first keeps the component
 
@@ -186,7 +202,7 @@ class Decomposition:
     def _predecessors(self) -> list:
         """The condensation DAG's edges, reversed."""
         predecessors = [[] for _ in self.scc.components]
-        for c, targets in enumerate(self.graph.condensation):
+        for c, targets in enumerate(self.condensation):
             for t in targets:
                 predecessors[t].append(c)
         return predecessors
@@ -218,14 +234,28 @@ class Decomposition:
         ]
         index = sum(dominant)  # the index when at most one component dominates
         if index > 1:
-            index = _longest_chain(self.graph.condensation, dominant)
+            index = _longest_chain(self.condensation, dominant)
         return SpectralReport(tuple(spectra.values()), radius, entropy, label, index)
+
+    @cached_property
+    def whole(self) -> SpectralReport:
+        """The report over every component, kept."""
+        return self.report()
+
+
+def _decomposition(graph: LabeledGraph) -> Decomposition:
+    """The graph's decomposition, made on the first call and kept in the
+    graph's `__dict__`, as `automata._subgraph` keeps its components."""
+    kept = graph.__dict__.get("_decomposition")
+    if kept is None:
+        kept = graph.__dict__["_decomposition"] = Decomposition(graph)
+    return kept
 
 
 def analyze_graph(graph: LabeledGraph) -> SpectralReport:
     """Spectral report over the nontrivial components of a graph, with
-    the index of its dominant radius."""
-    return Decomposition(graph).report()
+    the index of its dominant radius; the one its decomposition keeps."""
+    return _decomposition(graph).whole
 
 
 def _longest_chain(successors, marked) -> int:
@@ -250,7 +280,8 @@ def _longest_chain(successors, marked) -> int:
 
 def topological_entropy(graph: LabeledGraph) -> float:
     """Growth rate of admissible blocks of an essential graph: the max of
-    log2(radius) over components, 0 for the empty graph."""
+    log2(radius) over components, 0 for the empty graph, read from the
+    graph's kept report."""
     return analyze_graph(graph).entropy_bits
 
 
@@ -263,7 +294,8 @@ def language_entropy(dfa: Dfa) -> SpectralReport:
     graph only removes vertices outside every cycle, so both graphs have
     the same nontrivial components, internal edges and periods, hence
     the same spectrum.  The components are those the search inside `trim`
-    found; none is searched for again.
+    found, and both the trim graph and its report are kept: a second call
+    on the same DFA computes nothing.
     """
     return analyze_graph(trim(dfa))
 

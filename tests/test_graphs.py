@@ -1,3 +1,4 @@
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -313,6 +314,31 @@ def test_separation_search_matches_the_symmetric_difference(pair):
             rl.separating_n([d1, d2])
     else:
         assert rl.separating_n([d1, d2]) == witness
+
+
+def _analysis(dfa, order) -> dict:
+    """Every answer read off a DFA's kept analysis, by repr, the calls
+    made in the given order."""
+    calls = {
+        "graph": lambda: rl.trim(dfa),
+        "entropy": lambda: rl.language_entropy(dfa),
+        "counts": lambda: list(islice(length_counts(CountVectors.from_dfa(dfa)), 9)),
+    }
+    found = {name: calls[name]() for name in order}
+    graph = found.pop("graph")
+    found["graph"] = (graph.vertices, graph.edges, graph.component_report, graph.condensation)
+    return {name: repr(value) for name, value in found.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(dfa=_complete_dfas(), order=st.permutations(["graph", "entropy", "counts"]))
+def test_the_kept_analysis_never_changes_an_answer(dfa, order):
+    first = _analysis(dfa, order)
+    assert rl.trim(dfa) is rl.trim(dfa)
+    assert _analysis(dfa, reversed(order)) == first
+    fresh = rl.Dfa(dfa.alphabet, dfa.transitions, dfa.accepting, dfa.initial)
+    assert fresh == dfa and rl.trim(fresh) is not rl.trim(dfa)
+    assert _analysis(fresh, ["counts", "entropy", "graph"]) == first
 
 
 # --- aperiodicity as a convergence detector -----------------------------------

@@ -35,6 +35,12 @@ def test_smallest_rung_of_each_family_is_timed():
         "scc_decompose_right_s",
         "language_entropy_left_s",
         "language_entropy_right_s",
+        "trim_left_kept_s",
+        "trim_right_kept_s",
+        "scc_decompose_left_kept_s",
+        "scc_decompose_right_kept_s",
+        "language_entropy_left_kept_s",
+        "language_entropy_right_kept_s",
         "separating_n_s",
     )
     build = ("build_process_s",)
@@ -66,3 +72,15 @@ def test_a_run_over_budget_is_a_timeout():
     ladder = _ladder()
     assert ladder.median_time(_spin, runs=1, budget=0.05) is None
     assert ladder.median_time(lambda: None, runs=3) >= 0.0
+
+
+def test_fresh_layers_time_a_copy_that_has_kept_nothing():
+    ladder = _ladder()
+    dfa = rl.dfa_from_regex("(a|b)*ab")
+    copies = []
+    ladder.median_time(copies.append, runs=3, prepare=lambda: (ladder.fresh(rl, dfa),))
+    assert len({id(copy) for copy in copies}) == 3
+    assert all(copy == dfa and copy is not dfa for copy in copies)
+    calls = []
+    ladder.median_time(lambda: calls.append(len(calls)), runs=3, warmup=1)
+    assert calls == [0, 1, 2, 3]

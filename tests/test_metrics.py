@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import reglang as rl
 import reglang.automata
 import reglang.graphs
+from reglang import cli
 from reglang.counting import CountVectors, count_upto, cumulative_counts
 from reglang.errors import ConvergenceError, DuplicateLanguageError
 from reglang.metrics import CesaroConfig
@@ -520,6 +522,20 @@ def test_each_pair_is_decomposed_once(monkeypatch, left, right):
         metric(d1, d2)
         assert len(searches) == runs, metric
         assert len(trims) <= most_trims, metric
+
+
+def test_each_automaton_is_searched_once(monkeypatch, capsys):
+    # the DFA keeps its trim graph, and the graph its components and report
+    dfa = rl.dfa_from_regex("(a|b)*ab")
+    searches = _count_calls(monkeypatch, reglang.graphs, "_strong_components")
+    rl.language_entropy(dfa)
+    rl.scc_decompose(rl.trim(dfa))
+    CountVectors.from_dfa(dfa)
+    assert len(searches) == 1
+    searches.clear()
+    assert cli.main(["analyze", "(a|b)*ab", "--counts", "4", "--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["verify"]["match"] is True
+    assert len(searches) == 1
 
 
 # --- dispatch ---------------------------------------------------------------------------
