@@ -10,12 +10,13 @@ Counting layers: `minimize` of each operand of a pair, and
 spectral report, so each run of those three layers gets a fresh equal
 copy of the operand, made outside the timed call, and pays for the whole
 analysis; its `<layer>_kept` twin times the same call repeated on one
-operand, after a first, untimed call.  Cold-start layers time whole processes, each
-a fresh interpreter: `build_process_s` imports reglang and builds the
-rung's two operands, in every family; the cold family runs the command
-line on the tie pair: `reglang entropy` of its left operand, `reglang
-distance --metric h` and `--metric jn --n 200` of the pair, and `reglang
-entropy '(a|bb)*'`, whose component needs power iteration.  Beside each
+operand, after a first, untimed call.  Cold-start layers time whole
+processes, each a fresh interpreter: `build_process_s` imports reglang
+and builds the rung's two operands, in every family; the cold family
+runs the command line on the tie pair: `reglang entropy` of its left
+operand, `reglang distance --metric h` and `--metric jn --n 200` of the
+pair, and `reglang entropy '(a|bb)*'`, whose component needs power
+iteration.  Beside each
 cold-start time, `<layer>_numpy` records whether the process loaded numpy.
 Rungs, each family in increasing size:
 

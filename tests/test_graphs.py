@@ -335,6 +335,7 @@ def _analysis(dfa, order) -> dict:
 def test_the_kept_analysis_never_changes_an_answer(dfa, order):
     first = _analysis(dfa, order)
     assert rl.trim(dfa) is rl.trim(dfa)
+    assert rl.language_entropy(dfa) is rl.language_entropy(dfa)
     assert _analysis(dfa, reversed(order)) == first
     fresh = rl.Dfa(dfa.alphabet, dfa.transitions, dfa.accepting, dfa.initial)
     assert fresh == dfa and rl.trim(fresh) is not rl.trim(dfa)
