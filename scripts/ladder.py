@@ -2,9 +2,11 @@
 
     python scripts/ladder.py --out ladder.json
     python scripts/ladder.py --src ../other-checkout/src --out other.json
+    python scripts/ladder.py --against ../parent/src --layers jaccard_cum_n_s --out pair.json
 
 Counting layers: `minimize` of each operand of a pair, and
-`jaccard_cum_n(a, b, 200)` of the pair.  Structural layers: `trim`,
+`jaccard_cum_n(a, b, 200)` of the pair, also timed as a whole process
+running `reglang distance --metric jn --n 200`.  Structural layers: `trim`,
 `scc_decompose(trim(d))` and `language_entropy` of each operand, and
 `separating_n` of the pair.  A DFA keeps its trim graph and the graph its
 spectral report, so each run of those three layers gets a fresh equal
@@ -29,21 +31,33 @@ Rungs, each family in increasing size:
 where P(m) = (a{2})*b(a{3})*b(a{4})*b(a{2})*b... has m starred parts, the
 i-th of period 2 + i mod 3, so its trim graph has m periodic components.
 The first two families time the counting layers, the periodic family the
-structural ones and the chain both.  Under lumping, the counting systems
-of the first two families shrink to a few vertices; the chain's do not
-shrink.  Each time is the median of RUNS
+structural ones and both `jaccard_cum_n` layers, and the chain all of
+them.  Under lumping, the
+counting systems of the first two families shrink to a few vertices; the
+chain's do not shrink.  Each time is the median of RUNS
 wall-clock runs, after the operands are built (COLD_RUNS processes for a
 cold-start layer).  A run longer than
 BUDGET_S seconds is stopped and recorded as "timeout", and that layer is
 "skipped" on the family's larger rungs.  `--src` selects the reglang
-sources to time, so one script times two checkouts alike.
+sources to time, so one script times two checkouts alike, and `--layers`
+times only the named layers.
+
+`--against` times a second checkout in the same run, imported beside the
+first under another module name.  Each layer of each rung is then timed
+in ROUNDS rounds; in a round each checkout times it once (the median of
+RUNS runs, or of COLD_RUNS processes), the two taking turns to go first,
+so that a drift of the host's speed over the run reaches both alike.
+The output holds, under "alternating", each checkout's records with the
+median over the rounds of each layer.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -51,6 +65,7 @@ from pathlib import Path
 
 RUNS = 3
 COLD_RUNS = 5
+ROUNDS = 5
 BUDGET_S = 10.0
 HORIZON = 200
 GOLDEN = "(a|bb)*"
@@ -85,6 +100,7 @@ PROCESSES = {
     "entropy_golden_process_s": lambda p1, p2: ["entropy", GOLDEN],
 }
 BUILD = ("build_process_s",)
+JN_PROCESS = ("distance_jn_process_s",)
 COMMAND_LINE = tuple(PROCESSES)[1:]
 # Run as `python -c PROBE src build pattern...` to import reglang from src
 # and build each pattern's DFA, or as `python -c PROBE src args...` to run
@@ -118,22 +134,22 @@ FAMILIES = {
     "tie": (
         range(4, 13),
         tie,
-        COUNTING + BUILD,
+        COUNTING + BUILD + JN_PROCESS,
     ),
     "disjoint": (
         range(4, 13),
         lambda k: (f"(a|b)*a(a|b){{{k}}}", f"(a|b)*b(a|b){{{k}}}"),
-        COUNTING + BUILD,
+        COUNTING + BUILD + JN_PROCESS,
     ),
     "chain": (
         (1000, 2000, 4000, 8000, 16000),
         lambda n: (f"a{{{n}}}(a|b)*", f"a{{{n + 1000}}}"),
-        COUNTING + STRUCTURE + BUILD,
+        COUNTING + STRUCTURE + BUILD + JN_PROCESS,
     ),
     "periodic": (
         (100, 200, 400, 800, 1600, 3200),
         lambda m: (periodic(m), periodic(m + 1)),
-        STRUCTURE + BUILD,
+        ("jaccard_cum_n_s",) + STRUCTURE + BUILD + JN_PROCESS,
     ),
     "cold": ((4, 7, 12), tie, COMMAND_LINE),
 }
@@ -196,34 +212,88 @@ def measure(rl, families=FAMILIES, runs=RUNS, cold_runs=COLD_RUNS):
     """One record per rung: the operands' patterns and sizes and each
     layer's median seconds, "timeout" or "skipped", and for a cold-start
     layer whether numpy loaded."""
-    src = str(Path(rl.__file__).resolve().parents[1])
-    records = []
+    return alternate({"src": rl}, families, 1, runs, cold_runs)["src"]
+
+
+def alternate(trees, families=FAMILIES, rounds=ROUNDS, runs=RUNS, cold_runs=COLD_RUNS):
+    """The records of `measure` for each reglang module in `trees` (name
+    -> module), each layer timed in `rounds` rounds in which every module
+    times it once, the modules taking turns to go first; a record holds
+    the median over the rounds."""
+    records = {name: [] for name in trees}
     for family, (sizes, patterns, layers) in families.items():
-        stopped = set()  # layers that timed out on a smaller rung
+        stopped = {name: set() for name in trees}  # layers that timed out on a smaller rung
         for size in sizes:
             p1, p2 = patterns(size)
-            a, b = rl.dfa_from_regex(p1), rl.dfa_from_regex(p2)
-            record = {"family": family, "size": size, "patterns": [_short(p1), _short(p2)],
-                      "states": [a.n_states, b.n_states]}
+            rung = {}
+            for name, rl in trees.items():
+                a, b = rl.dfa_from_regex(p1), rl.dfa_from_regex(p2)
+                rung[name] = (rl, a, b, {"family": family, "size": size,
+                                          "patterns": [_short(p1), _short(p2)],
+                                          "states": [a.n_states, b.n_states]})
             for layer in layers:
-                if layer in stopped:
-                    record[layer] = "skipped"
-                    continue
-                if layer in PROCESSES:
-                    args = [src, *PROCESSES[layer](p1, p2)]
-                    seconds, record[f"{layer[:-2]}_numpy"] = process_time(args, cold_runs)
-                elif layer in FRESH:
-                    seconds = median_time(LAYERS[layer], runs,
-                                          prepare=lambda: (rl, fresh(rl, a), fresh(rl, b)))
-                else:
-                    seconds = median_time(LAYERS[layer], runs, prepare=lambda: (rl, a, b),
-                                          warmup=int(layer in KEPT))
-                if seconds is None:
-                    stopped.add(layer)
-                record[layer] = "timeout" if seconds is None else round(seconds, 6)
-            records.append(record)
-            print(json.dumps(record), file=sys.stderr, flush=True)
+                times = {name: [] for name in trees}
+                for turn in range(rounds):
+                    for name in list(trees)[:: 1 if turn % 2 == 0 else -1]:
+                        if layer in stopped[name] or None in times[name]:
+                            continue
+                        rl, a, b, record = rung[name]
+                        seconds, loaded = _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs)
+                        times[name].append(seconds)
+                        if layer in PROCESSES:
+                            record[f"{layer[:-2]}_numpy"] = loaded
+                for name, seconds in times.items():
+                    record = rung[name][3]
+                    if layer in stopped[name]:
+                        record[layer] = "skipped"
+                    elif None in seconds:
+                        stopped[name].add(layer)
+                        record[layer] = "timeout"
+                    else:
+                        record[layer] = round(statistics.median(seconds), 6)
+            for name in trees:
+                records[name].append(rung[name][3])
+                print(json.dumps({"tree": name, **rung[name][3]}), file=sys.stderr, flush=True)
     return records
+
+
+def _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs):
+    """(median seconds of the layer on the rung, or None on a timeout, and
+    for a cold-start layer whether numpy loaded)."""
+    if layer in PROCESSES:
+        src = str(Path(rl.__file__).resolve().parents[1])
+        return process_time([src, *PROCESSES[layer](p1, p2)], cold_runs)
+    if layer in FRESH:
+        return median_time(LAYERS[layer], runs,
+                           prepare=lambda: (rl, fresh(rl, a), fresh(rl, b))), None
+    return median_time(LAYERS[layer], runs, prepare=lambda: (rl, a, b),
+                       warmup=int(layer in KEPT)), None
+
+
+def load(src: Path, name: str):
+    """The reglang package in the directory `src`, imported as the module
+    `name` unless it already is: two checkouts load side by side under two
+    names."""
+    init = src.resolve() / "reglang" / "__init__.py"
+    loaded = sys.modules.get(name)
+    if loaded is not None and Path(loaded.__file__).resolve() == init:
+        return loaded
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def select(families, layers):
+    """The families restricted to `layers`, without those left with none."""
+    chosen = {}
+    for family, (sizes, patterns, timed) in families.items():
+        timed = tuple(layer for layer in timed if layer in layers)
+        if timed:
+            chosen[family] = (sizes, patterns, timed)
+    return chosen
 
 
 def _short(pattern: str, most: int = 60) -> str:
@@ -267,12 +337,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory holding the reglang package to time")
+    parser.add_argument("--against", type=Path,
+                        help="directory holding a second reglang package, timed in alternating "
+                             "rounds with the first")
+    parser.add_argument("--layers", nargs="+", choices=[*LAYERS, *PROCESSES],
+                        help="time only these layers")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
-    import reglang as rl
-
-    result = {"env": environment(args.src), "rungs": measure(rl)}
+    families = select(FAMILIES, args.layers) if args.layers else FAMILIES
+    rl = load(args.src, "reglang")
+    result = {"env": environment(args.src)}
+    if args.against is None:
+        result["rungs"] = measure(rl, families, RUNS, COLD_RUNS)
+    else:
+        trees = {"src": rl, "against": load(args.against, "reglang_against")}
+        result["against_env"] = environment(args.against)
+        alternating = alternate(trees, families, ROUNDS, RUNS, COLD_RUNS)
+        result["alternating"] = {"rounds": ROUNDS, "runs": RUNS, "cold_runs": COLD_RUNS,
+                                 **alternating}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
+from reglang.automata import coarsest_partition
 from reglang.counting import (
     CountVectors,
+    _distances,
+    _lumps_backward_first,
+    _own_system,
+    _reduced,
     block_count,
     count_len,
     count_upto,
@@ -140,8 +145,10 @@ def test_one_product_stream_counts_every_combination(a, b):
         ("(a|b)*a(a|b){12}", "(a|b)*b(a|b){12}", 14, (2**30, 2**30)),
         # 5 vertices; the trash state has no accepting path and is dropped
         ("(ab)*", "(ba)*", 3, (2, 2)),
+        # 8,193 vertices, lumped backward first
+        ("(a|b)*a(a|b){12}", "(a|b)*a(a|b){11}", 14, (2**29, 3 * 2**28)),
     ],
-    ids=["suffix-pair-k7", "disjoint-pair-k12", "alternating-pair"],
+    ids=["suffix-pair-k7", "disjoint-pair-k12", "alternating-pair", "tie-pair-k12"],
 )
 def test_shared_system_counts_on_the_lumped_quotient(p1, p2, size, counts_at_30):
     prod = rl.product(rl.dfa_from_regex(p1), rl.dfa_from_regex(p2))
@@ -149,6 +156,78 @@ def test_shared_system_counts_on_the_lumped_quotient(p1, p2, size, counts_at_30)
     cv, finals = shared_system(prod.dfa(left | right), (left ^ right, left | right))
     assert cv.n <= size
     assert next(islice(final_counts(cv, finals), 30, None)) == counts_at_30
+
+
+def _union(a, b):
+    """The union DFA of a pair and its (sym diff, union) parts."""
+    prod = rl.product(*rl.harmonize(a, b))
+    left, right = prod.left, prod.right
+    return prod.dfa(left | right), (left ^ right, left | right)
+
+
+def _tie(k):
+    return rl.dfa_from_regex(f"(a|b)*a(a|b){{{k}}}"), rl.dfa_from_regex(f"(a|b)*a(a|b){{{k - 1}}}")
+
+
+def _check_both_orders(a, b):
+    uni, parts = _union(a, b)
+    prod = rl.product(*rl.harmonize(a, b))
+    unreduced = [CountVectors.from_dfa(prod.dfa(part)) for part in parts]
+    system = _own_system(uni, parts)
+    for backward_first in (False, True):
+        cv, finals = _reduced(system, backward_first)
+        for row in cv.rows:
+            columns = [j for j, _a in row]
+            assert len(set(columns)) == len(columns), row
+        expected = zip(*map(length_counts, unreduced))
+        for n, (counts, want) in enumerate(zip(islice(final_counts(cv, finals), 41), expected)):
+            assert counts == want, (backward_first, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_dfas, b=_dfas)
+def test_both_lumping_orders_count_like_the_unreduced_systems(a, b):
+    _check_both_orders(a, b)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_both_lumping_orders_count_like_the_unreduced_systems_on_ties(k):
+    _check_both_orders(*_tie(k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_dfas, b=_dfas)
+def test_distances_to_the_keyed_support_leave_the_partition_unchanged(a, b):
+    rows, columns, initial, finals = _own_system(*_union(a, b))
+    for into, keyed in ((columns, finals), (rows, (initial,))):
+        keys = list(zip(*keyed))
+        seeds = {v for f in keyed for v, x in enumerate(f) if x}
+        with_distances = list(zip(_distances(into, seeds), *keyed))
+        assert coarsest_partition(with_distances, into) == coarsest_partition(keys, into)
+
+
+def test_first_lumping_direction_has_more_exact_duplicates(by_name):
+    def backward_first(a, b):
+        return _lumps_backward_first(*_own_system(*_union(a, b)))
+
+    # 33 states: 1 forward and 16 backward duplicates
+    assert backward_first(*_tie(4))
+    # 5 states: 3 forward and 1 backward duplicates
+    assert not backward_first(by_name["a_star"].dfa, by_name["all_abc"].dfa)
+    # 9 states: 2 duplicates each way, and ties go forward
+    assert not backward_first(by_name["finite_a123"].dfa, by_name["b_prefix"].dfa)
+
+
+def test_corpus_unions_lump_no_worse_than_forward_first(corpus):
+    # the totals of lumping every union forward first
+    vertices = nonzeros = 0
+    for i, x in enumerate(corpus):
+        for y in corpus[i + 1 :]:
+            cv, _finals = shared_system(*_union(x.dfa, y.dfa))
+            vertices += cv.n
+            nonzeros += sum(map(len, cv.rows))
+    assert vertices <= 1033
+    assert nonzeros <= 1603
 
 
 def test_counting_system_of_a_large_dfa_is_built_from_edges():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import reglang as rl
@@ -44,14 +45,17 @@ def test_smallest_rung_of_each_family_is_timed():
         "separating_n_s",
     )
     build = ("build_process_s",)
+    jn_process = ("distance_jn_process_s",)
     command_line = (
         "entropy_process_s",
         "distance_h_process_s",
         "distance_jn_process_s",
         "entropy_golden_process_s",
     )
-    expected = {"tie": counting + build, "disjoint": counting + build,
-                "chain": counting + structure + build, "periodic": structure + build,
+    expected = {"tie": counting + build + jn_process,
+                "disjoint": counting + build + jn_process,
+                "chain": counting + structure + build + jn_process,
+                "periodic": ("jaccard_cum_n_s",) + structure + build + jn_process,
                 "cold": command_line}
     for record in records:
         timed = [key for key in record if key.endswith("_s")]
@@ -84,3 +88,60 @@ def test_fresh_layers_time_a_copy_that_has_kept_nothing():
     calls = []
     ladder.median_time(lambda: calls.append(len(calls)), runs=3, warmup=1)
     assert calls == [0, 1, 2, 3]
+
+
+class _Logged:
+    """A reglang stand-in that logs its name on every `jaccard_cum_n`."""
+
+    def __init__(self, name, log):
+        self.name, self.log = name, log
+        self.dfa_from_regex = rl.dfa_from_regex
+
+    def jaccard_cum_n(self, a, b, n):
+        self.log.append(self.name)
+        return rl.jaccard_cum_n(a, b, n)
+
+
+def test_alternating_rounds_take_turns_to_go_first():
+    ladder = _ladder()
+    log = []
+    trees = {"x": _Logged("x", log), "y": _Logged("y", log)}
+    families = {"tie": ((4,), ladder.tie, ("jaccard_cum_n_s",))}
+    records = ladder.alternate(trees, families, rounds=4, runs=1)
+    assert log == ["x", "y", "y", "x", "x", "y", "y", "x"]
+    for name in trees:
+        (record,) = records[name]
+        assert (record["family"], record["size"]) == ("tie", 4)
+        assert isinstance(record["jaccard_cum_n_s"], float)
+
+
+def test_against_times_a_second_checkout_at_the_smallest_rungs(tmp_path, monkeypatch):
+    ladder = _ladder()
+    smallest = {
+        name: (sizes[:1], patterns, layers)
+        for name, (sizes, patterns, layers) in ladder.FAMILIES.items()
+        if name in ("tie", "periodic")
+    }
+    for name, value in (("FAMILIES", smallest), ("ROUNDS", 2), ("RUNS", 1), ("COLD_RUNS", 1)):
+        monkeypatch.setattr(ladder, name, value)
+    out = tmp_path / "pair.json"
+    # the same sources, imported a second time under another module name
+    layers = ["jaccard_cum_n_s", "trim_left_s", "distance_jn_process_s"]
+    src = str(Path(rl.__file__).resolve().parents[1])
+    argv = ["--src", src, "--against", src, "--layers", *layers]
+    assert ladder.main([*argv, "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert set(result) == {"env", "against_env", "alternating"}
+    alternating = result["alternating"]
+    assert (alternating["rounds"], alternating["runs"], alternating["cold_runs"]) == (2, 1, 1)
+    expected = {
+        ("tie", 4): ["jaccard_cum_n_s", "distance_jn_process_s"],
+        ("periodic", 100): layers,
+    }
+    for name in ("src", "against"):
+        records = alternating[name]
+        assert {(r["family"], r["size"]): [k for k in r if k.endswith("_s")] for r in records} == expected
+        for record in records:
+            for layer in expected[record["family"], record["size"]]:
+                assert isinstance(record[layer], float), (name, record, layer)
+    assert ladder.load(Path(src), "reglang_against") is not rl
