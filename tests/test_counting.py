@@ -170,10 +170,11 @@ def _tie(k):
 
 
 def _check_both_orders(a, b):
-    uni, parts = _union(a, b)
     prod = rl.product(*rl.harmonize(a, b))
+    left, right = prod.left, prod.right
+    parts = (left ^ right, left | right)
     unreduced = [CountVectors.from_dfa(prod.dfa(part)) for part in parts]
-    system = _own_system(uni, parts)
+    system = _own_system(prod.dfa(left | right), parts)
     for backward_first in (False, True):
         cv, finals = _reduced(system, backward_first)
         for row in cv.rows:
