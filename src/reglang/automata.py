@@ -441,6 +441,24 @@ def product(d1: Dfa, d2: Dfa) -> Product:
     return Product(d1.alphabet, rows, left, right)
 
 
+def _lengths_mod(prod: Product, q: int) -> tuple[Product, list]:
+    """The product with word lengths counted modulo q, numbered as `product`
+    numbers the product of both operands each intersected with a q-state
+    length counter, and for each k < q its states at lengths k mod q.
+    With q = 1 it is `prod` itself."""
+    if q == 1:
+        return prod, [frozenset(range(len(prod.transitions)))]
+    order, rows = _explore(
+        (0, 0),
+        lambda state: ((t, (state[1] + 1) % q) for t in prod.transitions[state[0]]),
+        "product construction",
+    )
+    left = frozenset(i for i, (s, _k) in enumerate(order) if s in prod.left)
+    right = frozenset(i for i, (s, _k) in enumerate(order) if s in prod.right)
+    at = [frozenset(i for i, (_s, j) in enumerate(order) if j == k) for k in range(q)]
+    return Product(prod.alphabet, rows, left, right), at
+
+
 _COMBINE = {
     "intersect": frozenset.__and__,
     "union": frozenset.__or__,

@@ -214,10 +214,6 @@ def residue_period(report: ComponentReport) -> int:
 
     Word counts taken along any arithmetic progression with this modulus
     have convergent normalized behaviour, which is all the limit
-    estimation downstream needs.
+    estimation downstream needs.  The report holds it from the search.
     """
-    q = 1
-    for period, trivial in zip(report.periods, report.trivial):
-        if not trivial:
-            q = lcm(q, period)
-    return q
+    return report.residue_period

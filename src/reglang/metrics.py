@@ -16,7 +16,9 @@ of running averages of the cumulative distances, is decided in stages:
    value is the mean over the classes.
 
 The fixed-length sequence is averaged through the same stages, applied
-to the words of each residue class of lengths.
+to the words of each residue class of lengths modulo the union's period
+q.  The classes are accepting sets of one product, the pair's own with
+lengths counted modulo q, decomposed once for all of them.
 
 The entropy distance and the entropy-sum distance are ratios and sums of
 spectral entropies of boolean combinations.  All combinations of a pair
@@ -33,8 +35,9 @@ from math import comb, inf, lcm
 from .automata import (
     Dfa,
     Product,
+    _lengths_mod,
     _separation,
-    combine,
+    combine,  # unused; perfbench/test_smoke.py checks that its tracer restores this binding
     harmonize,
     harmonize_all,
     minimize,
@@ -42,7 +45,7 @@ from .automata import (
 )
 from .counting import CountVectors, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
-from .spectral import ENTROPY_EPS, POWER_MAX_ITER, Decomposition
+from .spectral import ENTROPY_EPS, POWER_MAX_ITER, Decomposition, _decomposition
 
 METRIC_NAMES = ("jn_exact", "jn_cum", "cesaro", "entropy", "entropy_sum")
 
@@ -131,7 +134,8 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     diagnostics = {"sequence": config.sequence}
     if config.sequence == "cum":
         analytic = config.mode == "analytic"
-        limit, mode = _cumulative_limit(*_decomposed(d1, d2), diagnostics, analytic)
+        prod, pair = _decomposed(d1, d2)
+        limit, mode = _cumulative_limit(prod, pair, prod.left, prod.right, diagnostics, analytic)
     else:
         limit, mode = _fixed_length_limit(d1, d2, diagnostics)
     if mode == "exact":
@@ -139,11 +143,11 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     return DistanceResult("cesaro", float(limit), mode, diagnostics)
 
 
-def _cumulative_limit(prod: Product, pair: Decomposition, diagnostics: dict, analytic=False):
-    """(limit, mode) of the cumulative Jaccard sequence of a product and
-    its decomposition, the limit a Fraction unless the power stream ran;
-    the growth orders and the evidence go into `diagnostics`."""
-    left, right = prod.left, prod.right
+def _cumulative_limit(prod: Product, pair: Decomposition, left, right, diagnostics, analytic=False):
+    """(limit, mode) of the cumulative Jaccard sequence of the languages
+    accepted at the states `left` and `right` of a product decomposed as
+    `pair`, the limit a Fraction unless the power stream ran; the growth
+    orders and the evidence go into `diagnostics`."""
     parts = (left ^ right, left | right)
     reports = {
         "sym_diff": pair.report(left ^ right),
@@ -187,23 +191,21 @@ def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
     the cumulative limit of the words of length k modulo q: the newest
     length dominates a cumulative count that grows exponentially, and has
     the leading coefficient of one that grows polynomially.  A class with
-    a finite union has terms 0.  When q is 1 the one class holds every
-    length, and the pair's own decomposition serves it.
+    a finite union has terms 0.  Class k accepts at the states of one
+    product, the pair's own with lengths counted modulo q, that are reached
+    at lengths k mod q; its one decomposition serves every class.
     """
-    a, b = harmonize(d1, d2)
-    prod = product(a, b)
-    whole = Decomposition(prod.graph)
-    uni_report = whole.report(prod.left | prod.right)
+    prod = _pair(d1, d2)
+    uni_report = _decomposition(prod.graph).report(prod.left | prod.right)
     q = lcm(*(c.period for c in uni_report.components))
     diagnostics["residue_period"] = q
-    counter = tuple(((i + 1) % q,) * len(a.alphabet) for i in range(q))
+    lifted, at = _lengths_mod(prod, q)
+    pair = _decomposition(lifted.graph)
     limits, residual, blocks = [], 0.0, 0
-    for k in range(q):
-        found, pair = {}, (prod, whole)
-        if q > 1:
-            length_k = Dfa(a.alphabet, counter, frozenset({k}))
-            pair = _decomposed(*(combine(x, length_k, "intersect") for x in (a, b)))
-        limit, _mode = _cumulative_limit(*pair, found)
+    for at_k in at:
+        found = {}
+        left, right = lifted.left & at_k, lifted.right & at_k
+        limit, _mode = _cumulative_limit(lifted, pair, left, right, found)
         limits.append(limit if found["index_union"] else Fraction(0))
         residual = max(residual, found.get("residual", 0.0))
         blocks += found.get("blocks", 0)
@@ -299,9 +301,8 @@ def _leading_limits(vertices, edges, parts, radius, q, d):
 def entropy_distance(d1: Dfa, d2: Dfa) -> DistanceResult:
     """Ratio of entropies h(sym diff) / h(union); 0 when the union has
     entropy 0.  Always lands in [0, 1]."""
-    prod = _pair(d1, d2)
+    prod, pair = _decomposed(d1, d2)
     left, right = prod.left, prod.right
-    pair = Decomposition(prod.graph)
     h_sym = pair.report(left ^ right).entropy_bits
     h_uni = pair.report(left | right).entropy_bits
     value = 0.0 if h_uni == 0.0 else min(1.0, h_sym / h_uni)
@@ -314,8 +315,7 @@ def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
 
     Reported unnormalized, so the range is [0, 2 log2 |alphabet|].
     """
-    prod = _pair(d1, d2)
-    pair = Decomposition(prod.graph)
+    prod, pair = _decomposed(d1, d2)
     left = pair.report(prod.left - prod.right).entropy_bits
     right = pair.report(prod.right - prod.left).entropy_bits
     diagnostics = {"entropy_left_only": left, "entropy_right_only": right}

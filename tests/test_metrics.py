@@ -257,6 +257,41 @@ def test_cesaro_fixed_length_ties_are_exact(left, right, expected):
     assert ratio == pytest.approx(expected, abs=1e-12)
 
 
+def _length_class(alphabet, q: int, k: int) -> rl.Dfa:
+    """The words whose length is k modulo q, by a q-state length counter."""
+    rows = tuple(((i + 1) % q,) * len(alphabet) for i in range(q))
+    return rl.Dfa(alphabet, rows, frozenset({k}))
+
+
+def test_fixed_length_limit_is_the_mean_of_the_class_pairs(corpus):
+    # reference: each residue class of lengths as a pair of its own, both
+    # operands intersected with a length counter, averaged cumulatively
+    exact = CesaroConfig(sequence="exact")
+    periodic = 0
+    for i, x in enumerate(corpus):
+        for y in corpus[i + 1 :]:
+            a, b = rl.harmonize(x.dfa, y.dfa)
+            union = rl.language_entropy(rl.combine(a, b, "union"))
+            q = math.lcm(*(c.period for c in union.components))
+            if q == 1:
+                continue
+            periodic += 1
+            classes = []
+            for k in range(q):
+                length_k = _length_class(a.alphabet, q, k)
+                pair = (rl.combine(d, length_k, "intersect") for d in (a, b))
+                found = rl.cesaro_jaccard(*pair)
+                classes.append(found.value if found.diagnostics["index_union"] else 0.0)
+            result = rl.cesaro_jaccard(x.dfa, y.dfa, exact)
+            assert result.diagnostics["residue_period"] == q, (x.name, y.name)
+            assert result.value == pytest.approx(sum(classes) / q, abs=1e-12), (x.name, y.name)
+            expanding = union.lambda_class == "expanding"
+            assert result.mode == ("per-residue" if expanding else "exact"), (x.name, y.name)
+            if expanding:
+                assert result.diagnostics["residue_limits"] == pytest.approx(classes, abs=1e-12)
+    assert periodic >= 100
+
+
 def test_cesaro_growth_index_two_tie_is_one_half():
     # radius 2 with two dominant components in a row: the fixed-length
     # terms are (n + 1) / (2 n), approaching one half like 1/n, and the
@@ -522,6 +557,23 @@ def test_each_pair_is_decomposed_once(monkeypatch, left, right):
         metric(d1, d2)
         assert len(searches) == runs, metric
         assert len(trims) <= most_trims, metric
+
+
+@pytest.mark.parametrize(
+    "left, right, q",
+    [("((a|b){2})*|a(aa)*", "a(aa)*", 2), ("even_ab", "triple_ab", 6)],
+)
+def test_fixed_length_classes_share_one_product(monkeypatch, by_name, left, right, q):
+    # one search of the pair's product finds the residue period q, one of
+    # the product with lengths counted modulo q serves every class
+    d1, d2 = (
+        by_name[x].dfa if x in by_name else rl.dfa_from_regex(x, "ab") for x in (left, right)
+    )
+    searches = _count_calls(monkeypatch, reglang.graphs, "_strong_components")
+    combines = _count_calls(monkeypatch, reglang.automata, "combine")
+    result = rl.cesaro_jaccard(d1, d2, CesaroConfig(sequence="exact"))
+    assert result.diagnostics["residue_period"] == q
+    assert (len(searches), len(combines)) == (2, 0)
 
 
 def test_each_automaton_is_searched_once(monkeypatch, capsys):
