@@ -8,11 +8,12 @@ Counting layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` of the pair, also timed as a whole process
 running `reglang distance --metric jn --n 200`.  Structural layers: `trim`,
 `scc_decompose(trim(d))` and `language_entropy` of each operand, and
-`separating_n` of the pair.  A DFA keeps its trim graph and the graph its
-spectral report, so each run of those three layers gets a fresh equal
-copy of the operand, made outside the timed call, and pays for the whole
-analysis; its `<layer>_kept` twin times the same call repeated on one
-operand, after a first, untimed call.  Cold-start layers time whole
+`separating_n` of the pair.  A DFA keeps its trim graph, its distances
+to acceptance and its harmonized copies, and the graph its spectral
+report, so each run of those four layers gets fresh equal copies of the
+operands, made outside the timed call, and pays for the whole analysis;
+its `<layer>_kept` twin times the same call repeated on the same
+operands, after a first, untimed call.  Cold-start layers time whole
 processes, each a fresh interpreter: `build_process_s` imports reglang
 and builds the rung's two operands, in every family; the cold family
 runs the command line on the tie pair: `reglang entropy` of its left
@@ -84,10 +85,10 @@ LAYERS = {
     "separating_n_s": lambda rl, a, b: rl.separating_n([a, b]),
 }
 COUNTING = tuple(LAYERS)[:3]
-FRESH = tuple(LAYERS)[3:9]  # analyses the operands keep, timed on fresh copies
+FRESH = tuple(LAYERS)[3:]  # analyses the operands keep, timed on fresh copies
 KEPT = tuple(f"{layer[:-2]}_kept_s" for layer in FRESH)
 LAYERS.update(zip(KEPT, map(LAYERS.get, FRESH)))
-STRUCTURE = FRESH + KEPT + ("separating_n_s",)
+STRUCTURE = FRESH + KEPT
 
 # cold-start layer -> the arguments of PROBE, given the rung's patterns
 PROCESSES = {

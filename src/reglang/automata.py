@@ -10,21 +10,31 @@ the labeled graph consumed by the counting and spectral layers.
 All operations are pure; the returned automata and graphs are immutable
 and safe to share across threads.  Each also keeps what has been read off
 it, so that every automaton is analysed once: a `Dfa` keeps its trim
-graph, found by one search the first time `trim` asks for it, and holds
-that graph as long as the DFA lives; a `LabeledGraph` keeps its
-components and condensation DAG, and `spectral` stores its decomposition
-and spectral report in it.  A kept value is built whole before it is
-stored, so two threads racing to read it may both compute it, but neither
-sees a partial result.
+graph, found by one search the first time `trim` asks for it, its
+distances to acceptance, found by one breadth-first pass over its
+reversed table the first time a separation, `is_empty` or
+`shortest_accepted` asks for them, and each copy `harmonize` makes of it
+over a wider alphabet, and holds them as long as the DFA lives; a
+`LabeledGraph` keeps its components and condensation DAG, and `spectral`
+stores its decomposition and spectral report in it.  A kept value is
+built whole before it is stored, so two threads racing to read it may
+both compute it, but neither sees a partial result.
+
+Language equality and separation search the pairs of states reached
+together, pruned by those distances: a word telling two states apart is
+accepted from one of them, so it is at least as long as the nearer
+state's distance, and exactly that long when the two distances differ
+(see `_separation`).
 """
 
 import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 from .errors import AlphabetError, StateLimitError
-from .graphs import _strong_components
+from .graphs import _distances, _strong_components
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -110,6 +120,24 @@ class Dfa:
         """The trim graph, from one search (see `trim`), kept."""
         found = _strong_components(self.transitions, (self.initial,), self.accepting)
         return _subgraph(self, *found, "trim")
+
+    @cached_property
+    def _to_accept(self) -> list:
+        """Each state's least number of steps to an accepting state, -1
+        where none leads: one breadth-first pass over the reversed table
+        (`graphs._distances`), kept."""
+        into = [[] for _ in self.transitions]
+        for q, row in enumerate(self.transitions):
+            edge = (q, 1)
+            for t in row:
+                into[t].append(edge)
+        return _distances(into, self.accepting)
+
+    @cached_property
+    def _widened(self) -> dict:
+        """alphabet -> the copy of the DFA over it that `harmonize` made,
+        kept with the analyses the copy keeps."""
+        return {}
 
     @property
     def n_states(self) -> int:
@@ -367,7 +395,9 @@ def harmonize(d1: Dfa, d2: Dfa) -> tuple[Dfa, Dfa]:
 
     Languages are unchanged as string sets; automata gain a trash state
     for the symbols they did not previously know.  Inputs already sharing
-    an alphabet are returned as-is.
+    an alphabet are returned as-is.  A DFA keeps each copy made of it, so
+    `harmonize` returns the same copies on every call, and what they keep
+    (their trim graphs, their distances to acceptance) is found once.
     """
     if d1.alphabet == d2.alphabet:
         return d1, d2
@@ -376,14 +406,19 @@ def harmonize(d1: Dfa, d2: Dfa) -> tuple[Dfa, Dfa]:
 
 
 def harmonize_all(dfas) -> list[Dfa]:
-    """Re-express a family of automata over their union alphabet."""
+    """Re-express a family of automata over their union alphabet; the
+    copies are kept as `harmonize` keeps them."""
     union = tuple(sorted(set().union(*(set(d.alphabet) for d in dfas))))
     return [_with_alphabet(d, union) for d in dfas]
 
 
 def _with_alphabet(dfa: Dfa, alphabet: tuple[str, ...]) -> Dfa:
+    """The DFA over a wider alphabet, made on the first call and kept."""
     if alphabet == dfa.alphabet:
         return dfa
+    kept = dfa._widened.get(alphabet)
+    if kept is not None:
+        return kept
     if not set(dfa.alphabet) <= set(alphabet):
         raise AlphabetError("target alphabet must contain the DFA's alphabet")
     trash = dfa.n_states
@@ -395,7 +430,8 @@ def _with_alphabet(dfa: Dfa, alphabet: tuple[str, ...]) -> Dfa:
             row.append(dfa.transitions[q][k] if k is not None else trash)
         rows.append(tuple(row))
     rows.append(tuple(trash for _ in alphabet))
-    return Dfa(alphabet, tuple(rows), dfa.accepting, dfa.initial)
+    kept = dfa._widened[alphabet] = Dfa(alphabet, tuple(rows), dfa.accepting, dfa.initial)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -551,29 +587,16 @@ def essential(graph: LabeledGraph) -> LabeledGraph:
 
 
 def is_empty(dfa: Dfa) -> bool:
-    return not (_reach({dfa.initial}, dfa.transitions) & dfa.accepting)
+    """Whether the DFA accepts no word: its initial state leads to no
+    accepting state (see `shortest_accepted`)."""
+    return dfa._to_accept[dfa.initial] < 0
 
 
 def shortest_accepted(dfa: Dfa) -> int | None:
-    """Length of a shortest accepted word, or None for the empty language."""
-    if dfa.initial in dfa.accepting:
-        return 0
-    seen = {dfa.initial}
-    frontier = [dfa.initial]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for q in frontier:
-            for t in dfa.transitions[q]:
-                if t in seen:
-                    continue
-                if t in dfa.accepting:
-                    return depth
-                seen.add(t)
-                nxt.append(t)
-        frontier = nxt
-    return None
+    """Length of a shortest accepted word, or None for the empty language:
+    the initial state's distance to acceptance, which the DFA keeps."""
+    distance = dfa._to_accept[dfa.initial]
+    return None if distance < 0 else distance
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -583,29 +606,46 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
 
 def _separation(d1: Dfa, d2: Dfa) -> int | None:
     """Length of a shortest word accepted by exactly one of two DFAs over
-    one alphabet, or None when their languages are equal.  A breadth-first
-    search over the pairs of states reached together, built as it goes and
-    stopped at the first pair that differs in acceptance; raises
-    StateLimitError when more than `state_cap()` pairs are reached."""
-    rows1, rows2, accept1, accept2 = d1.transitions, d2.transitions, d1.accepting, d2.accepting
-    if (d1.initial in accept1) != (d2.initial in accept2):
+    one alphabet, or None when their languages are equal.
+
+    A breadth-first search over the pairs of states reached together,
+    built as it goes and pruned by each DFA's kept distances to
+    acceptance.  A word telling states p and q apart is accepted from one
+    of them, so it is at least min(dp, dq) long, dp and dq being their
+    distances; if dp != dq the nearer state's shortest word is one, and
+    the pair, reached after `length` symbols, gives exactly length +
+    min(dp, dq) (a distance of -1, no accepting state, counting as
+    infinite) without being expanded.  A pair with dp = dq = -1 accepts
+    nothing from either state and is dropped, as is one whose bound
+    length + dp is no less than the best witness so far; the search stops
+    at the first length that cannot beat it.  Only the length-0 check
+    precedes the distances, which the DFAs then keep.  Raises
+    StateLimitError when the search keeps more than `state_cap()` pairs.
+    """
+    if (d1.initial in d1.accepting) != (d2.initial in d2.accepting):
         return 0
+    rows1, rows2, near1, near2 = d1.transitions, d2.transitions, d1._to_accept, d2._to_accept
     cap, width = state_cap(), len(rows2)
-    seen = {d1.initial * width + d2.initial}
-    frontier = [(d1.initial, d2.initial)]
+    best = inf
+    seen = set()
+    reached = [(d1.initial, d2.initial)]
     length = 0
-    while frontier:
-        length += 1
-        reached = []
-        for p, q in frontier:
-            for s, t in zip(rows1[p], rows2[q]):
-                if s * width + t in seen:
-                    continue
-                if (s in accept1) != (t in accept2):
-                    return length
+    while reached:
+        frontier = []
+        for s, t in reached:
+            key = s * width + t
+            if key in seen:
+                continue
+            ds, dt = near1[s], near2[t]
+            if ds != dt:
+                best = min(best, length + (dt if ds < 0 else ds if dt < 0 else min(ds, dt)))
+            elif ds >= 0 and length + ds < best:
                 if len(seen) >= cap:
                     raise StateLimitError(f"product construction exceeded {cap} states")
-                seen.add(s * width + t)
-                reached.append((s, t))
-        frontier = reached
-    return None
+                seen.add(key)
+                frontier.append((s, t))
+        length += 1
+        if length >= best:
+            break
+        reached = [pair for p, q in frontier for pair in zip(rows1[p], rows2[q])]
+    return None if best == inf else best

@@ -193,11 +193,15 @@ def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
     the leading coefficient of one that grows polynomially.  A class with
     a finite union has terms 0.  Class k accepts at the states of one
     product, the pair's own with lengths counted modulo q, that are reached
-    at lengths k mod q; its one decomposition serves every class.
+    at lengths k mod q; its one decomposition serves every class.  q is
+    the lcm of the periods of the pair's components that reach the union,
+    read without a spectrum; the union's radius class is that of the
+    lifted union, whose spectra the classes compute anyway.
     """
     prod = _pair(d1, d2)
-    uni_report = _decomposition(prod.graph).report(prod.left | prod.right)
-    q = lcm(*(c.period for c in uni_report.components))
+    own = _decomposition(prod.graph)
+    reaching = own.reaching(prod.left | prod.right)
+    q = lcm(*(own.scc.periods[c] for c in reaching if not own.scc.trivial[c]))
     diagnostics["residue_period"] = q
     lifted, at = _lengths_mod(prod, q)
     pair = _decomposition(lifted.graph)
@@ -209,7 +213,7 @@ def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
         limits.append(limit if found["index_union"] else Fraction(0))
         residual = max(residual, found.get("residual", 0.0))
         blocks += found.get("blocks", 0)
-    if uni_report.lambda_class != "expanding":
+    if pair.report(lifted.left | lifted.right).lambda_class != "expanding":
         return sum(limits) / q, "exact"
     diagnostics.update(residue_limits=list(map(float, limits)), residual=residual, blocks=blocks)
     return sum(limits) / q, "per-residue"
@@ -341,9 +345,14 @@ def separating_n(dfas) -> int:
     pseudo-metric separates the whole set.
 
     Equals the longest among the shortest witnesses of pairwise symmetric
-    differences, each found by a breadth-first search over the pair's
-    states that stops at the first witness; never exceeds
-    `separating_bound` for distinct inputs (the tests check that bound).
+    differences; never exceeds `separating_bound` for distinct inputs (the
+    tests check that bound).  Each witness comes from a breadth-first
+    search over the pair's states (`automata._separation`), bounded below
+    by each state's distance to acceptance: a pair whose states lie at
+    different distances gives its witness without being expanded, and a
+    pair that cannot beat the best witness so far is dropped.  The DFAs
+    keep their distances and their harmonized copies, so a second call on
+    the same family reads both and searches only the pairs it keeps.
     """
     if len(dfas) < 2:
         return 0

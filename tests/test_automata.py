@@ -226,6 +226,27 @@ def test_harmonize_identical_alphabets_returns_inputs():
     assert rl.harmonize(a, b) == (a, b)
 
 
+def test_harmonize_keeps_its_copies():
+    a = rl.dfa_from_regex("a*")
+    b = rl.dfa_from_regex("b*")
+    first = rl.harmonize(a, b)
+    second = rl.harmonize(a, b)
+    assert all(x is y for x, y in zip(first, second))
+    assert rl.harmonize_all([b, a, b])[1] is first[0]
+    assert all(x is y for x, y in zip(rl.harmonize(b, a), first[::-1]))
+
+
+def test_distances_to_acceptance_are_found_lazily():
+    dfa = rl.dfa_from_regex("a{3}(a|b)*|b")
+    assert "_to_accept" not in dfa.__dict__
+    # states in breadth-first order: after "", a, b, aa, the trash state,
+    # aaa, and the two accepting states past aaa
+    assert dfa._to_accept == [1, 2, 0, 1, -1, 0, 0, 0]
+    assert (rl.shortest_accepted(dfa), rl.is_empty(dfa)) == (1, False)
+    empty = rl.dfa_from_regex("#", "ab")
+    assert (rl.shortest_accepted(empty), rl.is_empty(empty)) == (None, True)
+
+
 def test_harmonize_preserves_string_sets(corpus):
     for lang in corpus[:8]:
         other = rl.dfa_from_regex("(a|b|c|d)*")

@@ -1,5 +1,6 @@
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import reglang as rl
 from reglang.counting import CountVectors, length_counts, matrix_power
 from reglang.errors import TrivialComponentError
-from reglang.automata import product
+from reglang.automata import _separation, product
 from reglang.spectral import analyze_graph, graph_from_matrix
 
 
@@ -300,6 +301,50 @@ def test_one_search_matches_the_separate_passes(dfa):
     assert repr(rl.language_entropy(dfa)) == repr(analyze_graph(rebuilt))
 
 
+def shortest_accepted_reference(dfa):
+    """Length of a shortest accepted word, or None: a forward breadth-first
+    search from the initial state, stopped at the first accepting state."""
+    if dfa.initial in dfa.accepting:
+        return 0
+    seen, frontier, depth = {dfa.initial}, [dfa.initial], 0
+    while frontier:
+        depth += 1
+        reached = []
+        for q in frontier:
+            for t in dfa.transitions[q]:
+                if t in seen:
+                    continue
+                if t in dfa.accepting:
+                    return depth
+                seen.add(t)
+                reached.append(t)
+        frontier = reached
+    return None
+
+
+def separation_reference(d1, d2):
+    """Length of a shortest word accepted by exactly one of two DFAs over
+    one alphabet, or None: the unpruned breadth-first search over the
+    pairs of states reached together, stopped at the first pair that
+    differs in acceptance."""
+    if (d1.initial in d1.accepting) != (d2.initial in d2.accepting):
+        return 0
+    seen, frontier, length = {(d1.initial, d2.initial)}, [(d1.initial, d2.initial)], 0
+    while frontier:
+        length += 1
+        reached = []
+        for p, q in frontier:
+            for pair in zip(d1.transitions[p], d2.transitions[q]):
+                if pair in seen:
+                    continue
+                if (pair[0] in d1.accepting) != (pair[1] in d2.accepting):
+                    return length
+                seen.add(pair)
+                reached.append(pair)
+        frontier = reached
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(pair=st.tuples(_complete_dfas(), _complete_dfas()))
 def test_separation_search_matches_the_symmetric_difference(pair):
@@ -307,13 +352,92 @@ def test_separation_search_matches_the_symmetric_difference(pair):
     whole = product(*rl.harmonize(d1, d2)).graph
     assert (rl.scc_decompose(whole), whole.condensation) == tarjan_reference(whole)
     symdiff = rl.combine(*rl.harmonize(d1, d2), "symdiff")
-    assert rl.equivalent(d1, d2) == rl.is_empty(symdiff)
-    witness = rl.shortest_accepted(symdiff)
+    witness = shortest_accepted_reference(symdiff)
+    assert rl.shortest_accepted(symdiff) == witness
+    assert rl.equivalent(d1, d2) == rl.is_empty(symdiff) == (witness is None)
     if witness is None:
         with pytest.raises(rl.DuplicateLanguageError):
             rl.separating_n([d1, d2])
     else:
         assert rl.separating_n([d1, d2]) == witness
+
+
+def _random_dfa(rng, alphabet, n, density):
+    """A complete DFA with n states, each accepting with the given
+    probability: density 0 gives the empty language, and states the
+    initial one does not reach are common."""
+    rows = tuple(tuple(rng.randrange(n) for _ in alphabet) for _ in range(n))
+    accepting = frozenset(q for q in range(n) if rng.random() < density)
+    return rl.Dfa(tuple(alphabet), rows, accepting, rng.randrange(n))
+
+
+def test_pruned_separation_matches_the_unpruned_search():
+    # a seeded sweep: the pairs where a pruning rule goes wrong are rare,
+    # about one in a thousand for an off-by-one in the bound
+    rng = Random(1602)
+    for _ in range(6000):
+        alphabet = "abc"[: rng.randint(1, 3)]
+        d1, d2 = (
+            _random_dfa(rng, alphabet, rng.randint(1, 12), rng.choice((0, 0.1, 0.3, 0.6)))
+            for _ in range(2)
+        )
+        assert _separation(d1, d2) == separation_reference(d1, d2), (d1, d2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.lists(_complete_dfas(), min_size=2, max_size=5))
+def test_separating_n_is_the_longest_unpruned_witness(family):
+    # alphabets differ: the reference searches the harmonized copies
+    common = rl.harmonize_all(family)
+    assert {d.alphabet for d in common} == {tuple(sorted(set().union(*(d.alphabet for d in family))))}
+    witnesses = [separation_reference(x, y) for x, y in combinations(common, 2)]
+    if None in witnesses:
+        with pytest.raises(rl.DuplicateLanguageError):
+            rl.separating_n(family)
+    else:
+        assert rl.separating_n(family) == max(witnesses)
+
+
+def test_pruned_separation_matches_on_the_corpus_and_the_ladder_pairs(corpus):
+    pairs = [rl.harmonize(x.dfa, y.dfa) for x, y in combinations(corpus, 2)]
+    assert len(pairs) == 253
+    for k in (4, 8, 12):
+        pairs.append((rl.dfa_from_regex(f"(a|b)*a(a|b){{{k}}}"), rl.dfa_from_regex(f"(a|b)*a(a|b){{{k - 1}}}")))
+        pairs.append((rl.dfa_from_regex(f"(a|b)*a(a|b){{{k}}}"), rl.dfa_from_regex(f"(a|b)*b(a|b){{{k}}}")))
+    for d1, d2 in pairs:
+        assert _separation(d1, d2) == separation_reference(d1, d2)
+
+
+def test_separation_counts_the_pairs_it_keeps(monkeypatch):
+    # equal languages: no witness prunes, so every reachable pair is kept
+    dfa = rl.dfa_from_regex("(a|b)*a(a|b){3}")
+    doubled = rl.combine(dfa, dfa, "union")  # 16 states, each a pair (q, q)
+    assert _separation(dfa, doubled) is None
+    monkeypatch.setenv("REGLANG_MAX_STATES", "8")
+    with pytest.raises(rl.StateLimitError):
+        _separation(dfa, doubled)
+    with pytest.raises(rl.StateLimitError):
+        rl.equivalent(dfa, doubled)
+
+
+@pytest.mark.parametrize("alphabets", [("ab", "ab"), ("a", "ab")])
+def test_a_second_separation_computes_no_distances(monkeypatch, alphabets):
+    import reglang.automata
+
+    family = [rl.dfa_from_regex("a{40}(a|b)*", alphabets[1]), rl.dfa_from_regex("a{50}", alphabets[0])]
+    original, calls = reglang.automata._distances, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(reglang.automata, "_distances", counted)
+    assert rl.separating_n(family) == 40
+    assert len(calls) == 2
+    calls.clear()
+    assert rl.separating_n(family) == 40
+    assert rl.equivalent(*family) is False
+    assert calls == []
 
 
 def _analysis(dfa, order) -> dict:

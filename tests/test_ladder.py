@@ -36,13 +36,14 @@ def test_smallest_rung_of_each_family_is_timed():
         "scc_decompose_right_s",
         "language_entropy_left_s",
         "language_entropy_right_s",
+        "separating_n_s",
         "trim_left_kept_s",
         "trim_right_kept_s",
         "scc_decompose_left_kept_s",
         "scc_decompose_right_kept_s",
         "language_entropy_left_kept_s",
         "language_entropy_right_kept_s",
-        "separating_n_s",
+        "separating_n_kept_s",
     )
     build = ("build_process_s",)
     jn_process = ("distance_jn_process_s",)

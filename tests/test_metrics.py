@@ -151,6 +151,27 @@ def test_cesaro_exact_sequence_with_a_polynomial_class(left, right, expected):
     assert result.value == expected
 
 
+def _dead_cycle_a_star() -> rl.Dfa:
+    """a* over ab, a b leading into a rejecting 2-cycle (not minimal)."""
+    return rl.Dfa(("a", "b"), ((0, 1), (2, 2), (1, 1)), frozenset({0}))
+
+
+@pytest.mark.parametrize(
+    "left, right, q, mode, expected",
+    [
+        # the pair's 2-cycle reaches neither language: the union's period is 1
+        ("a(a)*", _dead_cycle_a_star(), 1, "exact", 0.0),
+        # the difference a(aa)* grows polynomially, the union exponentially
+        ("((a|b){2})*", "((a|b){2})*|a(aa)*", 2, "per-residue", 0.5),
+    ],
+)
+def test_fixed_length_period_and_radius_class_are_the_unions(left, right, q, mode, expected):
+    d1, d2 = (x if isinstance(x, rl.Dfa) else rl.dfa_from_regex(x, "ab") for x in (left, right))
+    result = rl.cesaro_jaccard(d1, d2, CesaroConfig(sequence="exact"))
+    assert (result.diagnostics["residue_period"], result.mode) == (q, mode)
+    assert result.value == pytest.approx(expected, abs=1e-12)
+
+
 def test_cesaro_diagonal_is_zero(by_name):
     infinite = rl.cesaro_jaccard(by_name["all_ab"].dfa, by_name["all_ab"].dfa)
     assert infinite.value == 0.0
