@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
+import reglang.automata
 from reglang.counting import CountVectors, length_counts, matrix_power
 from reglang.errors import TrivialComponentError
 from reglang.automata import _separation, product
@@ -385,11 +386,12 @@ def test_pruned_separation_matches_the_unpruned_search():
 
 
 @settings(max_examples=200, deadline=None)
-@given(family=st.lists(_complete_dfas(), min_size=2, max_size=5))
+@given(family=st.lists(_complete_dfas(), min_size=3, max_size=5))
 def test_separating_n_is_the_longest_unpruned_witness(family):
     # alphabets differ: the reference searches the harmonized copies
     common = rl.harmonize_all(family)
-    assert {d.alphabet for d in common} == {tuple(sorted(set().union(*(d.alphabet for d in family))))}
+    union = tuple(sorted(set().union(*(d.alphabet for d in family))))
+    assert {d.alphabet for d in common} == {union}
     witnesses = [separation_reference(x, y) for x, y in combinations(common, 2)]
     if None in witnesses:
         with pytest.raises(rl.DuplicateLanguageError):
@@ -401,9 +403,10 @@ def test_separating_n_is_the_longest_unpruned_witness(family):
 def test_pruned_separation_matches_on_the_corpus_and_the_ladder_pairs(corpus):
     pairs = [rl.harmonize(x.dfa, y.dfa) for x, y in combinations(corpus, 2)]
     assert len(pairs) == 253
-    for k in (4, 8, 12):
-        pairs.append((rl.dfa_from_regex(f"(a|b)*a(a|b){{{k}}}"), rl.dfa_from_regex(f"(a|b)*a(a|b){{{k - 1}}}")))
-        pairs.append((rl.dfa_from_regex(f"(a|b)*a(a|b){{{k}}}"), rl.dfa_from_regex(f"(a|b)*b(a|b){{{k}}}")))
+    for k in range(4, 13):  # the tie and disjoint pairs of the ladder
+        left = rl.dfa_from_regex(f"(a|b)*a(a|b){{{k}}}")
+        pairs.append((left, rl.dfa_from_regex(f"(a|b)*a(a|b){{{k - 1}}}")))
+        pairs.append((left, rl.dfa_from_regex(f"(a|b)*b(a|b){{{k}}}")))
     for d1, d2 in pairs:
         assert _separation(d1, d2) == separation_reference(d1, d2)
 
@@ -422,9 +425,10 @@ def test_separation_counts_the_pairs_it_keeps(monkeypatch):
 
 @pytest.mark.parametrize("alphabets", [("ab", "ab"), ("a", "ab")])
 def test_a_second_separation_computes_no_distances(monkeypatch, alphabets):
-    import reglang.automata
-
-    family = [rl.dfa_from_regex("a{40}(a|b)*", alphabets[1]), rl.dfa_from_regex("a{50}", alphabets[0])]
+    family = [
+        rl.dfa_from_regex("a{40}(a|b)*", alphabets[1]),
+        rl.dfa_from_regex("a{50}", alphabets[0]),
+    ]
     original, calls = reglang.automata._distances, []
 
     def counted(*args):
