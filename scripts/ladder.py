@@ -8,9 +8,9 @@ Counting layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` of the pair, also timed as a whole process
 running `reglang distance --metric jn --n 200`.  Structural layers: `trim`,
 `scc_decompose(trim(d))` and `language_entropy` of each operand, and
-`separating_n` of the pair.  A DFA keeps its trim graph, its distances
-to acceptance and its harmonized copies, and the graph its spectral
-report, so each run of those four layers gets fresh equal copies of the
+`separating_n` of the pair.  A DFA keeps its trim graph and its
+distances to acceptance, and the graph its spectral report, so each run
+of those four layers gets fresh equal copies of the
 operands, made outside the timed call, and pays for the whole analysis;
 its `<layer>_kept` twin times the same call repeated on the same
 operands, after a first, untimed call.  Cold-start layers time whole

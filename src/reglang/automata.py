@@ -10,21 +10,22 @@ the labeled graph consumed by the counting and spectral layers.
 All operations are pure; the returned automata and graphs are immutable
 and safe to share across threads.  Each also keeps what has been read off
 it, so that every automaton is analysed once: a `Dfa` keeps its trim
-graph, found by one search the first time `trim` asks for it, its
+graph, found by one search the first time `trim` asks for it, and its
 distances to acceptance, found by one breadth-first pass over its
 reversed table the first time a separation, `is_empty` or
-`shortest_accepted` asks for them, and each copy `harmonize` makes of it
-over a wider alphabet, and holds them as long as the DFA lives; a
-`LabeledGraph` keeps its components and condensation DAG, and `spectral`
-stores its decomposition and spectral report in it.  A kept value is
-built whole before it is stored, so two threads racing to read it may
-both compute it, but neither sees a partial result.
+`shortest_accepted` asks for them, and holds them as long as the DFA
+lives; a `LabeledGraph` keeps its components and condensation DAG, and
+`spectral` stores its decomposition and spectral report in it.  A kept
+value is built whole before it is stored, so two threads racing to read
+it may both compute it, but neither sees a partial result.
 
 Language equality and separation search the pairs of states reached
 together, pruned by those distances: a word telling two states apart is
 accepted from one of them, so it is at least as long as the nearer
 state's distance, and exactly that long when the two distances differ
-(see `_separation`).
+(see `_separation`).  They read two DFAs over different alphabets as
+they are, with no harmonized copy, so the distances they read are the
+ones the DFAs keep.
 """
 
 import json
@@ -32,6 +33,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf
+from operator import itemgetter
 
 from .errors import AlphabetError, StateLimitError
 from .graphs import _distances, _strong_components
@@ -132,12 +134,6 @@ class Dfa:
             for t in row:
                 into[t].append(edge)
         return _distances(into, self.accepting)
-
-    @cached_property
-    def _widened(self) -> dict:
-        """alphabet -> the copy of the DFA over it that `harmonize` made,
-        kept with the analyses the copy keeps."""
-        return {}
 
     @property
     def n_states(self) -> int:
@@ -395,9 +391,7 @@ def harmonize(d1: Dfa, d2: Dfa) -> tuple[Dfa, Dfa]:
 
     Languages are unchanged as string sets; automata gain a trash state
     for the symbols they did not previously know.  Inputs already sharing
-    an alphabet are returned as-is.  A DFA keeps each copy made of it, so
-    `harmonize` returns the same copies on every call, and what they keep
-    (their trim graphs, their distances to acceptance) is found once.
+    an alphabet are returned as-is.
     """
     if d1.alphabet == d2.alphabet:
         return d1, d2
@@ -406,19 +400,14 @@ def harmonize(d1: Dfa, d2: Dfa) -> tuple[Dfa, Dfa]:
 
 
 def harmonize_all(dfas) -> list[Dfa]:
-    """Re-express a family of automata over their union alphabet; the
-    copies are kept as `harmonize` keeps them."""
+    """Re-express a family of automata over their union alphabet."""
     union = tuple(sorted(set().union(*(set(d.alphabet) for d in dfas))))
     return [_with_alphabet(d, union) for d in dfas]
 
 
 def _with_alphabet(dfa: Dfa, alphabet: tuple[str, ...]) -> Dfa:
-    """The DFA over a wider alphabet, made on the first call and kept."""
     if alphabet == dfa.alphabet:
         return dfa
-    kept = dfa._widened.get(alphabet)
-    if kept is not None:
-        return kept
     if not set(dfa.alphabet) <= set(alphabet):
         raise AlphabetError("target alphabet must contain the DFA's alphabet")
     trash = dfa.n_states
@@ -430,8 +419,7 @@ def _with_alphabet(dfa: Dfa, alphabet: tuple[str, ...]) -> Dfa:
             row.append(dfa.transitions[q][k] if k is not None else trash)
         rows.append(tuple(row))
     rows.append(tuple(trash for _ in alphabet))
-    kept = dfa._widened[alphabet] = Dfa(alphabet, tuple(rows), dfa.accepting, dfa.initial)
-    return kept
+    return Dfa(alphabet, tuple(rows), dfa.accepting, dfa.initial)
 
 
 @dataclass(frozen=True)
@@ -601,12 +589,12 @@ def shortest_accepted(dfa: Dfa) -> int | None:
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Language equality as string sets: no word tells them apart."""
-    return _separation(*harmonize(d1, d2)) is None
+    return _separation(d1, d2) is None
 
 
 def _separation(d1: Dfa, d2: Dfa) -> int | None:
-    """Length of a shortest word accepted by exactly one of two DFAs over
-    one alphabet, or None when their languages are equal.
+    """Length of a shortest word accepted by exactly one of two DFAs, or
+    None when their languages are equal.
 
     A breadth-first search over the pairs of states reached together,
     built as it goes and pruned by each DFA's kept distances to
@@ -619,13 +607,17 @@ def _separation(d1: Dfa, d2: Dfa) -> int | None:
     nothing from either state and is dropped, as is one whose bound
     length + dp is no less than the best witness so far; the search stops
     at the first length that cannot beat it.  Only the length-0 check
-    precedes the distances, which the DFAs then keep.  Raises
+    precedes the distances, which the DFAs then keep.  The DFAs are read
+    over the union of their alphabets (see `_over`).  Raises
     StateLimitError when the search keeps more than `state_cap()` pairs.
     """
     if (d1.initial in d1.accepting) != (d2.initial in d2.accepting):
         return 0
-    rows1, rows2, near1, near2 = d1.transitions, d2.transitions, d1._to_accept, d2._to_accept
-    cap, width = state_cap(), len(rows2)
+    symbols = d1.alphabet
+    if d2.alphabet != symbols:
+        symbols = tuple(sorted(set(symbols) | set(d2.alphabet)))
+    (row1, near1), (row2, near2) = _over(d1, symbols), _over(d2, symbols)
+    cap, width = state_cap(), len(near2)
     best = inf
     seen = set()
     reached = [(d1.initial, d2.initial)]
@@ -647,5 +639,21 @@ def _separation(d1: Dfa, d2: Dfa) -> int | None:
         length += 1
         if length >= best:
             break
-        reached = [pair for p, q in frontier for pair in zip(rows1[p], rows2[q])]
+        reached = [pair for p, q in frontier for pair in zip(row1(p), row2(q))]
     return None if best == inf else best
+
+
+def _over(dfa: Dfa, symbols: tuple[str, ...]) -> tuple:
+    """(successors, distances) of the DFA read over `symbols`, a sorted
+    alphabet containing its own: `successors(p)` is state p's row over
+    `symbols` and `distances` its kept distances to acceptance.  A symbol
+    the DFA lacks leads to state n_states, a dead state outside its table
+    at distance -1, as in the copy `harmonize` would make; a separation
+    never expands a pair holding it, so only the rows of expanded states
+    are built, and none when `symbols` is the DFA's own alphabet."""
+    if symbols == dfa.alphabet:
+        return dfa.transitions.__getitem__, dfa._to_accept
+    # at least two symbols here, so the getter returns a tuple
+    pick = itemgetter(*(dfa.symbol_index.get(a, -1) for a in symbols))
+    rows, dead = dfa.transitions, (dfa.n_states,)
+    return (lambda p: pick(rows[p] + dead)), [*dfa._to_accept, -1]

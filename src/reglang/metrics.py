@@ -350,17 +350,18 @@ def separating_n(dfas) -> int:
     search over the pair's states (`automata._separation`), bounded below
     by each state's distance to acceptance: a pair whose states lie at
     different distances gives its witness without being expanded, and a
-    pair that cannot beat the best witness so far is dropped.  The DFAs
-    keep their distances and their harmonized copies, so a second call on
-    the same family reads both and searches only the pairs it keeps.
+    pair that cannot beat the best witness so far is dropped.  Each pair
+    is read over the union of its alphabets with no harmonized copy, and
+    the DFAs keep their distances, so only the first call on a DFA pays
+    the O(V |alphabet|) pass for them; a second call on the same DFA
+    objects reads them and searches only the pairs it keeps.
     """
     if len(dfas) < 2:
         return 0
-    common = harmonize_all(dfas)
     worst = 0
-    for i in range(len(common)):
-        for j in range(i + 1, len(common)):
-            witness = _separation(common[i], common[j])
+    for i in range(len(dfas)):
+        for j in range(i + 1, len(dfas)):
+            witness = _separation(dfas[i], dfas[j])
             if witness is None:
                 raise DuplicateLanguageError(
                     f"languages {i} and {j} are equal; separation is impossible"

@@ -226,16 +226,6 @@ def test_harmonize_identical_alphabets_returns_inputs():
     assert rl.harmonize(a, b) == (a, b)
 
 
-def test_harmonize_keeps_its_copies():
-    a = rl.dfa_from_regex("a*")
-    b = rl.dfa_from_regex("b*")
-    first = rl.harmonize(a, b)
-    second = rl.harmonize(a, b)
-    assert all(x is y for x, y in zip(first, second))
-    assert rl.harmonize_all([b, a, b])[1] is first[0]
-    assert all(x is y for x, y in zip(rl.harmonize(b, a), first[::-1]))
-
-
 def test_distances_to_acceptance_are_found_lazily():
     dfa = rl.dfa_from_regex("a{3}(a|b)*|b")
     assert "_to_accept" not in dfa.__dict__
