@@ -36,7 +36,7 @@ from math import inf
 from operator import itemgetter
 
 from .errors import AlphabetError, StateLimitError
-from .graphs import _distances, _strong_components
+from .graphs import _strong_components
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -126,14 +126,29 @@ class Dfa:
     @cached_property
     def _to_accept(self) -> list:
         """Each state's least number of steps to an accepting state, -1
-        where none leads: one breadth-first pass over the reversed table
-        (`graphs._distances`), kept."""
+        where none leads: one breadth-first pass over the reversed table,
+        its queue a list that grows as it is read, kept.
+
+        The reversed table holds each predecessor as a plain int.  The
+        (vertex, weight) pairs `counting._distances` walks would cost one
+        tuple per state here, and with the collector's work on them that
+        is about a third of the pass on the ladder's chain and periodic
+        DFAs."""
         into = [[] for _ in self.transitions]
         for q, row in enumerate(self.transitions):
-            edge = (q, 1)
             for t in row:
-                into[t].append(edge)
-        return _distances(into, self.accepting)
+                into[t].append(q)
+        distance = [-1] * len(into)
+        queue = list(self.accepting)
+        for q in queue:
+            distance[q] = 0
+        for t in queue:
+            step = distance[t] + 1
+            for q in into[t]:
+                if distance[q] < 0:
+                    distance[q] = step
+                    queue.append(q)
+        return distance
 
     @property
     def n_states(self) -> int:

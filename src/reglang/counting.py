@@ -30,7 +30,6 @@ from itertools import chain, compress, islice
 from operator import add, mul
 
 from .automata import Dfa, LabeledGraph, coarsest_partition, trim
-from .graphs import _distances
 
 
 def _identity(n):
@@ -258,6 +257,27 @@ def _lump(rows, into, keyed, summed) -> tuple:
         for b, x in zip(block_of, s):
             total[b] += x
     return quotient, keyed, tuple(map(tuple, sums))
+
+
+def _distances(adjacent, seeds) -> list:
+    """Each vertex's least number of steps from a seed, a step going from
+    v to each u of the (u, weight) pairs in `adjacent[v]`; -1 where no
+    seed leads."""
+    distance = [-1] * len(adjacent)
+    frontier = list(seeds)
+    for v in frontier:
+        distance[v] = 0
+    steps = 0
+    while frontier:
+        steps += 1
+        reached = []
+        for v in frontier:
+            for u, _a in adjacent[v]:
+                if distance[u] < 0:
+                    distance[u] = steps
+                    reached.append(u)
+        frontier = reached
+    return distance
 
 
 def _support(vectors) -> set:

@@ -9,10 +9,7 @@ reach a target vertex set, each component's internal edges and period,
 and the condensation DAG.  `automata.trim` and `Product.graph` run it
 while they build their graphs, and the graph keeps the report and the
 DAG it found; any other graph runs it over its own edges the first time
-either is read.  `_distances` is the one breadth-first pass for the
-distances to a vertex set, which `automata` reads a DFA's distances to
-acceptance from and `counting` its lumping keys and trimmed systems.
-This module imports nothing from `automata`.
+either is read.  This module imports nothing from `automata`.
 """
 
 from dataclasses import dataclass
@@ -172,24 +169,6 @@ def _report(found, popped, names) -> tuple:
         internal=tuple(internal),
     )
     return report, tuple(successors)
-
-
-def _distances(adjacent, seeds) -> list:
-    """Each vertex's least number of steps from a seed, a step going from
-    v to each u of the (u, weight) pairs in `adjacent[v]`; -1 where no
-    seed leads.  One breadth-first pass, its queue a list that grows as
-    it is read, so a long path costs no per-level work."""
-    distance = [-1] * len(adjacent)
-    queue = list(seeds)
-    for v in queue:
-        distance[v] = 0
-    for v in queue:
-        step = distance[v] + 1
-        for u, _a in adjacent[v]:
-            if distance[u] < 0:
-                distance[u] = step
-                queue.append(u)
-    return distance
 
 
 def _find(report: ComponentReport, component) -> int:

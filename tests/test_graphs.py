@@ -432,15 +432,17 @@ def test_a_second_separation_computes_no_distances(monkeypatch, alphabets):
         rl.dfa_from_regex("a{40}(a|b)*", alphabets[1]),
         rl.dfa_from_regex("a{50}", alphabets[0]),
     ]
-    original, calls = reglang.automata._distances, []
+    kept = reglang.automata.Dfa.__dict__["_to_accept"]
+    original, calls = kept.func, []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(dfa):
+        calls.append(dfa)
+        return original(dfa)
 
-    monkeypatch.setattr(reglang.automata, "_distances", counted)
+    monkeypatch.setattr(kept, "func", counted)
     assert rl.separating_n(family) == 40
-    assert len(calls) == 2
+    # the DFAs themselves, not copies over the union alphabet, keep them
+    assert len(calls) == 2 and all(x is y for x, y in zip(calls, family))
     calls.clear()
     assert rl.separating_n(family) == 40
     assert rl.equivalent(*family) is False
