@@ -6,9 +6,10 @@
 
 Counting layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` of the pair, also timed as a whole process
-running `reglang distance --metric jn --n 200`.  Structural layers: `trim`,
-`scc_decompose(trim(d))` and `language_entropy` of each operand, and
-`separating_n` of the pair.  A DFA keeps its trim graph and its
+running `reglang distance --metric jn --n 200`.  Pair layers:
+`entropy_distance` and `cesaro_jaccard` of the pair.  Structural layers:
+`trim`, `scc_decompose(trim(d))` and `language_entropy` of each operand,
+and `separating_n` of the pair.  A DFA keeps its trim graph and its
 distances to acceptance, and the graph its spectral report, so each run
 of those four layers gets fresh equal copies of the
 operands, made outside the timed call, and pays for the whole analysis;
@@ -31,9 +32,9 @@ Rungs, each family in increasing size:
 
 where P(m) = (a{2})*b(a{3})*b(a{4})*b(a{2})*b... has m starred parts, the
 i-th of period 2 + i mod 3, so its trim graph has m periodic components.
-The first two families time the counting layers, the periodic family the
-structural ones and both `jaccard_cum_n` layers, and the chain all of
-them.  Under lumping, the
+The first two families time the counting and pair layers, the periodic
+family the structural ones and both `jaccard_cum_n` layers, and the
+chain the counting and structural ones.  Under lumping, the
 counting systems of the first two families shrink to a few vertices; the
 chain's do not shrink.  Each time is the median of RUNS
 wall-clock runs, after the operands are built (COLD_RUNS processes for a
@@ -76,6 +77,8 @@ LAYERS = {
     "minimize_left_s": lambda rl, a, b: rl.minimize(a),
     "minimize_right_s": lambda rl, a, b: rl.minimize(b),
     "jaccard_cum_n_s": lambda rl, a, b: rl.jaccard_cum_n(a, b, HORIZON),
+    "entropy_distance_s": lambda rl, a, b: rl.entropy_distance(a, b),
+    "cesaro_jaccard_s": lambda rl, a, b: rl.cesaro_jaccard(a, b),
     "trim_left_s": lambda rl, a, b: rl.trim(a),
     "trim_right_s": lambda rl, a, b: rl.trim(b),
     "scc_decompose_left_s": lambda rl, a, b: rl.scc_decompose(rl.trim(a)),
@@ -85,7 +88,8 @@ LAYERS = {
     "separating_n_s": lambda rl, a, b: rl.separating_n([a, b]),
 }
 COUNTING = tuple(LAYERS)[:3]
-FRESH = tuple(LAYERS)[3:]  # analyses the operands keep, timed on fresh copies
+PAIR = tuple(LAYERS)[3:5]
+FRESH = tuple(LAYERS)[5:]  # analyses the operands keep, timed on fresh copies
 KEPT = tuple(f"{layer[:-2]}_kept_s" for layer in FRESH)
 LAYERS.update(zip(KEPT, map(LAYERS.get, FRESH)))
 STRUCTURE = FRESH + KEPT
@@ -135,12 +139,12 @@ FAMILIES = {
     "tie": (
         range(4, 13),
         tie,
-        COUNTING + BUILD + JN_PROCESS,
+        COUNTING + PAIR + BUILD + JN_PROCESS,
     ),
     "disjoint": (
         range(4, 13),
         lambda k: (f"(a|b)*a(a|b){{{k}}}", f"(a|b)*b(a|b){{{k}}}"),
-        COUNTING + BUILD + JN_PROCESS,
+        COUNTING + PAIR + BUILD + JN_PROCESS,
     ),
     "chain": (
         (1000, 2000, 4000, 8000, 16000),

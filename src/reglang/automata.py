@@ -14,18 +14,17 @@ graph, found by one search the first time `trim` asks for it, and its
 distances to acceptance, found by one breadth-first pass over its
 reversed table the first time a separation, `is_empty` or
 `shortest_accepted` asks for them, and holds them as long as the DFA
-lives; a `LabeledGraph` keeps its components and condensation DAG, and
-`spectral` stores its decomposition and spectral report in it.  A kept
-value is built whole before it is stored, so two threads racing to read
-it may both compute it, but neither sees a partial result.
+lives; a `LabeledGraph` or a pair's `Product` table keeps its
+components and condensation DAG, and `spectral` stores its decomposition
+in it.  A kept value is built whole before it is stored, so two threads
+racing to read it may both compute it, but neither sees a partial result.
 
 Language equality and separation search the pairs of states reached
 together, pruned by those distances: a word telling two states apart is
 accepted from one of them, so it is at least as long as the nearer
 state's distance, and exactly that long when the two distances differ
-(see `_separation`).  They read two DFAs over different alphabets as
-they are, with no harmonized copy, so the distances they read are the
-ones the DFAs keep.
+(see `_separation`).  They and `product` read two DFAs over different
+alphabets through one row reader (`_reader`), with no harmonized copy.
 """
 
 import json
@@ -120,8 +119,17 @@ class Dfa:
     @cached_property
     def _trim(self) -> "LabeledGraph":
         """The trim graph, from one search (see `trim`), kept."""
-        found = _strong_components(self.transitions, (self.initial,), self.accepting)
-        return _subgraph(self, *found, "trim")
+        report, dag, kept = _strong_components(self.transitions, (self.initial,), self.accepting)
+        vertices = tuple(q for q, k in enumerate(kept) if k)
+        edges = [
+            (q, symbol, t)
+            for q in vertices
+            for symbol, t in zip(self.alphabet, self.transitions[q])
+            if kept[t]
+        ]
+        graph = LabeledGraph(vertices, tuple(edges), "trim")
+        graph.__dict__["_components"] = report, dag  # the cached property's value
+        return graph
 
     @cached_property
     def _to_accept(self) -> list:
@@ -195,15 +203,15 @@ class LabeledGraph:
 
     Vertices keep their original state ids.  `role` records whether the
     graph is merely trimmed or also essential (every vertex has at least
-    one incoming and one outgoing edge), or is a whole reachable product
-    (`Product.graph`).  The adjacency matrix counts parallel edges, so
-    entries are bounded by the alphabet size per row.  The graph's
-    `component_report` and `condensation` are found once and kept.
+    one incoming and one outgoing edge).  The adjacency matrix counts
+    parallel edges, so entries are bounded by the alphabet size per row.
+    The graph's `component_report` and `condensation` are found once and
+    kept.
     """
 
     vertices: tuple[int, ...]
     edges: tuple  # of (src, symbol, dst)
-    role: str  # "trim" | "essential" | "reachable"
+    role: str  # "trim" | "essential"
 
     @property
     def n_vertices(self) -> int:
@@ -237,9 +245,9 @@ class LabeledGraph:
 
     @cached_property
     def _components(self) -> tuple:
-        """(report, DAG) of `graphs._strong_components`.  `trim` and
-        `Product.graph` set it from the search that built the graph; any
-        other graph runs that search over its own edges here, once."""
+        """(report, DAG) of `graphs._strong_components`.  `trim` sets it
+        from the search that built the graph; any other graph runs that
+        search over its own edges here, once."""
         index = self.vertex_index
         rows = [[] for _ in self.vertices]
         for src, _symbol, dst in self.edges:
@@ -408,9 +416,7 @@ def harmonize(d1: Dfa, d2: Dfa) -> tuple[Dfa, Dfa]:
     for the symbols they did not previously know.  Inputs already sharing
     an alphabet are returned as-is.
     """
-    if d1.alphabet == d2.alphabet:
-        return d1, d2
-    union = tuple(sorted(set(d1.alphabet) | set(d2.alphabet)))
+    union = _alphabet_of(d1, d2)
     return _with_alphabet(d1, union), _with_alphabet(d2, union)
 
 
@@ -420,32 +426,47 @@ def harmonize_all(dfas) -> list[Dfa]:
     return [_with_alphabet(d, union) for d in dfas]
 
 
+def _alphabet_of(d1: Dfa, d2: Dfa) -> tuple[str, ...]:
+    """The union of two DFAs' alphabets, sorted."""
+    if d1.alphabet == d2.alphabet:
+        return d1.alphabet
+    return tuple(sorted(set(d1.alphabet) | set(d2.alphabet)))
+
+
 def _with_alphabet(dfa: Dfa, alphabet: tuple[str, ...]) -> Dfa:
     if alphabet == dfa.alphabet:
         return dfa
     if not set(dfa.alphabet) <= set(alphabet):
         raise AlphabetError("target alphabet must contain the DFA's alphabet")
-    trash = dfa.n_states
-    rows = []
-    for q in range(dfa.n_states):
-        row = []
-        for symbol in alphabet:
-            k = dfa.symbol_index.get(symbol)
-            row.append(dfa.transitions[q][k] if k is not None else trash)
-        rows.append(tuple(row))
-    rows.append(tuple(trash for _ in alphabet))
-    return Dfa(alphabet, tuple(rows), dfa.accepting, dfa.initial)
+    rows = tuple(map(_reader(dfa, alphabet), range(dfa.n_states + 1)))
+    return Dfa(alphabet, rows, dfa.accepting, dfa.initial)
+
+
+def _reader(dfa: Dfa, symbols: tuple[str, ...]):
+    """The DFA's rows over `symbols`, a sorted alphabet containing its
+    own: `read(p)` is state p's successors in the order of `symbols`.  A
+    symbol the DFA lacks leads to state n_states, a dead state whose own
+    row is all dead, as in the copy `harmonize` makes; over the DFA's own
+    alphabet the reader is its table's."""
+    if symbols == dfa.alphabet:
+        return dfa.transitions.__getitem__
+    # at least two symbols here, so the getter returns a tuple
+    pick = itemgetter(*(dfa.symbol_index.get(a, -1) for a in symbols))
+    dead = (dfa.n_states,)
+    rows = (*dfa.transitions, dead * len(dfa.alphabet))
+    return lambda p: pick(rows[p] + dead)
 
 
 @dataclass(frozen=True)
 class Product:
-    """Reachable part of the product of two harmonized DFAs.
+    """Reachable part of the product of two DFAs over their union alphabet.
 
     Product state 0 is the pair of initial states.  A boolean combination
-    of the two languages is the product DFA whose accepting set combines
+    of the two languages is the set of product states that combines
     `left` and `right` by the same set operation: `left ^ right` for the
     symmetric difference, `right - left` for the second language minus
-    the first.  All combinations share one transition table.
+    the first.  All combinations share one transition table, and the
+    components of its one search from state 0.
     """
 
     alphabet: tuple[str, ...]
@@ -458,26 +479,28 @@ class Product:
         return Dfa(self.alphabet, self.transitions, frozenset(accepting), 0)
 
     @cached_property
-    def graph(self) -> LabeledGraph:
-        """Every state and edge of the product, with the components that one
-        search from state 0 finds.  All states are reachable, so a
-        combination's trim graph is the part reaching its accepting states."""
-        return _subgraph(self, *_strong_components(self.transitions, (0,)), "reachable")
+    def _components(self) -> tuple:
+        """(report, DAG) of one search from state 0, kept.  All states are
+        reachable, so a combination's trim graph is the part reaching its
+        accepting states."""
+        report, dag, _kept = _strong_components(self.transitions, (0,))
+        return report, dag
 
 
 def product(d1: Dfa, d2: Dfa) -> Product:
-    """The reachable product of two DFAs over one alphabet (see
-    `harmonize`), built once for any number of boolean combinations."""
-    if d1.alphabet != d2.alphabet:
-        raise AlphabetError("a product requires harmonized alphabets")
+    """The reachable product of two DFAs read over their union alphabet,
+    numbered as that of their harmonized copies (see `_reader`) and built
+    once for any number of boolean combinations."""
+    symbols = _alphabet_of(d1, d2)
+    read1, read2 = _reader(d1, symbols), _reader(d2, symbols)
     order, rows = _explore(
         (d1.initial, d2.initial),
-        lambda pair: zip(d1.transitions[pair[0]], d2.transitions[pair[1]]),
+        lambda pair: zip(read1(pair[0]), read2(pair[1])),
         "product construction",
     )
     left = frozenset(i for i, (p, _q) in enumerate(order) if p in d1.accepting)
     right = frozenset(i for i, (_p, q) in enumerate(order) if q in d2.accepting)
-    return Product(d1.alphabet, rows, left, right)
+    return Product(symbols, rows, left, right)
 
 
 def _lengths_mod(prod: Product, q: int) -> tuple[Product, list]:
@@ -507,11 +530,11 @@ _COMBINE = {
 
 
 def combine(d1: Dfa, d2: Dfa, op: str) -> Dfa:
-    """Product automaton for a boolean set combination of two languages.
+    """Product automaton for a boolean set combination of two languages,
+    over the union of their alphabets.
 
-    Requires harmonized alphabets (see `harmonize`); only the reachable
-    part of the product is built.  Callers needing several combinations
-    of one pair build the `product` once instead.
+    Only the reachable part of the product is built.  Callers needing
+    several combinations of one pair build the `product` once instead.
     """
     if op not in _COMBINE:
         raise ValueError(f"unknown combination {op!r}")
@@ -539,22 +562,6 @@ def trim(dfa: Dfa) -> LabeledGraph:
     denominators downstream.
     """
     return dfa._trim
-
-
-def _subgraph(dfa, report, dag, kept, role: str) -> LabeledGraph:
-    """The graph of a DFA's (or a product's) transitions among the states
-    with `kept[q]` set, its edges in state then symbol order, keeping the
-    `report` and `dag` of its components."""
-    vertices = tuple(q for q, k in enumerate(kept) if k)
-    edges = [
-        (q, symbol, t)
-        for q in vertices
-        for symbol, t in zip(dfa.alphabet, dfa.transitions[q])
-        if kept[t]
-    ]
-    graph = LabeledGraph(vertices, tuple(edges), role)
-    graph.__dict__["_components"] = report, dag  # the cached property's value
-    return graph
 
 
 def essential(graph: LabeledGraph) -> LabeledGraph:
@@ -623,14 +630,13 @@ def _separation(d1: Dfa, d2: Dfa) -> int | None:
     length + dp is no less than the best witness so far; the search stops
     at the first length that cannot beat it.  Only the length-0 check
     precedes the distances, which the DFAs then keep.  The DFAs are read
-    over the union of their alphabets (see `_over`).  Raises
-    StateLimitError when the search keeps more than `state_cap()` pairs.
+    over the union of their alphabets (see `_over`); a pair holding a
+    dead state is never expanded.  Raises StateLimitError when the search
+    keeps more than `state_cap()` pairs.
     """
     if (d1.initial in d1.accepting) != (d2.initial in d2.accepting):
         return 0
-    symbols = d1.alphabet
-    if d2.alphabet != symbols:
-        symbols = tuple(sorted(set(symbols) | set(d2.alphabet)))
+    symbols = _alphabet_of(d1, d2)
     (row1, near1), (row2, near2) = _over(d1, symbols), _over(d2, symbols)
     cap, width = state_cap(), len(near2)
     best = inf
@@ -659,16 +665,9 @@ def _separation(d1: Dfa, d2: Dfa) -> int | None:
 
 
 def _over(dfa: Dfa, symbols: tuple[str, ...]) -> tuple:
-    """(successors, distances) of the DFA read over `symbols`, a sorted
-    alphabet containing its own: `successors(p)` is state p's row over
-    `symbols` and `distances` its kept distances to acceptance.  A symbol
-    the DFA lacks leads to state n_states, a dead state outside its table
-    at distance -1, as in the copy `harmonize` would make; a separation
-    never expands a pair holding it, so only the rows of expanded states
-    are built, and none when `symbols` is the DFA's own alphabet."""
+    """(rows, distances) of the DFA read over `symbols`: its `_reader`,
+    and its kept distances to acceptance, the dead state, when the reader
+    has one, at distance -1."""
     if symbols == dfa.alphabet:
         return dfa.transitions.__getitem__, dfa._to_accept
-    # at least two symbols here, so the getter returns a tuple
-    pick = itemgetter(*(dfa.symbol_index.get(a, -1) for a in symbols))
-    rows, dead = dfa.transitions, (dfa.n_states,)
-    return (lambda p: pick(rows[p] + dead)), [*dfa._to_accept, -1]
+    return _reader(dfa, symbols), [*dfa._to_accept, -1]

@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import islice
 
 from . import dfa_from_regex
 from .automata import harmonize_all, trim
@@ -156,21 +157,25 @@ def cmd_matrix(args) -> int:
     return 0
 
 
+def _count_rows(dfa):
+    """Yield (n, |W_n|, |W_<=n|) for n = 0, 1, ... from one count stream."""
+    total = 0
+    for n, exact in enumerate(length_counts(CountVectors.from_dfa(dfa))):
+        total += exact
+        yield n, exact, total
+
+
 def cmd_analyze(args) -> int:
     dfa = dfa_from_regex(args.regex, args.alphabet)
     graph = trim(dfa)
     report = scc_decompose(graph)
 
+    stream = _count_rows(dfa)
     count_rows = []
     if args.counts is not None:
         if args.counts < 0:
             raise ValueError("--counts must be non-negative")
-        gen = length_counts(CountVectors.from_dfa(dfa))
-        total = 0
-        for n in range(args.counts + 1):
-            exact = next(gen)
-            total += exact
-            count_rows.append((n, exact, total))
+        count_rows = list(islice(stream, args.counts + 1))
 
     if args.format == "csv":
         if args.counts is None:
@@ -197,14 +202,9 @@ def cmd_analyze(args) -> int:
         horizon = min(8, args.counts if args.counts is not None else 8)
         DEFAULT_BUDGET.validate(len(dfa.alphabet), horizon)
         expected = oracle_counts(dfa, horizon)
-        gen = length_counts(CountVectors.from_dfa(dfa))
-        total = 0
-        mismatches = []
-        for n, w_n, w_le_n in expected:
-            exact = next(gen)
-            total += exact
-            if (exact, total) != (w_n, w_le_n):
-                mismatches.append(n)
+        # with --counts the rows already read reach the horizon
+        computed = count_rows or islice(stream, horizon + 1)
+        mismatches = [want[0] for want, got in zip(expected, computed) if want != got]
         obj["verify"] = {"max_length": horizon, "match": not mismatches}
         if mismatches:
             _emit(obj)

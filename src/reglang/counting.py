@@ -12,9 +12,9 @@ reads it (`matrix_power` and `CountVectors(matrix, ...)` are the dense
 reference API).  One stepping loop, `final_counts`, advances the single
 vector i . A^n at O(E) per length and reads one count per final vector
 from it: a symmetric difference lies inside the union of the same pair,
-so `shared_system` counts both over the union.  That stream runs on the
-lumped quotient of the union's system, which has the same word counts
-and often far fewer vertices (257 -> 9 for the suffix pair
+so `shared_system` counts both over the union, on the pair's product
+table.  That stream runs on the lumped quotient of the union's system,
+which has the same word counts and often far fewer vertices (257 -> 9 for the suffix pair
 `(a|b)*a(a|b){7}` / `(a|b)*a(a|b){6}`).  The quotient takes one
 partition-refinement pass in each direction, the first in the direction
 where one round of merging exact duplicates merges more states: backward
@@ -121,15 +121,16 @@ def _indicator(graph: LabeledGraph, states) -> tuple:
     return tuple(1 if v in states else 0 for v in graph.vertices)
 
 
-def shared_system(dfa: Dfa, parts) -> tuple[CountVectors, tuple]:
-    """The counting system of a DFA's language, and the final vector of
-    each part over the same vertices.
+def shared_system(transitions, parts) -> tuple[CountVectors, tuple]:
+    """The counting system of the words leading from state 0 of a
+    transition table into some part, and the final vector of each part
+    over the same vertices.
 
-    A part is a set of the DFA's accepting states, so one `final_counts`
-    stream over the system counts the words of every part; for instance
-    the symmetric difference and the union of a pair, over the union.
+    The parts are sets of states, such as those of a pair's `Product`
+    for its symmetric difference and its union, so one `final_counts`
+    stream over the system counts the words of every part.
 
-    The system is a quotient of the DFA's own (A, i, f) with the same
+    The system is a quotient of the table's own (A, i, f) with the same
     word counts (exact and ordinary lumpability: Buchholz, "Bisimulation
     relations for weighted automata", TCS 2008).  Forward, the states
     with equal final values and the same number of edges into each block
@@ -146,28 +147,28 @@ def shared_system(dfa: Dfa, parts) -> tuple[CountVectors, tuple]:
     its 8,193 states lump backward to 14 at once, where forward they only
     lump to 8,192 and the backward pass must follow on those.
     """
-    system = _own_system(dfa, parts)
+    system = _own_system(transitions, parts)
     return _reduced(system, _lumps_backward_first(*system))
 
 
 def _reduced(system, backward_first: bool) -> tuple[CountVectors, tuple]:
     """The counting system and part vectors of `shared_system` from the
-    DFA's own system: one pass in each direction, the first one backward
-    or forward, and the vertices off every accepting path dropped after
-    it."""
+    table's own system: one pass in each direction, the first one
+    backward or forward, and the vertices off every accepting path
+    dropped after it."""
     first, second = (_backward, _forward) if backward_first else (_forward, _backward)
     rows, _columns, initial, finals = second(*_trimmed(*first(*system)))
     return CountVectors._from_rows(rows, initial, finals[0]), finals[1:]
 
 
-def _own_system(dfa: Dfa, parts) -> tuple:
-    """(rows, columns, initial, finals) of the DFA's own counting system:
+def _own_system(transitions, parts) -> tuple:
+    """(rows, columns, initial, finals) of a table's own counting system:
     the sparse rows and columns of A, each in index order with parallel
-    edges merged, i, and the final vectors of the accepting states and
-    of each part."""
-    n = dfa.n_states
+    edges merged, i at state 0, and the final vectors of the union of the
+    parts and of each part."""
+    n = len(transitions)
     columns = [[] for _ in range(n)]
-    for q, targets in enumerate(dfa.transitions):
+    for q, targets in enumerate(transitions):
         edge = (q, 1)
         for t in targets:
             column = columns[t]
@@ -177,9 +178,9 @@ def _own_system(dfa: Dfa, parts) -> tuple:
                 column.append(edge)
     columns = list(map(tuple, columns))
     initial = [0] * n
-    initial[dfa.initial] = 1
+    initial[0] = 1
     finals = []
-    for part in (dfa.accepting, *parts):
+    for part in (frozenset().union(*parts), *parts):
         final = [0] * n
         for q in part:
             final[q] = 1

@@ -6,10 +6,10 @@ Every structural question is answered by one iterative Tarjan search
 (Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
 Comput. 1972) over integer successor rows: the components, which of them
 reach a target vertex set, each component's internal edges and period,
-and the condensation DAG.  `automata.trim` and `Product.graph` run it
-while they build their graphs, and the graph keeps the report and the
-DAG it found; any other graph runs it over its own edges the first time
-either is read.  This module imports nothing from `automata`.
+and the condensation DAG.  `automata.trim` runs it while it builds its
+graph, which keeps the report and the DAG it found; a `Product` table or
+any other graph runs it the first time either is read, and keeps them.
+This module imports nothing from `automata`.
 """
 
 from dataclasses import dataclass
@@ -201,12 +201,11 @@ def is_primitive(graph, component) -> bool:
 
 
 def scc_decompose(graph) -> ComponentReport:
-    """Maximal strongly connected components of a `LabeledGraph`, ordered
-    by smallest vertex, with per-component period, internal edges and
-    the global residue period.  The report is the one the graph keeps:
-    `trim` and `Product.graph` find it while they build the graph, and
-    any other graph finds it with one search the first time it is read."""
-    return graph.component_report
+    """Maximal strongly connected components of a `LabeledGraph` or a
+    `Product` table, ordered by smallest vertex, with per-component period,
+    internal edges and the global residue period.  The report is the one
+    the graph or table keeps (see the module docstring)."""
+    return graph._components[0]
 
 
 def residue_period(report: ComponentReport) -> int:

@@ -21,10 +21,12 @@ q.  The classes are accepting sets of one product, the pair's own with
 lengths counted modulo q, decomposed once for all of them.
 
 The entropy distance and the entropy-sum distance are ratios and sums of
-spectral entropies of boolean combinations.  All combinations of a pair
-are parts of its one product, which `cesaro_jaccard`, `entropy_distance`
-and `entropy_sum` decompose once per call (`spectral.Decomposition`) to
-read every combination's report; the finite horizons never decompose.
+spectral entropies of boolean combinations.  A pair is read as its one
+`automata.Product` table, and each combination as a set of its states:
+the counts run on the table itself (`counting.shared_system`), and
+`cesaro_jaccard`, `entropy_distance` and `entropy_sum` read every
+combination's report from the table's one search; the finite horizons
+never search.
 """
 
 from dataclasses import dataclass, field
@@ -38,14 +40,13 @@ from .automata import (
     _lengths_mod,
     _separation,
     combine,  # unused; perfbench/test_smoke.py checks that its tracer restores this binding
-    harmonize,
     harmonize_all,
     minimize,
     product,
 )
 from .counting import CountVectors, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
-from .spectral import ENTROPY_EPS, POWER_MAX_ITER, Decomposition, _decomposition
+from .spectral import ENTROPY_EPS, POWER_MAX_ITER, _decomposition
 
 METRIC_NAMES = ("jn_exact", "jn_cum", "cesaro", "entropy", "entropy_sum")
 
@@ -82,16 +83,6 @@ class DistanceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _pair(d1: Dfa, d2: Dfa) -> Product:
-    return product(*harmonize(d1, d2))
-
-
-def _decomposed(d1: Dfa, d2: Dfa) -> tuple[Product, Decomposition]:
-    """The pair's product and the decomposition of its graph."""
-    prod = _pair(d1, d2)
-    return prod, Decomposition(prod.graph)
-
-
 def _pair_counts(cv: CountVectors, finals, cumulative: bool):
     """Yield the (sym diff, union) word counts for n = 0, 1, ...: of
     length exactly n, or at most n when `cumulative`."""
@@ -105,9 +96,9 @@ def _pair_counts(cv: CountVectors, finals, cumulative: bool):
 def _jaccard_n(d1: Dfa, d2: Dfa, n: int, cumulative: bool) -> Fraction:
     if n < 0:
         raise ValueError("length must be non-negative")
-    prod = _pair(d1, d2)
+    prod = product(d1, d2)
     left, right = prod.left, prod.right
-    cv, finals = shared_system(prod.dfa(left | right), (left ^ right, left | right))
+    cv, finals = shared_system(prod.transitions, (left ^ right, left | right))
     num, den = next(islice(_pair_counts(cv, finals, cumulative), n, None))
     return Fraction(num, den) if den else Fraction(0)
 
@@ -134,8 +125,8 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     diagnostics = {"sequence": config.sequence}
     if config.sequence == "cum":
         analytic = config.mode == "analytic"
-        prod, pair = _decomposed(d1, d2)
-        limit, mode = _cumulative_limit(prod, pair, prod.left, prod.right, diagnostics, analytic)
+        prod = product(d1, d2)
+        limit, mode = _cumulative_limit(prod, prod.left, prod.right, diagnostics, analytic)
     else:
         limit, mode = _fixed_length_limit(d1, d2, diagnostics)
     if mode == "exact":
@@ -143,11 +134,12 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     return DistanceResult("cesaro", float(limit), mode, diagnostics)
 
 
-def _cumulative_limit(prod: Product, pair: Decomposition, left, right, diagnostics, analytic=False):
+def _cumulative_limit(prod: Product, left, right, diagnostics, analytic=False):
     """(limit, mode) of the cumulative Jaccard sequence of the languages
-    accepted at the states `left` and `right` of a product decomposed as
-    `pair`, the limit a Fraction unless the power stream ran; the growth
-    orders and the evidence go into `diagnostics`."""
+    accepted at the states `left` and `right` of a product, the limit a
+    Fraction unless the power stream ran; the growth orders and the
+    evidence go into `diagnostics`."""
+    pair = _decomposition(prod)
     parts = (left ^ right, left | right)
     reports = {
         "sym_diff": pair.report(left ^ right),
@@ -168,8 +160,7 @@ def _cumulative_limit(prod: Product, pair: Decomposition, left, right, diagnosti
     radius, d = uni_report.spectral_radius, uni_report.index
     diagnostics["residue_period"] = q
     if uni_report.lambda_class != "expanding":
-        uni = prod.dfa(left | right)
-        return _exact_tie_limit(*shared_system(uni, parts), q, d), "exact"
+        return _exact_tie_limit(*shared_system(prod.transitions, parts), q, d), "exact"
     if analytic:
         order = f"radius {radius:.6g}, index {d}"
         reason = f"sym, union and intersection all grow as ({order}); the limit needs iteration"
@@ -178,7 +169,7 @@ def _cumulative_limit(prod: Product, pair: Decomposition, left, right, diagnosti
     # accepting states, its edges the product's edges among them
     vertices = sorted(v for c in pair.reaching(left | right) for v in pair.scc.components[c])
     kept = set(vertices)
-    edges = [(s, t) for s, _symbol, t in prod.graph.edges if s in kept and t in kept]
+    edges = [(s, t) for s in vertices for t in prod.transitions[s] if t in kept]
     limits, residual, blocks = _leading_limits(vertices, edges, parts, radius, q, d)
     diagnostics.update(residue_limits=limits, residual=residual, blocks=blocks)
     return sum(limits) / q, "per-residue"
@@ -198,18 +189,18 @@ def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
     read without a spectrum; the union's radius class is that of the
     lifted union, whose spectra the classes compute anyway.
     """
-    prod = _pair(d1, d2)
-    own = _decomposition(prod.graph)
+    prod = product(d1, d2)
+    own = _decomposition(prod)
     reaching = own.reaching(prod.left | prod.right)
     q = lcm(*(own.scc.periods[c] for c in reaching if not own.scc.trivial[c]))
     diagnostics["residue_period"] = q
     lifted, at = _lengths_mod(prod, q)
-    pair = _decomposition(lifted.graph)
+    pair = _decomposition(lifted)
     limits, residual, blocks = [], 0.0, 0
     for at_k in at:
         found = {}
         left, right = lifted.left & at_k, lifted.right & at_k
-        limit, _mode = _cumulative_limit(lifted, pair, left, right, found)
+        limit, _mode = _cumulative_limit(lifted, left, right, found)
         limits.append(limit if found["index_union"] else Fraction(0))
         residual = max(residual, found.get("residual", 0.0))
         blocks += found.get("blocks", 0)
@@ -305,7 +296,8 @@ def _leading_limits(vertices, edges, parts, radius, q, d):
 def entropy_distance(d1: Dfa, d2: Dfa) -> DistanceResult:
     """Ratio of entropies h(sym diff) / h(union); 0 when the union has
     entropy 0.  Always lands in [0, 1]."""
-    prod, pair = _decomposed(d1, d2)
+    prod = product(d1, d2)
+    pair = _decomposition(prod)
     left, right = prod.left, prod.right
     h_sym = pair.report(left ^ right).entropy_bits
     h_uni = pair.report(left | right).entropy_bits
@@ -319,7 +311,8 @@ def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
 
     Reported unnormalized, so the range is [0, 2 log2 |alphabet|].
     """
-    prod, pair = _decomposed(d1, d2)
+    prod = product(d1, d2)
+    pair = _decomposition(prod)
     left = pair.report(prod.left - prod.right).entropy_bits
     right = pair.report(prod.right - prod.left).entropy_bits
     diagnostics = {"entropy_left_only": left, "entropy_right_only": right}
@@ -400,6 +393,8 @@ def check_metric_axioms(metric, dfas, kind: str = "pseudo", tol: float = 1e-9) -
     """
     if kind not in ("pseudo", "ultra-pseudo"):
         raise ValueError(f"unknown kind {kind!r}")
+    if isinstance(metric, str) and metric not in _NAMED_METRICS:
+        raise ValueError(f"unknown metric {metric!r}; known: {', '.join(_NAMED_METRICS)}")
     if len(dfas) < 3:
         raise ValueError("axiom checking needs at least three languages")
     fn = _NAMED_METRICS[metric] if isinstance(metric, str) else metric

@@ -29,9 +29,10 @@ first time `analyze_graph`, `topological_entropy`, `language_entropy` or
 `component_spectrum` reads it.  The decomposition keeps each spectrum it
 computes and its report over the whole graph, so a graph's spectra are
 computed once, and a DFA's, whose trim graph is kept too, once in its
-lifetime.  The boolean combinations of a pair of languages are parts of
-one product graph: every combination's report is read from its
-`Decomposition`, which the metrics build afresh for each pair.
+lifetime.  The boolean combinations of a pair of languages are sets of
+states of one product table: every combination's report is read from
+the `Decomposition` of the table's one search, which the metrics make
+afresh for each pair.
 """
 
 import math
@@ -177,21 +178,19 @@ def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
 
 
 class Decomposition:
-    """A graph's strongly connected components, as its report holds them,
-    and the spectral report of the whole graph or of its part that reaches
-    a vertex set.
+    """Strongly connected components, from a `graphs.ComponentReport` and
+    its condensation DAG, and the spectral report of the whole graph or of
+    its part that reaches a vertex set.
 
-    If every vertex is reachable, as in `Product.graph`, trimming to an
+    If every vertex is reachable, as in a `Product` table, trimming to an
     accepting set keeps or drops each component whole, and no path
     between kept components leaves them: `report(accepting)` equals
     `analyze_graph` of the trim graph, for every combination of a pair.
     """
 
-    def __init__(self, graph: LabeledGraph):
-        # not the graph itself: a graph keeps its decomposition, and
-        # holds no reference cycle through it
-        self.condensation = graph.condensation
-        self.scc = scc_decompose(graph)
+    def __init__(self, scc, condensation):
+        self.scc = scc
+        self.condensation = condensation
         self._spectra = {}  # computed when a report first keeps the component
 
     @cached_property
@@ -243,12 +242,14 @@ class Decomposition:
         return self.report()
 
 
-def _decomposition(graph: LabeledGraph) -> Decomposition:
-    """The graph's decomposition, made on the first call and kept in the
-    graph's `__dict__`, as `automata._subgraph` keeps its components."""
+def _decomposition(graph) -> Decomposition:
+    """The decomposition of the (report, condensation) pair that a
+    `LabeledGraph` or a `Product` keeps, made on the first call and kept
+    beside that pair in its `__dict__`."""
     kept = graph.__dict__.get("_decomposition")
     if kept is None:
-        kept = graph.__dict__["_decomposition"] = Decomposition(graph)
+        kept = Decomposition(scc_decompose(graph), graph._components[1])
+        graph.__dict__["_decomposition"] = kept
     return kept
 
 

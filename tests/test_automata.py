@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 import reglang as rl
 from reglang.automata import _canonical, coarsest_partition
-from reglang.errors import AlphabetError
 from reglang.oracle import acceptance_by_length, all_strings
 from reglang.spectral import graph_from_matrix
 from corpus import SHOWCASE_MATRIX, showcase_machine
@@ -249,9 +248,12 @@ def test_harmonize_preserves_string_sets(corpus):
 # --- combine / complement --------------------------------------------------
 
 
-def test_combine_requires_harmonized_alphabets():
-    with pytest.raises(AlphabetError):
-        rl.combine(rl.dfa_from_regex("a*"), rl.dfa_from_regex("b*"), "union")
+def test_combine_reads_both_operands_over_the_union_alphabet():
+    union = rl.combine(rl.dfa_from_regex("a*"), rl.dfa_from_regex("b*"), "union")
+    assert union.alphabet == ("a", "b")
+    assert rl.equivalent(union, rl.dfa_from_regex("a*|b*", "ab"))
+    for word in all_strings("ab", 6):
+        assert union.accepts(word) == (set(word) <= {"a"} or set(word) <= {"b"}), word
 
 
 def test_symdiff_of_all_and_even_is_odd_lengths():

@@ -129,7 +129,7 @@ def test_one_product_stream_counts_every_combination(a, b):
         (rl.combine(a, b, "minus"), left - right),
         (rl.combine(b, a, "minus"), right - left),
     ]
-    cv, finals = shared_system(prod.dfa(left | right), [part for _d, part in combinations])
+    cv, finals = shared_system(prod.transitions, [part for _d, part in combinations])
     # 40 lengths pass every transient of these products of at most 36 states
     expected = zip(*(length_counts(CountVectors.from_dfa(d)) for d, _part in combinations))
     for n, (counts, want) in enumerate(zip(islice(final_counts(cv, finals), 40), expected)):
@@ -153,16 +153,16 @@ def test_one_product_stream_counts_every_combination(a, b):
 def test_shared_system_counts_on_the_lumped_quotient(p1, p2, size, counts_at_30):
     prod = rl.product(rl.dfa_from_regex(p1), rl.dfa_from_regex(p2))
     left, right = prod.left, prod.right
-    cv, finals = shared_system(prod.dfa(left | right), (left ^ right, left | right))
+    cv, finals = shared_system(prod.transitions, (left ^ right, left | right))
     assert cv.n <= size
     assert next(islice(final_counts(cv, finals), 30, None)) == counts_at_30
 
 
 def _union(a, b):
-    """The union DFA of a pair and its (sym diff, union) parts."""
-    prod = rl.product(*rl.harmonize(a, b))
+    """The product table of a pair and its (sym diff, union) parts."""
+    prod = rl.product(a, b)
     left, right = prod.left, prod.right
-    return prod.dfa(left | right), (left ^ right, left | right)
+    return prod.transitions, (left ^ right, left | right)
 
 
 def _tie(k):
@@ -170,11 +170,11 @@ def _tie(k):
 
 
 def _check_both_orders(a, b):
-    prod = rl.product(*rl.harmonize(a, b))
+    prod = rl.product(a, b)
     left, right = prod.left, prod.right
     parts = (left ^ right, left | right)
     unreduced = [CountVectors.from_dfa(prod.dfa(part)) for part in parts]
-    system = _own_system(prod.dfa(left | right), parts)
+    system = _own_system(prod.transitions, parts)
     for backward_first in (False, True):
         cv, finals = _reduced(system, backward_first)
         for row in cv.rows:

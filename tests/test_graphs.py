@@ -346,13 +346,19 @@ def separation_reference(d1, d2):
     return None
 
 
+def _table_graph(transitions):
+    """Every state and edge of a transition table, as a graph."""
+    edges = tuple((q, k, t) for q, row in enumerate(transitions) for k, t in enumerate(row))
+    return rl.LabeledGraph(tuple(range(len(transitions))), edges, "trim")
+
+
 @settings(max_examples=300, deadline=None)
 @given(pair=st.tuples(_complete_dfas(), _complete_dfas()))
 def test_separation_search_matches_the_symmetric_difference(pair):
     d1, d2 = pair
-    whole = product(*rl.harmonize(d1, d2)).graph
-    assert (rl.scc_decompose(whole), whole.condensation) == tarjan_reference(whole)
-    symdiff = rl.combine(*rl.harmonize(d1, d2), "symdiff")
+    prod = product(d1, d2)
+    assert prod._components == tarjan_reference(_table_graph(prod.transitions))
+    symdiff = rl.combine(d1, d2, "symdiff")
     witness = shortest_accepted_reference(symdiff)
     assert rl.shortest_accepted(symdiff) == witness
     assert rl.equivalent(d1, d2) == rl.is_empty(symdiff) == (witness is None)

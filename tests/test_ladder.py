@@ -29,6 +29,7 @@ def test_smallest_rung_of_each_family_is_timed():
         ("cold", 4),
     ]
     counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s")
+    pair = ("entropy_distance_s", "cesaro_jaccard_s")
     structure = (
         "trim_left_s",
         "trim_right_s",
@@ -53,8 +54,8 @@ def test_smallest_rung_of_each_family_is_timed():
         "distance_jn_process_s",
         "entropy_golden_process_s",
     )
-    expected = {"tie": counting + build + jn_process,
-                "disjoint": counting + build + jn_process,
+    expected = {"tie": counting + pair + build + jn_process,
+                "disjoint": counting + pair + build + jn_process,
                 "chain": counting + structure + build + jn_process,
                 "periodic": ("jaccard_cum_n_s",) + structure + build + jn_process,
                 "cold": command_line}

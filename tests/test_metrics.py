@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 import reglang as rl
 import reglang.automata
+import reglang.counting
 import reglang.graphs
 from reglang import cli
 from reglang.counting import CountVectors, count_upto, cumulative_counts
 from reglang.errors import ConvergenceError, DuplicateLanguageError
 from reglang.metrics import CesaroConfig
 from reglang.oracle import oracle_distance
+from test_graphs import _complete_dfas
 
 
 # --- fixed-length Jaccard -------------------------------------------------------
@@ -531,6 +533,12 @@ def test_axiom_checker_needs_three_languages(by_name):
         rl.check_metric_axioms("entropy", [by_name["a_star"].dfa] * 2)
 
 
+def test_axiom_checker_rejects_an_unknown_metric_name(by_name):
+    dfas = [by_name[name].dfa for name in ("a_star", "even_a", "odd_a")]
+    with pytest.raises(ValueError, match="unknown metric 'nope'; known: cesaro, entropy, entropy_sum"):
+        rl.check_metric_axioms("nope", dfas)
+
+
 def test_axiom_checker_diagonal_passes_on_duplicates(by_name):
     dfas = [by_name["a_star"].dfa, by_name["a_star"].dfa, by_name["even_a"].dfa]
     report = rl.check_metric_axioms("entropy", dfas, kind="ultra-pseudo")
@@ -580,6 +588,68 @@ def test_each_pair_is_decomposed_once(monkeypatch, left, right):
         assert len(trims) <= most_trims, metric
 
 
+def _count_constructions(monkeypatch, cls) -> list:
+    """Record each construction of an instance of `cls`."""
+    original, made = cls.__init__, []
+
+    def counted(self, *args, **kwargs):
+        made.append(cls.__name__)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_a_pair_is_read_from_its_product_table(monkeypatch):
+    # the suffix pair: every metric reads the pair's one product table as
+    # it is, and those that need components search it once
+    d1, d2 = rl.dfa_from_regex("(a|b)*a(a|b){7}"), rl.dfa_from_regex("(a|b)*a(a|b){6}")
+    dfas = _count_constructions(monkeypatch, rl.Dfa)
+    graphs = _count_constructions(monkeypatch, rl.LabeledGraph)
+    copies = _count_calls(monkeypatch, reglang.automata, "harmonize")
+    searches = _count_calls(monkeypatch, reglang.graphs, "_strong_components")
+    for metric, runs in (
+        (lambda a, b: rl.jaccard_cum_n(a, b, 20), 0),
+        (lambda a, b: rl.jaccard_exact_n(a, b, 20), 0),
+        (rl.cesaro_jaccard, 1),
+        (rl.entropy_distance, 1),
+        (rl.entropy_sum, 1),
+    ):
+        searches.clear()
+        metric(d1, d2)
+        assert (dfas, graphs, copies) == ([], [], []), metric
+        assert len(searches) == runs, metric
+
+
+def _outcome(metric, *args) -> str:
+    """The repr of a metric's result, or of the error it raised."""
+    try:
+        return repr(metric(*args))
+    except ConvergenceError as exc:
+        return repr((exc, exc.partial, exc.diagnostics))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    a=_complete_dfas(),
+    b=st.sampled_from(("b", "c", "ac", "bc")).flatmap(_complete_dfas),
+)
+def test_pairs_over_different_alphabets_read_as_their_harmonized_copies(a, b):
+    # every alphabet of `a` differs from every one of `b`
+    wide = rl.harmonize(a, b)
+    assert rl.product(a, b) == rl.product(*wide)
+    exact = CesaroConfig(sequence="exact")
+    for metric in (
+        lambda x, y: rl.jaccard_cum_n(x, y, 7),
+        lambda x, y: rl.jaccard_exact_n(x, y, 7),
+        rl.cesaro_jaccard,
+        lambda x, y: rl.cesaro_jaccard(x, y, exact),
+        rl.entropy_distance,
+        rl.entropy_sum,
+    ):
+        assert _outcome(metric, a, b) == _outcome(metric, *wide)
+
+
 @pytest.mark.parametrize(
     "left, right, q",
     [("((a|b){2})*|a(aa)*", "a(aa)*", 2), ("even_ab", "triple_ab", 6)],
@@ -606,9 +676,11 @@ def test_each_automaton_is_searched_once(monkeypatch, capsys):
     CountVectors.from_dfa(dfa)
     assert len(searches) == 1
     searches.clear()
+    streams = _count_calls(monkeypatch, reglang.counting, "length_counts")
     assert cli.main(["analyze", "(a|b)*ab", "--counts", "4", "--verify"]) == 0
     assert json.loads(capsys.readouterr().out)["verify"]["match"] is True
-    assert len(searches) == 1
+    # one count stream serves both the counts and their verification
+    assert (len(searches), len(streams)) == (1, 1)
 
 
 # --- dispatch ---------------------------------------------------------------------------

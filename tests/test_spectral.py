@@ -224,7 +224,7 @@ def test_one_decomposition_reports_every_combination(a, b):
     # keeps or drops the product's components whole; the examples have
     # reports of index 2 and 3, which random DFAs this small rarely reach
     prod = rl.product(a, b)
-    pair = Decomposition(prod.graph)
+    pair = Decomposition(*prod._components)
     left, right = prod.left, prod.right
     for part in (left ^ right, left | right, left & right, left - right, right - left):
         assert repr(pair.report(part)) == repr(rl.language_entropy(prod.dfa(part)))
