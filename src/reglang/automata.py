@@ -452,9 +452,9 @@ def _reader(dfa: Dfa, symbols: tuple[str, ...]):
         return dfa.transitions.__getitem__
     # at least two symbols here, so the getter returns a tuple
     pick = itemgetter(*(dfa.symbol_index.get(a, -1) for a in symbols))
-    dead = (dfa.n_states,)
-    rows = (*dfa.transitions, dead * len(dfa.alphabet))
-    return lambda p: pick(rows[p] + dead)
+    rows, n = dfa.transitions, dfa.n_states
+    dead, all_dead = (n,), (n,) * len(symbols)
+    return lambda p: pick(rows[p] + dead) if p < n else all_dead
 
 
 @dataclass(frozen=True)
