@@ -9,14 +9,17 @@ the labeled graph consumed by the counting and spectral layers.
 
 All operations are pure; the returned automata and graphs are immutable
 and safe to share across threads.  Each also keeps what has been read off
-it, so that every automaton is analysed once: a `Dfa` keeps its trim
-graph, found by one search the first time `trim` asks for it, and its
+it, so that every automaton is analysed once.  A `Dfa`, like a pair's
+`Product`, keeps the components and condensation DAG of one search over
+its transition table, found the first time `language_entropy`,
+`scc_decompose` or `trim` asks for them; `trim` builds its labeled graph
+from that search, and the DFA keeps the graph too.  A DFA also keeps its
 distances to acceptance, found by one breadth-first pass over its
 reversed table the first time a separation, `is_empty` or
-`shortest_accepted` asks for them, and holds them as long as the DFA
-lives; a `LabeledGraph` or a pair's `Product` table keeps its
-components and condensation DAG, and `spectral` stores its decomposition
-in it.  A kept value is built whole before it is stored, so two threads
+`shortest_accepted` asks for them, and holds all of these as long as it
+lives.  Any other `LabeledGraph` keeps the components and condensation
+DAG of its own search, and `spectral` stores its decomposition beside
+them.  A kept value is built whole before it is stored, so two threads
 racing to read it may both compute it, but neither sees a partial result.
 
 Language equality and separation search the pairs of states reached
@@ -31,6 +34,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import inf
 from operator import itemgetter
 
@@ -117,18 +121,26 @@ class Dfa:
         return {s: k for k, s in enumerate(self.alphabet)}
 
     @cached_property
+    def _components(self) -> tuple:
+        """(report, DAG) of one search over the table from the initial
+        state, keeping the components that reach an accepting state, kept.
+        They are the components of the trim graph (see `trim`)."""
+        report, dag, _kept = _strong_components(self.transitions, (self.initial,), self.accepting)
+        return report, dag
+
+    @cached_property
     def _trim(self) -> "LabeledGraph":
-        """The trim graph, from one search (see `trim`), kept."""
-        report, dag, kept = _strong_components(self.transitions, (self.initial,), self.accepting)
-        vertices = tuple(q for q, k in enumerate(kept) if k)
+        """The trim graph, built from the kept search (see `trim`), kept."""
+        vertices = tuple(sorted(chain.from_iterable(self._components[0].components)))
+        kept = set(vertices)
         edges = [
             (q, symbol, t)
             for q in vertices
             for symbol, t in zip(self.alphabet, self.transitions[q])
-            if kept[t]
+            if t in kept
         ]
         graph = LabeledGraph(vertices, tuple(edges), "trim")
-        graph.__dict__["_components"] = report, dag  # the cached property's value
+        graph.__dict__["_components"] = self._components  # the cached property's value
         return graph
 
     @cached_property
@@ -246,8 +258,8 @@ class LabeledGraph:
     @cached_property
     def _components(self) -> tuple:
         """(report, DAG) of `graphs._strong_components`.  `trim` sets it
-        from the search that built the graph; any other graph runs that
-        search over its own edges here, once."""
+        to the DFA's own; any other graph runs that search over its own
+        edges here, once."""
         index = self.vertex_index
         rows = [[] for _ in self.vertices]
         for src, _symbol, dst in self.edges:
@@ -551,12 +563,14 @@ def complement(dfa: Dfa) -> Dfa:
 def trim(dfa: Dfa) -> LabeledGraph:
     """Restrict to states lying on some accepting path.
 
-    One search from the initial state (`graphs._strong_components`)
-    visits the reachable states and keeps each strongly connected
-    component that reaches an accepting state; the graph keeps the
-    components, periods, internal edges and condensation DAG it found.
-    The search runs on the first call only: the DFA keeps its trim graph,
-    so `trim(dfa) is trim(dfa)`.
+    The DFA's one search from its initial state
+    (`graphs._strong_components`) visits the reachable states and keeps
+    each strongly connected component that reaches an accepting state.
+    The graph's vertices are the states of those components, its edges
+    the table's transitions between them, and it shares the components,
+    periods, internal edges and condensation DAG the DFA keeps from that
+    search, which runs only if nothing has read them yet.  The DFA keeps
+    its trim graph too, so `trim(dfa) is trim(dfa)`.
     The result can be empty (empty language); that is a flagged graph,
     not an error, because the distance definitions assign 0 to empty
     denominators downstream.

@@ -12,7 +12,7 @@ from dataclasses import asdict
 from itertools import islice
 
 from . import dfa_from_regex
-from .automata import harmonize_all, trim
+from .automata import trim
 from .counting import CountVectors, length_counts
 from .errors import (
     AlphabetError,
@@ -134,9 +134,7 @@ def cmd_matrix(args) -> int:
         patterns = [line.strip() for line in handle if line.strip()]
     if not patterns:
         raise ValueError(f"no regexes found in {args.file}")
-    dfas = harmonize_all(
-        [dfa_from_regex(p, args.alphabet) for p in patterns]
-    )
+    dfas = [dfa_from_regex(p, args.alphabet) for p in patterns]
     config = CesaroConfig(mode=args.mode)
     cache = {}
 

@@ -8,8 +8,8 @@ i . f.
 
 A is kept as sparse rows of (column, entry) pairs, built from the
 graph's edges in O(E); the dense matrix is formed only when a caller
-reads it (`matrix_power` and `CountVectors(matrix, ...)` are the dense
-reference API).  One stepping loop, `final_counts`, advances the single
+reads `CountVectors.matrix`, and `CountVectors(matrix, ...)` takes one.
+One stepping loop, `final_counts`, advances the single
 vector i . A^n at O(E) per length and reads one count per final vector
 from it: a symmetric difference lies inside the union of the same pair,
 so `shared_system` counts both over the union, on the pair's product
@@ -32,46 +32,22 @@ from operator import add, mul
 from .automata import Dfa, LabeledGraph, coarsest_partition, trim
 
 
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    m = len(b[0]) if b else 0
-    k = len(b)
-    return tuple(
-        tuple(sum(a[i][x] * b[x][j] for x in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def matrix_power(matrix, exponent: int):
-    """Exact integer matrix power by repeated squaring."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    result = _identity(len(matrix))
-    base = matrix
-    e = exponent
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base) if e > 1 else base
-        e >>= 1
-    return result
-
-
 class CountVectors:
     """Counting system (A, i, f) with A kept as sparse rows: `rows[i]`
     holds the (column, entry) pairs of the nonzero entries of row i.
 
-    `CountVectors(matrix, initial, final)` takes A as a dense matrix;
-    `from_dfa` builds the rows from a trim graph's edges and forms the
-    dense `matrix` only if it is read.
+    `CountVectors(matrix, initial, final)` takes A as a square dense
+    matrix, and the vectors of its size, of non-negative ints; `from_dfa`
+    builds the rows from a trim graph's edges.  Either way the dense
+    `matrix` is formed only if it is read.
     """
 
     def __init__(self, matrix, initial, final):
-        self.matrix = matrix
+        n = len(matrix)
+        if any(len(row) != n for row in matrix) or not len(initial) == len(final) == n:
+            raise ValueError("the matrix must be square and the vectors of its size")
+        if not all(isinstance(x, int) and x >= 0 for x in chain(initial, final, *matrix)):
+            raise ValueError("every entry must be a non-negative int")
         self.rows = tuple(
             tuple((j, a) for j, a in enumerate(row) if a) for row in matrix
         )
@@ -409,7 +385,19 @@ def residue_language(cv: CountVectors, q: int, k: int) -> CountVectors:
     new_final = cv.final
     for _ in range(k):
         new_final = tuple(sum(a * new_final[j] for j, a in row) for row in cv.rows)
-    return CountVectors(matrix_power(cv.matrix, q), cv.initial, new_final)
+    power = cv.rows  # the rows of A^q, by q - 1 sparse steps each
+    for _ in range(q - 1):
+        power = [_times(row, cv.rows) for row in power]
+    return CountVectors._from_rows(power, cv.initial, new_final)
+
+
+def _times(row, rows) -> tuple:
+    """The sparse row vector `row` times the matrix of the sparse `rows`."""
+    product = {}
+    for j, a in row:
+        for c, b in rows[j]:
+            product[c] = product.get(c, 0) + a * b
+    return tuple(sorted(product.items()))
 
 
 def trim_system(cv: CountVectors) -> CountVectors:

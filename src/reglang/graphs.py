@@ -6,9 +6,9 @@ Every structural question is answered by one iterative Tarjan search
 (Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
 Comput. 1972) over integer successor rows: the components, which of them
 reach a target vertex set, each component's internal edges and period,
-and the condensation DAG.  `automata.trim` runs it while it builds its
-graph, which keeps the report and the DAG it found; a `Product` table or
-any other graph runs it the first time either is read, and keeps them.
+and the condensation DAG.  A `Dfa` (whose trim graph `automata.trim`
+builds from it), a `Product` table or any other graph runs it the first
+time either is read, and keeps them.
 This module imports nothing from `automata`.
 """
 
@@ -201,10 +201,10 @@ def is_primitive(graph, component) -> bool:
 
 
 def scc_decompose(graph) -> ComponentReport:
-    """Maximal strongly connected components of a `LabeledGraph` or a
-    `Product` table, ordered by smallest vertex, with per-component period,
-    internal edges and the global residue period.  The report is the one
-    the graph or table keeps (see the module docstring)."""
+    """Maximal strongly connected components of a `LabeledGraph`, a
+    `Product` table or a `Dfa`'s trim graph, ordered by smallest vertex,
+    with per-component period, internal edges and the global residue
+    period, as kept from one search (see the module docstring)."""
     return graph._components[0]
 
 

@@ -23,16 +23,17 @@ there, so a process whose components all have a constant degree never
 loads it.
 
 Components, periods, internal edges and the condensation DAG are those
-the graph keeps, found by the one search that built it (see `graphs`).
-Each graph also keeps one `Decomposition`, stored in its `__dict__` the
-first time `analyze_graph`, `topological_entropy`, `language_entropy` or
-`component_spectrum` reads it.  The decomposition keeps each spectrum it
-computes and its report over the whole graph, so a graph's spectra are
-computed once, and a DFA's, whose trim graph is kept too, once in its
-lifetime.  The boolean combinations of a pair of languages are sets of
-states of one product table: every combination's report is read from
-the `Decomposition` of the table's one search, which the metrics make
-afresh for each pair.
+a DFA, a pair's product table or a graph keeps from its one search (see
+`graphs`).  Each also keeps one `Decomposition`, stored in its
+`__dict__` the first time `analyze_graph`, `topological_entropy`,
+`language_entropy` or `component_spectrum` reads it, which keeps each
+spectrum it computes and its report over the whole graph.  A DFA's
+language entropy is read straight off its table's search, with no
+labeled graph, so its spectra are computed once in its lifetime.  The
+boolean combinations of a pair of languages are sets of states of one
+product table: every combination's report is read from the
+`Decomposition` of the table's one search, which the metrics make afresh
+for each pair.
 """
 
 import math
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
-from .automata import Dfa, LabeledGraph, _reach, trim
+from .automata import Dfa, LabeledGraph, _reach
 from .errors import ConvergenceError
 from .graphs import component_period, scc_decompose
 
@@ -122,29 +123,21 @@ def _start_vector(start, n: int):
     return v
 
 
-def component_spectrum(
-    graph: LabeledGraph,
-    component,
-    start=None,
-    period=None,
-) -> ComponentSpectrum:
+def component_spectrum(graph: LabeledGraph, component, start=None) -> ComponentSpectrum:
     """Perron root of one strongly connected component, with diagnostics.
 
     The component's internal edges and period are those the graph's report
     holds, and without `start` the spectrum is the one the graph's
     decomposition keeps.  Raises ValueError when `component` is not a
-    component of the graph, or `period` is given and is not its period,
-    and TrivialComponentError when it has no cycle.
+    component of the graph, and TrivialComponentError when it has no cycle.
     """
-    kept = component_period(graph, component)
-    if period is not None and period != kept:
-        raise ValueError(f"the component's period is {kept}, not {period}")
+    period = component_period(graph, component)
     decomposition = _decomposition(graph)
     c = decomposition._component_of[min(component)]
     if start is None:
         return decomposition._spectrum(c)
     scc = decomposition.scc
-    return _spectrum(scc.components[c], scc.internal[c], kept, start)
+    return _spectrum(scc.components[c], scc.internal[c], period, start)
 
 
 def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
@@ -243,8 +236,8 @@ class Decomposition:
 
 
 def _decomposition(graph) -> Decomposition:
-    """The decomposition of the (report, condensation) pair that a
-    `LabeledGraph` or a `Product` keeps, made on the first call and kept
+    """The decomposition of the (report, condensation) pair that a `Dfa`,
+    a `Product` or a `LabeledGraph` keeps, made on the first call and kept
     beside that pair in its `__dict__`."""
     kept = graph.__dict__.get("_decomposition")
     if kept is None:
@@ -291,14 +284,15 @@ def language_entropy(dfa: Dfa) -> SpectralReport:
 
     Empty and finite languages report entropy 0; otherwise the value is
     log2 of the dominant component radius of the essential graph.  The
-    trim graph is analysed directly: peeling it down to the essential
-    graph only removes vertices outside every cycle, so both graphs have
-    the same nontrivial components, internal edges and periods, hence
-    the same spectrum.  The components are those the search inside `trim`
-    found, and both the trim graph and its report are kept: a second call
-    on the same DFA computes nothing.
+    components of the trim graph are analysed instead: peeling it down to
+    the essential graph only removes vertices outside every cycle, so both
+    graphs have the same nontrivial components, internal edges and
+    periods, hence the same spectrum.  They are read off the DFA's one
+    search over its table, which `trim` shares, and no labeled graph is
+    built.  The DFA keeps the search and the report: a second call on it
+    computes nothing.
     """
-    return analyze_graph(trim(dfa))
+    return _decomposition(dfa).whole
 
 
 def graph_from_matrix(rows) -> LabeledGraph:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reglang.automata
 from reglang.cli import main
 
 
@@ -176,6 +177,26 @@ def test_matrix_command(capsys, tmp_path):
             assert values[i][j] == values[j][i]
     assert values[0][1] == 1.0  # equal entropies, difference as rich as union
     assert values[0][2] == 1.0  # entropies differ
+
+
+def test_matrix_command_makes_no_harmonized_copy(capsys, tmp_path, monkeypatch):
+    # the metrics read DFAs over different alphabets as they are
+    original, copies = reglang.automata._with_alphabet, []
+
+    def counted(dfa, alphabet):
+        copy = original(dfa, alphabet)
+        if copy is not dfa:
+            copies.append(alphabet)
+        return copy
+
+    monkeypatch.setattr(reglang.automata, "_with_alphabet", counted)
+    listing = tmp_path / "regexes.txt"
+    listing.write_text("a*\n(a|b)*\n(b|c)*a\n", encoding="utf-8")
+    for metric in ("jn", "jc", "hs"):
+        argv = ("matrix", "--metric", metric, "--n", "4", "--file", str(listing))
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(out.splitlines()) == 3
+    assert copies == []
 
 
 def test_matrix_missing_file_is_input_error(capsys, tmp_path):

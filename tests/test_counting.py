@@ -19,7 +19,6 @@ from reglang.counting import (
     cumulative_counts,
     final_counts,
     length_counts,
-    matrix_power,
     residue_language,
     shared_system,
     trim_system,
@@ -32,6 +31,7 @@ from corpus import (
     SHOWCASE_MATRIX,
     showcase_machine,
 )
+from dense import matrix_power
 from test_graphs import _matrices
 from test_spectral import _dfas
 
@@ -115,6 +115,39 @@ def test_sparse_counts_match_dense_matrix_power(system):
             for j in range(cv.n)
         )
         assert count_len(cv, n) == dense, n
+    # the rows of A^q by sparse steps, and the final vector A^k . f
+    for q in range(1, 6):
+        power = matrix_power(cv.matrix, q)
+        for k in range(q):
+            res = residue_language(cv, q, k)
+            assert res.matrix == power, (q, k)
+            assert res.initial == cv.initial
+            tail = matrix_power(cv.matrix, k)
+            assert res.final == tuple(sum(a * f for a, f in zip(row, final)) for row in tail)
+
+
+@pytest.mark.parametrize(
+    "matrix, initial, final",
+    [
+        ([[1, 1], [0, 1]], (1,), (1,)),  # vectors shorter than the matrix
+        ([[1]], (1, 0), (1, 0)),  # vectors longer than the matrix
+        ([[1, 1]], (1,), (1,)),  # not square
+        ([[1, 1], [0]], (1, 0), (0, 1)),  # a short row
+        ([[1, -1], [0, 1]], (1, 0), (0, 1)),  # a negative entry
+        ([[1, 1], [0, 1]], (1, -1), (0, 1)),  # a negative initial entry
+        ([[1, 1], [0, 1]], (1, 0), (0, 0.5)),  # a float final entry
+        ([[1.0, 1], [0, 1]], (1, 0), (0, 1)),  # a float matrix entry
+    ],
+)
+def test_count_vectors_reject_malformed_systems(matrix, initial, final):
+    with pytest.raises(ValueError):
+        CountVectors(matrix, initial, final)
+
+
+def test_count_vectors_read_back_a_dense_matrix_as_tuples():
+    cv = CountVectors([[1, 1], [0, 1]], [1, 0], [0, 1])
+    assert cv.matrix == ((1, 1), (0, 1))
+    assert [count_len(cv, n) for n in range(4)] == [0, 1, 2, 3]
 
 
 @settings(max_examples=150, deadline=None)

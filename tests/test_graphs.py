@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 import reglang as rl
 import reglang.automata
-from reglang.counting import CountVectors, length_counts, matrix_power
+from reglang.counting import CountVectors, length_counts
 from reglang.errors import TrivialComponentError
 from reglang.automata import _separation, product
 from reglang.spectral import analyze_graph, graph_from_matrix
+from dense import matrix_power
 
 
 def figure_graph():
@@ -479,6 +480,34 @@ def test_the_kept_analysis_never_changes_an_answer(dfa, order):
     fresh = rl.Dfa(dfa.alphabet, dfa.transitions, dfa.accepting, dfa.initial)
     assert fresh == dfa and rl.trim(fresh) is not rl.trim(dfa)
     assert _analysis(fresh, ["counts", "entropy", "graph"]) == first
+
+
+def _behind_an_unreachable_accepting_state(dfa):
+    """The DFA renumbered from 1, after a new accepting state 0 that no
+    transition enters."""
+    rows = ((0,) * len(dfa.alphabet),)
+    rows += tuple(tuple(t + 1 for t in row) for row in dfa.transitions)
+    accepting = frozenset({0} | {q + 1 for q in dfa.accepting})
+    return rl.Dfa(dfa.alphabet, rows, accepting, dfa.initial + 1)
+
+
+def _trim_graph(graph):
+    return graph.vertices, graph.edges, graph.component_report, graph.condensation
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    dfa=st.one_of(_complete_dfas(), _complete_dfas().map(_behind_an_unreachable_accepting_state))
+)
+def test_entropy_read_off_the_table_matches_a_search_of_the_trim_graph(dfa):
+    # the entropy of a DFA that has analysed nothing yet, against a graph
+    # that runs its own search over the trim graph's edges
+    copy = lambda: rl.Dfa(dfa.alphabet, dfa.transitions, dfa.accepting, dfa.initial)
+    first, second = copy(), copy()
+    graph = rl.trim(first)
+    rebuilt = rl.LabeledGraph(graph.vertices, graph.edges, "trim")
+    assert repr(rl.language_entropy(second)) == repr(analyze_graph(rebuilt))
+    assert _trim_graph(rl.trim(second)) == _trim_graph(graph)
 
 
 # --- aperiodicity as a convergence detector -----------------------------------

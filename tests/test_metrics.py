@@ -683,6 +683,20 @@ def test_each_automaton_is_searched_once(monkeypatch, capsys):
     assert (len(searches), len(streams)) == (1, 1)
 
 
+def test_a_dfa_is_read_from_its_table(monkeypatch):
+    # the entropy reads the DFA's one search over its table, with no
+    # labeled graph; a later trim builds its graph from that search
+    dfa = rl.dfa_from_regex("(a|b)*a(a|b){7}")
+    graphs = _count_constructions(monkeypatch, rl.LabeledGraph)
+    searches = _count_calls(monkeypatch, reglang.graphs, "_strong_components")
+    report = rl.language_entropy(dfa)
+    assert (graphs, len(searches)) == ([], 1)
+    graph = rl.trim(dfa)
+    assert (graphs, len(searches)) == (["LabeledGraph"], 1)
+    assert rl.scc_decompose(graph) is rl.scc_decompose(dfa)
+    assert rl.language_entropy(dfa) is report and len(searches) == 1
+
+
 # --- dispatch ---------------------------------------------------------------------------
 
 

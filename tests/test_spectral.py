@@ -58,13 +58,11 @@ def test_component_radius_reports_diagnostics():
 def test_component_spectrum_rejects_a_set_that_is_not_a_component():
     graph = graph_from_matrix([[1, 1], [1, 0]])
     with pytest.raises(ValueError, match="not a strongly connected component"):
-        component_spectrum(graph, {0}, period=1)
-    with pytest.raises(ValueError, match="period is 1, not 2"):
-        component_spectrum(graph, {0, 1}, period=2)
+        component_spectrum(graph, {0})
     with pytest.raises(rl.TrivialComponentError):
         component_spectrum(graph_from_matrix([[0, 1], [0, 1]]), {0})
     # without a start vector, the spectrum is the one the graph's report holds
-    spectrum = component_spectrum(graph, {0, 1}, period=1)
+    spectrum = component_spectrum(graph, {0, 1})
     assert spectrum is component_spectrum(graph, [1, 0])
     assert analyze_graph(graph).components == (spectrum,)
     assert spectrum.radius == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
