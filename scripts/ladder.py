@@ -9,12 +9,12 @@ Counting layers: `minimize` of each operand of a pair, and
 running `reglang distance --metric jn --n 200`.  Pair layers:
 `entropy_distance` and `cesaro_jaccard` of the pair.  Structural layers:
 `trim`, `scc_decompose(trim(d))` and `language_entropy` of each operand,
-and `separating_n` of the pair.  A DFA keeps its trim graph and its
-distances to acceptance, and the graph its spectral report, so each run
-of those four layers gets fresh equal copies of the
-operands, made outside the timed call, and pays for the whole analysis;
-its `<layer>_kept` twin times the same call repeated on the same
-operands, after a first, untimed call.  Cold-start layers time whole
+and `separating_n` of the pair.  A DFA keeps the components of one
+search over its table, its spectral report, its trim graph and its
+distances to acceptance, so each run of those four layers gets fresh
+equal copies of the operands, made outside the timed call, and pays for
+the whole analysis; its `<layer>_kept` twin times the same call repeated
+on the same operands, after a first, untimed call.  Cold-start layers time whole
 processes, each a fresh interpreter: `build_process_s` imports reglang
 and builds the rung's two operands, in every family; the cold family
 runs the command line on the tie pair: `reglang entropy` of its left

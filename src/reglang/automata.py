@@ -132,12 +132,14 @@ class Dfa:
     def _trim(self) -> "LabeledGraph":
         """The trim graph, built from the kept search (see `trim`), kept."""
         vertices = tuple(sorted(chain.from_iterable(self._components[0].components)))
-        kept = set(vertices)
+        kept = [False] * len(self.transitions)
+        for q in vertices:
+            kept[q] = True
         edges = [
             (q, symbol, t)
             for q in vertices
             for symbol, t in zip(self.alphabet, self.transitions[q])
-            if t in kept
+            if kept[t]
         ]
         graph = LabeledGraph(vertices, tuple(edges), "trim")
         graph.__dict__["_components"] = self._components  # the cached property's value
