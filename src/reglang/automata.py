@@ -15,19 +15,22 @@ its transition table, found the first time `language_entropy`,
 `scc_decompose` or `trim` asks for them; `trim` builds its labeled graph
 from that search, and the DFA keeps the graph too.  A DFA also keeps its
 distances to acceptance, found by one breadth-first pass over its
-reversed table the first time a separation, `is_empty` or
-`shortest_accepted` asks for them, and holds all of these as long as it
-lives.  Any other `LabeledGraph` keeps the components and condensation
-DAG of its own search, and `spectral` stores its decomposition beside
-them.  A kept value is built whole before it is stored, so two threads
-racing to read it may both compute it, but neither sees a partial result.
+reversed table the first time a separation, a finite-horizon Jaccard
+distance, `is_empty` or `shortest_accepted` asks for them, and holds all
+of these as long as it lives.  Any other `LabeledGraph` keeps the
+components and condensation DAG of its own search, and `spectral` stores
+its decomposition beside them.  A kept value is built whole before it is
+stored, so two threads racing to read it may both compute it, but
+neither sees a partial result.
 
 Language equality and separation search the pairs of states reached
 together, pruned by those distances: a word telling two states apart is
 accepted from one of them, so it is at least as long as the nearer
 state's distance, and exactly that long when the two distances differ
-(see `_separation`).  They and `product` read two DFAs over different
-alphabets through one row reader (`_reader`), with no harmonized copy.
+(see `_separation`): two DFAs whose initial states lie at different
+distances are told apart with no search.  The search and `product` read
+two DFAs over different alphabets through one row reader (`_reader`),
+with no harmonized copy.
 """
 
 import json
@@ -202,10 +205,20 @@ class Dfa:
 
     @classmethod
     def from_json(cls, text: str) -> "Dfa":
+        """The DFA that `to_json` wrote.  Raises ValueError unless `states`
+        is the int number of rows of `delta` and every state number is an
+        int (a bool is not one)."""
         obj = json.loads(text)
+        transitions = tuple(tuple(row) for row in obj["delta"])
+        states = obj.get("states")
+        if type(states) is not int or states != len(transitions):
+            raise ValueError("'states' must be the number of rows of 'delta'")
+        numbers = chain((obj["initial"],), obj["accepting"], *transitions)
+        if not all(type(q) is int for q in numbers):
+            raise ValueError("every state number must be an int")
         return cls(
             alphabet=tuple(obj["alphabet"]),
-            transitions=tuple(tuple(row) for row in obj["delta"]),
+            transitions=transitions,
             accepting=frozenset(obj["accepting"]),
             initial=obj["initial"],
         )
@@ -500,6 +513,18 @@ class Product:
         report, dag, _kept = _strong_components(self.transitions, (0,))
         return report, dag
 
+    def _within(self, steps: int) -> bool:
+        """Whether every state is at most `steps` steps from state 0, read
+        off the breadth-first numbering (see `_explore`) without a search:
+        the states one step farther than those of [start, end) are those
+        after them, up to the largest state they lead to."""
+        rows = self.transitions
+        start, end = 0, 1
+        while end < len(rows) and steps > 0:
+            start, end = end, max(map(max, rows[start:end])) + 1
+            steps -= 1
+        return end == len(rows) and steps >= 0
+
 
 def product(d1: Dfa, d2: Dfa) -> Product:
     """The reachable product of two DFAs read over their union alphabet,
@@ -645,13 +670,21 @@ def _separation(d1: Dfa, d2: Dfa) -> int | None:
     nothing from either state and is dropped, as is one whose bound
     length + dp is no less than the best witness so far; the search stops
     at the first length that cannot beat it.  Only the length-0 check
-    precedes the distances, which the DFAs then keep.  The DFAs are read
-    over the union of their alphabets (see `_over`); a pair holding a
-    dead state is never expanded.  Raises StateLimitError when the search
-    keeps more than `state_cap()` pairs.
+    precedes the distances, which the DFAs then keep, and the initial
+    pair's distances come next, before anything of the search is set
+    up: if they differ they give the witness, and if both are -1 the
+    languages are empty and equal.  Only then are the DFAs read over the
+    union of their alphabets (see `_over`) and `state_cap()` read; a
+    pair holding a dead state is never expanded.  Raises StateLimitError
+    when the search keeps more than `state_cap()` pairs.
     """
     if (d1.initial in d1.accepting) != (d2.initial in d2.accepting):
         return 0
+    ds, dt = d1._to_accept[d1.initial], d2._to_accept[d2.initial]
+    if ds != dt:
+        return dt if ds < 0 else ds if dt < 0 else min(ds, dt)
+    if ds < 0:
+        return None
     symbols = _alphabet_of(d1, d2)
     (row1, near1), (row2, near2) = _over(d1, symbols), _over(d2, symbols)
     cap, width = state_cap(), len(near2)

@@ -19,7 +19,14 @@ which has the same word counts and often far fewer vertices (257 -> 9 for the su
 partition-refinement pass in each direction, the first in the direction
 where one round of merging exact duplicates merges more states: backward
 for that suffix pair, where a forward pass would only merge one state,
-and forward for most small unions.  `length_counts` is the
+and forward for most small unions.  Counts up to a horizon n need only
+the states on some path of at most n steps from the initial state to
+acceptance, so `shared_system` given n drops the others before lumping:
+a chain whose acceptance lies past n loses every state.  The finite
+horizons (`metrics._jaccard_n`) give it n unless the product's depth
+plus the farthest finite distance to acceptance in either DFA is within
+n, which shows that no state would be dropped; the Cesaro ties count
+with no horizon.  `length_counts` is the
 one-final case of the stream.  Exactness is the point:
 everything here is arbitrary-precision integer arithmetic, off-limits to
 floating point.
@@ -27,6 +34,7 @@ floating point.
 
 from functools import cached_property
 from itertools import chain, compress, islice
+from math import inf
 from operator import add, mul
 
 from .automata import Dfa, LabeledGraph, coarsest_partition, trim
@@ -97,10 +105,11 @@ def _indicator(graph: LabeledGraph, states) -> tuple:
     return tuple(1 if v in states else 0 for v in graph.vertices)
 
 
-def shared_system(transitions, parts) -> tuple[CountVectors, tuple]:
+def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple]:
     """The counting system of the words leading from state 0 of a
     transition table into some part, and the final vector of each part
-    over the same vertices.
+    over the same vertices; with a `horizon`, of the words of length at
+    most `horizon` only.
 
     The parts are sets of states, such as those of a pair's `Product`
     for its symmetric difference and its union, so one `final_counts`
@@ -122,8 +131,18 @@ def shared_system(transitions, parts) -> tuple[CountVectors, tuple]:
     `(a|b)*a(a|b){11}` has one forward duplicate and 4,096 backward ones:
     its 8,193 states lump backward to 14 at once, where forward they only
     lump to 8,192 and the backward pass must follow on those.
+
+    With a horizon, every state v with dist(0, v) + dist(v, union) above
+    it is dropped before the first pass: no word of length at most the
+    horizon passes through v, so the counts of those lengths stay exact,
+    and the later ones are not asked for.  A chain whose acceptance lies
+    past the horizon loses every state this way instead of being lumped
+    and stepped with counts that are all 0.  A caller that knows no
+    state lies that far gives no horizon and saves the two searches.
     """
     system = _own_system(transitions, parts)
+    if horizon is not None:
+        system = _trimmed(*system, horizon)
     return _reduced(system, _lumps_backward_first(*system))
 
 
@@ -236,16 +255,16 @@ def _lump(rows, into, keyed, summed) -> tuple:
     return quotient, keyed, tuple(map(tuple, sums))
 
 
-def _distances(adjacent, seeds) -> list:
+def _distances(adjacent, seeds, limit=inf) -> list:
     """Each vertex's least number of steps from a seed, a step going from
     v to each u of the (u, weight) pairs in `adjacent[v]`; -1 where no
-    seed leads."""
+    seed leads within `limit` steps."""
     distance = [-1] * len(adjacent)
     frontier = list(seeds)
     for v in frontier:
         distance[v] = 0
     steps = 0
-    while frontier:
+    while frontier and steps < limit:
         steps += 1
         reached = []
         for v in frontier:
@@ -262,13 +281,16 @@ def _support(vectors) -> set:
     return set(chain.from_iterable(compress(range(len(v)), v) for v in vectors))
 
 
-def _trimmed(rows, columns, initial, finals) -> tuple:
+def _trimmed(rows, columns, initial, finals, horizon=inf) -> tuple:
     """The system (rows, columns, initial, finals) restricted to the
-    vertices reachable from the support of `initial` that reach the
-    support of some final vector."""
-    reached = _distances(rows, _support((initial,)))
-    reaching = _distances(columns, _support(finals))
-    keep = [v for v, (x, y) in enumerate(zip(reached, reaching)) if x >= 0 and y >= 0]
+    vertices on some path of at most `horizon` steps from the support of
+    `initial` to the support of a final vector."""
+    reached = _distances(rows, _support((initial,)), horizon)
+    reaching = _distances(columns, _support(finals), horizon)
+    keep = [
+        v for v, (x, y) in enumerate(zip(reached, reaching))
+        if x >= 0 and y >= 0 and x + y <= horizon
+    ]
     if len(keep) == len(rows):
         return rows, columns, initial, finals
     new = {v: k for k, v in enumerate(keep)}

@@ -98,7 +98,11 @@ def _jaccard_n(d1: Dfa, d2: Dfa, n: int, cumulative: bool) -> Fraction:
         raise ValueError("length must be non-negative")
     prod = product(d1, d2)
     left, right = prod.left, prod.right
-    cv, finals = shared_system(prod.transitions, (left ^ right, left | right))
+    # A union state (p, q) is min(d1(p), d2(q)) steps from acceptance: if
+    # that plus its depth is within n for every state, the trim drops none.
+    far = max(max(d1._to_accept), max(d2._to_accept))
+    horizon = None if prod._within(n - far) else n
+    cv, finals = shared_system(prod.transitions, (left ^ right, left | right), horizon)
     num, den = next(islice(_pair_counts(cv, finals, cumulative), n, None))
     return Fraction(num, den) if den else Fraction(0)
 
@@ -339,13 +343,15 @@ def separating_n(dfas) -> int:
 
     Equals the longest among the shortest witnesses of pairwise symmetric
     differences; never exceeds `separating_bound` for distinct inputs (the
-    tests check that bound).  Each witness comes from a breadth-first
-    search over the pair's states (`automata._separation`), bounded below
-    by each state's distance to acceptance: a pair whose states lie at
+    tests check that bound).  Each witness comes from each state's
+    distance to acceptance (`automata._separation`): two DFAs whose
+    initial states lie at different distances are told apart at the
+    nearer one, with no search set up.  Otherwise a breadth-first search
+    over the pair's states gives it, in which a pair whose states lie at
     different distances gives its witness without being expanded, and a
-    pair that cannot beat the best witness so far is dropped.  Each pair
-    is read over the union of its alphabets with no harmonized copy, and
-    the DFAs keep their distances, so only the first call on a DFA pays
+    pair that cannot beat the best witness so far is dropped; it reads
+    each pair over the union of its alphabets with no harmonized copy.
+    The DFAs keep their distances, so only the first call on a DFA pays
     the O(V |alphabet|) pass for them; a second call on the same DFA
     objects reads them and searches only the pairs it keeps.
     """

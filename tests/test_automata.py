@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -420,6 +422,29 @@ def test_dfa_json_round_trip(corpus):
     for lang in corpus[:6]:
         again = rl.Dfa.from_json(lang.dfa.to_json())
         assert again == lang.dfa
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"states": 5},  # more states than rows of delta
+        {"states": None},
+        {"states": 1.0},
+        {"states": True},
+        {"delta": [[0.0]]},
+        {"delta": [[True]]},
+        {"initial": 0.0},
+        {"initial": False},
+        {"accepting": [0.0]},
+        {"accepting": [True]},
+    ],
+    ids=lambda fields: repr(fields).replace(" ", ""),
+)
+def test_dfa_json_rejects_a_miscounted_or_non_int_state(fields):
+    obj = {"alphabet": ["a"], "delta": [[0]], "accepting": [0], "initial": 0, "states": 1}
+    assert rl.Dfa.from_json(json.dumps(obj)) == rl.Dfa(("a",), ((0,),), frozenset({0}))
+    with pytest.raises(ValueError):
+        rl.Dfa.from_json(json.dumps({**obj, **fields}))
 
 
 # --- property: random pairs ---------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -23,7 +24,8 @@ from reglang.counting import (
     shared_system,
     trim_system,
 )
-from reglang.oracle import acceptance_by_length
+from reglang.metrics import jaccard_cum_n, jaccard_exact_n
+from reglang.oracle import DEFAULT_BUDGET, acceptance_by_length, oracle_distance
 from reglang.spectral import graph_from_matrix
 from corpus import (
     SHOWCASE_FINAL_UNION,
@@ -32,7 +34,7 @@ from corpus import (
     showcase_machine,
 )
 from dense import matrix_power
-from test_graphs import _matrices
+from test_graphs import _complete_dfas, _matrices
 from test_spectral import _dfas
 
 
@@ -269,6 +271,82 @@ def test_counting_system_of_a_large_dfa_is_built_from_edges():
     dfa = rl.dfa_from_regex("(a|b)*a(a|b){12}")
     assert dfa.n_states == 8193
     assert count_len(CountVectors.from_dfa(dfa), 20) == 2**19
+
+
+# --- systems trimmed to a horizon ---------------------------------------------
+
+
+def _horizon_counts(a, b, n, horizon):
+    """The (sym diff, union) counts of lengths 0..n on the pair's shared
+    system, trimmed to `horizon` or whole when it is None."""
+    return list(islice(final_counts(*shared_system(*_union(a, b), horizon)), n + 1))
+
+
+def _depth(transitions) -> int:
+    """The most steps a breadth-first search from state 0 takes to reach a state."""
+    depth, queue = {0: 0}, [0]
+    for q in queue:  # reached states are appended
+        for t in transitions[q]:
+            if t not in depth:
+                depth[t] = depth[q] + 1
+                queue.append(t)
+    return max(depth.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_complete_dfas(), b=_complete_dfas(), n=st.integers(0, 40))
+def test_the_horizon_trim_keeps_every_count_up_to_the_horizon(a, b, n):
+    # the bound that skips the trim reads the product's depth right
+    prod = rl.product(a, b)
+    depth = _depth(prod.transitions)
+    assert prod._within(depth) and not prod._within(depth - 1)
+    counts = _horizon_counts(a, b, n, None)
+    assert _horizon_counts(a, b, n, n) == counts
+    sym, uni = counts[n]
+    assert jaccard_exact_n(a, b, n) == (Fraction(sym, uni) if uni else 0)
+    sym, uni = map(sum, zip(*counts))
+    assert jaccard_cum_n(a, b, n) == (Fraction(sym, uni) if uni else 0)
+    if n <= DEFAULT_BUDGET.n_max:
+        for kind, jaccard in (("jn_exact", jaccard_exact_n), ("jn_cum", jaccard_cum_n)):
+            assert jaccard(a, b, n) == oracle_distance(kind, a, b, n)
+
+
+def test_the_horizon_trim_at_length_0_keeps_state_0_only_if_it_accepts():
+    star, prefix = rl.dfa_from_regex("a*", "ab"), rl.dfa_from_regex("b(a|b)*")
+    cv, _finals = shared_system(*_union(star, prefix), 0)
+    assert cv.n == 1
+    assert jaccard_cum_n(star, prefix, 0) == jaccard_exact_n(star, prefix, 0) == 1
+    cv, _finals = shared_system(*_union(prefix, prefix), 0)
+    assert cv.n == 0
+    assert jaccard_cum_n(prefix, prefix, 0) == 0
+
+
+@pytest.mark.parametrize(
+    "p1, p2",
+    [
+        # acceptance 10 steps from state 0: past the horizon, state 0 goes
+        ("a{10}(a|b)*", "a{12}"),
+        # the union is empty: no state reaches acceptance
+        ("#", "a#"),
+    ],
+    ids=["acceptance-past-the-horizon", "empty-union"],
+)
+def test_a_system_that_loses_state_0_is_trimmed_to_nothing(p1, p2):
+    a, b = rl.dfa_from_regex(p1, "ab"), rl.dfa_from_regex(p2, "ab")
+    cv, finals = shared_system(*_union(a, b), 9)
+    assert cv.n == 0 and cv.initial == () and finals == ((), ())
+    assert set(islice(final_counts(cv, finals), 1000)) == {(0, 0)}
+    assert jaccard_cum_n(a, b, 9) == jaccard_exact_n(a, b, 9) == 0
+    if p1 == "a{10}(a|b)*":  # a^10 alone; then a^12 is in both
+        assert jaccard_cum_n(a, b, 10) == 1
+        assert jaccard_cum_n(a, b, 12) == Fraction(6, 7)
+
+
+def test_the_ladder_chain_pair_is_trimmed_to_nothing_at_length_200():
+    a, b = rl.dfa_from_regex("a{1000}(a|b)*"), rl.dfa_from_regex("a{2000}")
+    cv, _finals = shared_system(*_union(a, b), 200)
+    assert cv.n == 0
+    assert jaccard_cum_n(a, b, 200) == jaccard_exact_n(a, b, 200) == Fraction(0)
 
 
 # --- admissible-block path counts ---------------------------------------------

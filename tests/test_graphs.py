@@ -433,6 +433,47 @@ def test_separation_counts_the_pairs_it_keeps(monkeypatch):
         rl.equivalent(dfa, doubled)
 
 
+def _count_search_set_up(monkeypatch) -> list:
+    """The names of `_over` and `state_cap`, once per call of either."""
+    calls = []
+    for name in ("_over", "state_cap"):
+        original = getattr(reglang.automata, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(reglang.automata, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "p1, p2, alphabets, witness",
+    [
+        ("a{40}(a|b)*", "a{50}", ("ab", "ab"), 40),
+        ("a{40}(a|b)*", "a{50}", ("ab", "a"), 40),
+        ("(a|b)*b", "#", ("ab", "ab"), 1),  # one language empty
+        ("#", "a#", ("ab", "a"), None),  # both empty
+    ],
+)
+def test_a_pair_decided_at_its_initial_states_sets_up_no_search(
+    monkeypatch, p1, p2, alphabets, witness
+):
+    d1, d2 = rl.dfa_from_regex(p1, alphabets[0]), rl.dfa_from_regex(p2, alphabets[1])
+    calls = _count_search_set_up(monkeypatch)
+    # no cap is read, so even a cap of one pair is never reached
+    monkeypatch.setenv("REGLANG_MAX_STATES", "1")
+    assert _separation(d1, d2) == _separation(d2, d1) == witness
+    assert calls == []
+
+
+def test_a_pair_at_equal_initial_distances_is_searched(monkeypatch):
+    d1, d2 = rl.dfa_from_regex("(a|b)*a(a|b){3}"), rl.dfa_from_regex("(a|b)*b(a|b){3}")
+    calls = _count_search_set_up(monkeypatch)
+    assert _separation(d1, d2) == 4
+    assert sorted(calls) == ["_over", "_over", "state_cap"]
+
+
 @pytest.mark.parametrize("alphabets", [("ab", "ab"), ("a", "ab")])
 def test_a_second_separation_computes_no_distances(monkeypatch, alphabets):
     family = [
