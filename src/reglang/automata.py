@@ -516,14 +516,18 @@ class Product:
     def _within(self, steps: int) -> bool:
         """Whether every state is at most `steps` steps from state 0, read
         off the breadth-first numbering (see `_explore`) without a search:
-        the states one step farther than those of [start, end) are those
-        after them, up to the largest state they lead to."""
+        the states one step farther than those of [start, end) follow
+        them, up to the largest state they lead to, one `max` over their
+        rows.  Each step reaches at least one new state, so the reading
+        stops once no more states are left than steps."""
         rows = self.transitions
         start, end = 0, 1
-        while end < len(rows) and steps > 0:
-            start, end = end, max(map(max, rows[start:end])) + 1
+        while len(rows) - end > steps:
+            if steps <= 0:
+                return False
+            start, end = end, max(chain.from_iterable(rows[start:end])) + 1
             steps -= 1
-        return end == len(rows) and steps >= 0
+        return True
 
 
 def product(d1: Dfa, d2: Dfa) -> Product:
