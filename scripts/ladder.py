@@ -4,12 +4,16 @@
     python scripts/ladder.py --src ../other-checkout/src --out other.json
     python scripts/ladder.py --against ../parent/src --layers jaccard_cum_n_s --out pair.json
 
-Counting layers: `minimize` of each operand of a pair, and
+Front-end layers: `dfa_from_regex` of each operand's pattern, the
+parse, compile and subset construction, timed in process.  Counting
+layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` of the pair, also timed as a whole process
 running `reglang distance --metric jn --n 200`.  Pair layers:
 `entropy_distance` and `cesaro_jaccard` of the pair.  Structural layers:
 `trim`, `scc_decompose(trim(d))` and `language_entropy` of each operand,
-and `separating_n` of the pair.  A DFA keeps the components of one
+and `separating_n` of the pair, which the disjoint family times too:
+its operands lie equally far from acceptance, so their separation
+searches the pairs of states.  A DFA keeps the components of one
 search over its table, its spectral report, its trim graph and its
 distances to acceptance, so each run of those four layers gets fresh
 equal copies of the operands, made outside the timed call, and pays for
@@ -32,9 +36,10 @@ Rungs, each family in increasing size:
 
 where P(m) = (a{2})*b(a{3})*b(a{4})*b(a{2})*b... has m starred parts, the
 i-th of period 2 + i mod 3, so its trim graph has m periodic components.
-The first two families time the counting and pair layers, the periodic
-family the structural ones and both `jaccard_cum_n` layers, and the
-chain the counting and structural ones.  Under lumping, the
+Every family but the cold one times the front-end layers.  The first
+two families time the counting and pair layers, the periodic family the
+structural ones and both `jaccard_cum_n` layers, and the chain the
+counting and structural ones.  Under lumping, the
 counting systems of the first two families shrink to a few vertices; the
 chain's do not shrink.  Each time is the median of RUNS
 wall-clock runs, after the operands are built (COLD_RUNS processes for a
@@ -93,6 +98,14 @@ FRESH = tuple(LAYERS)[5:]  # analyses the operands keep, timed on fresh copies
 KEPT = tuple(f"{layer[:-2]}_kept_s" for layer in FRESH)
 LAYERS.update(zip(KEPT, map(LAYERS.get, FRESH)))
 STRUCTURE = FRESH + KEPT
+SEPARATION = ("separating_n_s", "separating_n_kept_s")
+
+# front-end layer -> the call it times, on the patterns p1 and p2 of a rung
+FRONT_END = {
+    "dfa_from_regex_left_s": lambda rl, p1, p2: rl.dfa_from_regex(p1),
+    "dfa_from_regex_right_s": lambda rl, p1, p2: rl.dfa_from_regex(p2),
+}
+FROM_REGEX = tuple(FRONT_END)
 
 # cold-start layer -> the arguments of PROBE, given the rung's patterns
 PROCESSES = {
@@ -139,22 +152,22 @@ FAMILIES = {
     "tie": (
         range(4, 13),
         tie,
-        COUNTING + PAIR + BUILD + JN_PROCESS,
+        FROM_REGEX + COUNTING + PAIR + BUILD + JN_PROCESS,
     ),
     "disjoint": (
         range(4, 13),
         lambda k: (f"(a|b)*a(a|b){{{k}}}", f"(a|b)*b(a|b){{{k}}}"),
-        COUNTING + PAIR + BUILD + JN_PROCESS,
+        FROM_REGEX + COUNTING + PAIR + SEPARATION + BUILD + JN_PROCESS,
     ),
     "chain": (
         (1000, 2000, 4000, 8000, 16000),
         lambda n: (f"a{{{n}}}(a|b)*", f"a{{{n + 1000}}}"),
-        COUNTING + STRUCTURE + BUILD + JN_PROCESS,
+        FROM_REGEX + COUNTING + STRUCTURE + BUILD + JN_PROCESS,
     ),
     "periodic": (
         (100, 200, 400, 800, 1600, 3200),
         lambda m: (periodic(m), periodic(m + 1)),
-        ("jaccard_cum_n_s",) + STRUCTURE + BUILD + JN_PROCESS,
+        FROM_REGEX + ("jaccard_cum_n_s",) + STRUCTURE + BUILD + JN_PROCESS,
     ),
     "cold": ((4, 7, 12), tie, COMMAND_LINE),
 }
@@ -268,6 +281,8 @@ def _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs):
     if layer in PROCESSES:
         src = str(Path(rl.__file__).resolve().parents[1])
         return process_time([src, *PROCESSES[layer](p1, p2)], cold_runs)
+    if layer in FRONT_END:
+        return median_time(FRONT_END[layer], runs, prepare=lambda: (rl, p1, p2)), None
     if layer in FRESH:
         return median_time(LAYERS[layer], runs,
                            prepare=lambda: (rl, fresh(rl, a), fresh(rl, b))), None
@@ -345,7 +360,7 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path,
                         help="directory holding a second reglang package, timed in alternating "
                              "rounds with the first")
-    parser.add_argument("--layers", nargs="+", choices=[*LAYERS, *PROCESSES],
+    parser.add_argument("--layers", nargs="+", choices=[*FRONT_END, *LAYERS, *PROCESSES],
                         help="time only these layers")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = parser.parse_args(argv)

@@ -1,7 +1,9 @@
 """Complete deterministic automata and the boolean algebra over them.
 
-Every DFA here is total: each state has a transition on every symbol of
-its alphabet, with a trash state absorbing dead inputs where needed.
+DFAs are built from the regex compiler's position automaton (`Nfa`) by
+a subset construction over int bitsets (`determinize`).  Every DFA here
+is total: each state has a transition on every symbol of its alphabet,
+with a trash state absorbing dead inputs where needed.
 Completeness makes complement a flip of the accepting set and keeps the
 product constructions closed.  Trimming then discards the states that
 cannot lie on an accepting path (the trash state among them) and yields
@@ -37,7 +39,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, count
 from math import inf
 from operator import itemgetter
 
@@ -61,31 +63,88 @@ def state_cap() -> int:
     return cap
 
 
+EMPTY = (0, 0)  # the window of the empty set
+
+
+def _window(positions) -> tuple[int, int]:
+    """The window of a set of positions: its lowest position lo and the
+    mask whose bit i stands for position lo + i, so bit 0 is set; (0, 0)
+    for the empty set."""
+    if not positions:
+        return EMPTY
+    lo = min(positions)
+    mask = 0
+    for p in positions:
+        mask |= 1 << (p - lo)
+    return lo, mask
+
+
+def _members(window) -> list:
+    """The positions of a window, in increasing order."""
+    lo, mask = window
+    if mask <= 1:
+        return [lo] if mask else []
+    return list(compress(count(lo), bin(mask)[:1:-1].encode().translate(_BITS)))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a binary digit to its bit
+
+
+def _union(a, b) -> tuple[int, int]:
+    """The window of the union of two windows."""
+    (alo, amask), (blo, bmask) = a, b
+    if not amask:
+        return b
+    if not bmask:
+        return a
+    if alo <= blo:
+        return alo, amask | bmask << (blo - alo)
+    return blo, bmask | amask << (alo - blo)
+
+
+def _meets(a, b) -> bool:
+    """Whether two windows share a position."""
+    (alo, amask), (blo, bmask) = a, b
+    if alo <= blo:
+        return bool(amask >> (blo - alo) & bmask)
+    return bool(bmask >> (alo - blo) & amask)
+
+
 @dataclass
 class Nfa:
-    """Nondeterministic automaton without epsilon moves.
+    """Position automaton without epsilon moves, as the regex compiler
+    builds it (Glushkov, McNaughton-Yamada): state 0 is initial, and every
+    edge into a state p reads the one symbol `symbols[p]`, so the states
+    entered from a set S are the union of the follow sets of S's states,
+    split by symbol.
 
-    Built by the regex compiler (a position automaton) and consumed by
+    A set of states is held as a window, an int bitset shifted down to
+    its lowest member (see `_window`): `follow[p]` is the window of the
+    states that may come right after p.  Every state but 0 has a symbol
+    of the alphabet, and no state is followed by 0.  Consumed by
     `determinize`; treated as immutable after construction.
     """
 
     alphabet: tuple[str, ...]
-    n_states: int
-    transitions: dict  # (state, symbol) -> frozenset of states
-    initial: int
+    symbols: tuple  # the symbol read entering each state; None for state 0
+    follow: tuple  # the window of the states that may follow each state
     accepting: frozenset
+    initial = 0
 
-    def step(self, states, symbol: str) -> frozenset:
-        """The states entered from `states` by reading `symbol`."""
-        return frozenset().union(
-            *(self.transitions.get((s, symbol), ()) for s in states)
-        )
+    @property
+    def n_states(self) -> int:
+        return len(self.symbols)
 
     def accepts(self, word: str) -> bool:
-        current = frozenset({self.initial})
+        """Membership test; symbols outside the alphabet reject."""
+        index = {s: k for k, s in enumerate(self.alphabet)}
+        moves = _subset_moves(self, self.alphabet)
+        current = (self.initial, 1)
         for symbol in word:
-            current = self.step(current, symbol)
-        return bool(current & self.accepting)
+            if symbol not in index:
+                return False
+            current = moves(current)[index[symbol]]
+        return _meets(current, _window(self.accepting))
 
 
 @dataclass(frozen=True)
@@ -205,23 +264,36 @@ class Dfa:
 
     @classmethod
     def from_json(cls, text: str) -> "Dfa":
-        """The DFA that `to_json` wrote.  Raises ValueError unless `states`
-        is the int number of rows of `delta` and every state number is an
-        int (a bool is not one)."""
+        """The DFA that `to_json` wrote.  Raises ValueError on any other
+        document: unless it is an object whose `alphabet` is a list of
+        one-character strings, `delta` a list of lists and `accepting` a
+        list, whose `states` is the int number of rows of `delta`, and
+        whose every state number is an int (a bool is not one), and
+        unless these make a `Dfa`."""
         obj = json.loads(text)
-        transitions = tuple(tuple(row) for row in obj["delta"])
-        states = obj.get("states")
+        if type(obj) is not dict or not _JSON_FIELDS <= obj.keys():
+            raise ValueError(f"a DFA document is an object with the keys {sorted(_JSON_FIELDS)}")
+        alphabet, delta, accepting = obj["alphabet"], obj["delta"], obj["accepting"]
+        if type(alphabet) is not list or not all(type(a) is str and len(a) == 1 for a in alphabet):
+            raise ValueError("'alphabet' must be a list of one-character strings")
+        if type(delta) is not list or not all(type(row) is list for row in delta):
+            raise ValueError("'delta' must be a list of rows, each a list")
+        if type(accepting) is not list:
+            raise ValueError("'accepting' must be a list")
+        transitions = tuple(map(tuple, delta))
+        states = obj["states"]
         if type(states) is not int or states != len(transitions):
             raise ValueError("'states' must be the number of rows of 'delta'")
-        numbers = chain((obj["initial"],), obj["accepting"], *transitions)
+        numbers = chain((obj["initial"],), accepting, *transitions)
         if not all(type(q) is int for q in numbers):
             raise ValueError("every state number must be an int")
-        return cls(
-            alphabet=tuple(obj["alphabet"]),
-            transitions=transitions,
-            accepting=frozenset(obj["accepting"]),
-            initial=obj["initial"],
-        )
+        try:
+            return cls(tuple(alphabet), transitions, frozenset(accepting), obj["initial"])
+        except AlphabetError as exc:
+            raise ValueError(str(exc)) from exc
+
+
+_JSON_FIELDS = frozenset({"alphabet", "states", "initial", "accepting", "delta"})
 
 
 @dataclass(frozen=True)
@@ -295,38 +367,95 @@ class LabeledGraph:
 
 
 def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction.  Always yields a complete DFA; the empty
-    subset plays the trash state when it is reachable."""
+    """Subset construction over windows.  Always yields a complete DFA;
+    the empty subset plays the trash state when it is reachable.
+
+    A subset's successors are one union of its states' follow windows,
+    split by symbol with one AND per symbol mask (see `_subset_moves`);
+    each subset is keyed by its window, which is unique."""
     alphabet = tuple(sorted(set(nfa.alphabet)))
     if not alphabet:
         raise AlphabetError("cannot determinize over an empty alphabet")
-    order, rows = _explore(
-        frozenset({nfa.initial}),
-        lambda subset: [nfa.step(subset, symbol) for symbol in alphabet],
-        "subset construction",
-    )
-    accepting = frozenset(i for i, subset in enumerate(order) if subset & nfa.accepting)
+    order, rows = _explore((nfa.initial, 1), _subset_moves(nfa, alphabet), "subset construction")
+    final = _window(nfa.accepting)
+    accepting = frozenset(i for i, subset in enumerate(order) if _meets(subset, final))
     return Dfa(alphabet=alphabet, transitions=rows, accepting=accepting, initial=0)
+
+
+def _subset_moves(nfa: Nfa, alphabet: tuple[str, ...]):
+    """`moves(subset)`: the windows of the subsets entered from the window
+    `subset` on each symbol of `alphabet`, in its order.  The follow
+    windows of the subset's states are ORed into one union, shifted to
+    the lowest of them; the part on each symbol but the last is the union
+    ANDed with that symbol's mask of states, and the last symbol's part is
+    what the others leave.  A single state's union is its follow window.
+    A symbol's mask is kept as little-endian bytes, so the AND reads only
+    the bytes under the union's window, however long the automaton."""
+    follow = nfa.follow
+    beyond = len(follow)  # the low end of an empty follow window, past every state
+    los = [lo if mask else beyond for lo, mask in follow]
+    follow_masks = [mask for _lo, mask in follow]
+    masks = [
+        int("".join("1" if s == symbol else "0" for s in reversed(nfa.symbols)), 2)
+        .to_bytes(beyond // 8 + 1, "little")
+        for symbol in alphabet[:-1]
+    ]
+    empty_row = [EMPTY] * len(alphabet)
+
+    def moves(subset):
+        lo, mask = subset
+        if mask == 1:
+            base, union = follow[lo]
+        else:
+            members = _members(subset)
+            base = min(map(los.__getitem__, members), default=beyond)
+            union = 0
+            for p in members:
+                union |= follow_masks[p] << (los[p] - base)
+        if not union:
+            return empty_row
+        row = []
+        start, end, shift = base >> 3, (base + union.bit_length() + 7) >> 3, base & 7
+        for symbol_mask in masks:
+            part = int.from_bytes(symbol_mask[start:end], "little") >> shift & union
+            union ^= part
+            row.append(_normal(base, part))
+        row.append(_normal(base, union))
+        return row
+
+    return moves
+
+
+def _normal(base: int, mask: int) -> tuple[int, int]:
+    """The window of the positions base + i for the bits i of `mask`."""
+    if not mask:
+        return EMPTY
+    shift = (mask & -mask).bit_length() - 1
+    return base + shift, mask >> shift
 
 
 def _explore(start, moves, what: str) -> tuple[list, tuple]:
     """Number the states reachable from `start` breadth first, where
     `moves(state)` lists a state's successors in symbol order.  Returns
     the states in number order and the transition rows over the numbers;
-    raises StateLimitError when a state past `state_cap()` appears."""
+    raises StateLimitError when a state past `state_cap()` appears.  Each
+    edge costs one dict lookup: a target not yet numbered takes the next
+    number."""
     cap = state_cap()
     ids = {start: 0}
+    number = ids.setdefault
     order = [start]
     rows = []
     for state in order:  # a queue: numbered states are appended
         row = []
         for target in moves(state):
-            if target not in ids:
-                if len(ids) >= cap:
-                    raise StateLimitError(f"{what} exceeded {cap} states")
-                ids[target] = len(order)
+            n = len(order)
+            k = number(target, n)
+            if k == n:
                 order.append(target)
-            row.append(ids[target])
+            row.append(k)
+        if len(order) > cap:
+            raise StateLimitError(f"{what} exceeded {cap} states")
         rows.append(tuple(row))
     return order, tuple(rows)
 

@@ -13,8 +13,11 @@ Grammar (EBNF):
 non-reserved character; reserved characters are written with a leading
 backslash.  Precedence is star/repeat over concatenation over
 alternation, the usual convention.  Bounded repetition `e{n}` is kept in
-the tree and expanded into n-fold concatenation when compiling, so the
-automaton layer never sees powers.
+the tree.  The compiler visits `e` once and makes the other n - 1 copies
+of its positions by shifting them, their follow sets with them, before
+linking the copies in sequence; the automaton is the one of the n-fold
+concatenation, so the automaton layer never sees powers.  Sets of
+positions are windowed int bitsets (see `automata.Nfa`).
 
 Groups and postfix operators may nest at most MAX_NESTING deep along any
 path of the tree, which keeps the recursive parser, `literal_set` and
@@ -23,7 +26,7 @@ the compiler well inside Python's recursion limit.
 
 from dataclasses import dataclass
 
-from .automata import Nfa, state_cap
+from .automata import EMPTY, Nfa, _members, _union, state_cap
 from .errors import AlphabetError, RegexSyntaxError, StateLimitError
 
 RESERVED = set("|*(){}~#\\")
@@ -207,64 +210,95 @@ def _positions(node: RegexAst) -> int:
     return sum(map(_positions, _children(node)))
 
 
+def _shifted(window, shift: int) -> tuple[int, int]:
+    lo, mask = window
+    return (lo + shift, mask) if mask else EMPTY
+
+
 class _Glushkov:
     """Position automaton: state 0 is initial, state p > 0 is the p-th
-    literal occurrence and is entered by reading that literal."""
+    literal occurrence and is entered by reading that literal.  Sets of
+    positions are windows (see `automata._window`)."""
 
     def __init__(self):
         self.symbols = [None]  # literal of each position
-        self.follow = [set()]  # positions that may come right after each one
+        self.follow = [EMPTY]  # positions that may come right after each one
 
     def link(self, last, first):
-        for p in last:
-            self.follow[p] |= first
+        if first[1]:
+            follow = self.follow
+            for p in _members(last):
+                follow[p] = _union(follow[p], first)
 
-    def concat(self, parts) -> tuple[bool, set, set]:
-        nullable, first, last = True, set(), set()
+    def concat(self, parts) -> tuple[bool, tuple, tuple]:
+        nullable, first, last = True, EMPTY, EMPTY
         for part_nullable, part_first, part_last in parts:
             self.link(last, part_first)
-            first = first | part_first if nullable else first
-            last = last | part_last if part_nullable else part_last
+            first = _union(first, part_first) if nullable else first
+            last = _union(last, part_last) if part_nullable else part_last
             nullable = nullable and part_nullable
         return nullable, first, last
 
-    def visit(self, node) -> tuple[bool, set, set]:
+    def visit(self, node) -> tuple[bool, tuple, tuple]:
         """(nullable, first, last) of the node; numbers its positions and
         adds the follow pairs inside it."""
         if isinstance(node, (Empty, Epsilon)):
-            return isinstance(node, Epsilon), set(), set()
+            return isinstance(node, Epsilon), EMPTY, EMPTY
         if isinstance(node, Literal):
             p = len(self.symbols)
             self.symbols.append(node.symbol)
-            self.follow.append(set())
-            return False, {p}, {p}
+            self.follow.append(EMPTY)
+            return False, (p, 1), (p, 1)
         if isinstance(node, Concat):
             return self.concat(self.visit(part) for part in node.parts)
         if isinstance(node, Alt):
-            nullable, first, last = zip(*(self.visit(o) for o in node.options))
-            return any(nullable), set().union(*first), set().union(*last)
+            nullable, first, last = False, EMPTY, EMPTY
+            for option_nullable, option_first, option_last in map(self.visit, node.options):
+                nullable = nullable or option_nullable
+                first, last = _union(first, option_first), _union(last, option_last)
+            return nullable, first, last
         if isinstance(node, Star):
             _nullable, first, last = self.visit(node.child)
             self.link(last, first)
             return True, first, last
         if isinstance(node, Repeat):
+            return self.repeat(node.child, node.count)
+        raise TypeError(f"not a regex node: {node!r}")
+
+    def repeat(self, child, count: int) -> tuple[bool, tuple, tuple]:
+        """The child visited once, then copied count - 1 times: each copy
+        is the first one's positions shifted past the copy before it, the
+        follow pairs inside the child shifted with them, before the copies
+        are linked in sequence."""
+        if count == 0:
+            return True, EMPTY, EMPTY
+        start = len(self.symbols)
+        nullable, first, last = self.visit(child)
+        width = len(self.symbols) - start
+        if not width:
             # without positions the child denotes at most the empty word,
             # so one copy stands for any positive count
-            count = node.count if _positions(node.child) else min(node.count, 1)
-            return self.concat(self.visit(node.child) for _ in range(count))
-        raise TypeError(f"not a regex node: {node!r}")
+            return nullable, first, last
+        shifts = range(0, count * width, width)
+        follow = self.follow[start:]
+        self.symbols += self.symbols[start:] * (count - 1)
+        self.follow += [_shifted(window, shift) for shift in shifts[1:] for window in follow]
+        return self.concat(
+            (nullable, _shifted(first, shift), _shifted(last, shift)) for shift in shifts
+        )
 
 
 def compile_to_nfa(ast: RegexAst, alphabet=None) -> Nfa:
     """Glushkov (McNaughton-Yamada) position automaton, free of epsilon
     moves: one state per literal occurrence plus the initial state 0.
 
-    Bounded repetition is expanded by concatenation.  Raises
-    StateLimitError before building when the state count would exceed
-    `state_cap()`.
+    A bounded repetition's child is compiled once and its positions copied
+    by shifting (see `_Glushkov.repeat`).  Raises StateLimitError before
+    building when the state count would exceed `state_cap()`.
     """
-    symbols = set(alphabet) if alphabet is not None else literal_set(ast)
-    missing = literal_set(ast) - symbols
+    literals = literal_set(ast)
+    symbols = set(alphabet) if alphabet is not None else literals
+    missing = literals - symbols
     if missing:
         raise AlphabetError(
             f"literals {sorted(missing)!r} are outside the declared alphabet"
@@ -274,15 +308,11 @@ def compile_to_nfa(ast: RegexAst, alphabet=None) -> Nfa:
         raise StateLimitError(f"position automaton would exceed {cap} states")
     builder = _Glushkov()
     nullable, first, last = builder.visit(ast)
-    builder.link({0}, first)
-    transitions = {}
-    for p, targets in enumerate(builder.follow):
-        for t in targets:
-            transitions.setdefault((p, builder.symbols[t]), set()).add(t)
+    builder.link((0, 1), first)
+    accepting = _members(last) + [0] if nullable else _members(last)
     return Nfa(
         alphabet=tuple(sorted(symbols)),
-        n_states=len(builder.symbols),
-        transitions={key: frozenset(ts) for key, ts in transitions.items()},
-        initial=0,
-        accepting=frozenset(last | {0} if nullable else last),
+        symbols=tuple(builder.symbols),
+        follow=tuple(builder.follow),
+        accepting=frozenset(accepting),
     )

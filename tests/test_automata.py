@@ -38,6 +38,17 @@ def test_determinize_universal_language():
     assert dfa.accepting == frozenset({0})
 
 
+def test_subset_construction_stops_at_the_state_cap(monkeypatch):
+    # 16 NFA states and 129 reachable subsets: the cap bounds the DFA too
+    nfa = rl.compile_to_nfa(rl.parse_regex("(a|b)*a(a|b){6}"))
+    assert nfa.n_states == 16
+    monkeypatch.setenv("REGLANG_MAX_STATES", "129")
+    assert rl.determinize(nfa).n_states == 129
+    monkeypatch.setenv("REGLANG_MAX_STATES", "128")
+    with pytest.raises(rl.StateLimitError, match="subset construction exceeded 128 states"):
+        rl.determinize(nfa)
+
+
 # --- minimize --------------------------------------------------------------
 
 
@@ -437,14 +448,29 @@ def test_dfa_json_round_trip(corpus):
         {"initial": False},
         {"accepting": [0.0]},
         {"accepting": [True]},
+        {"alphabet": [1]},
+        {"alphabet": ["ab"]},
+        {"alphabet": []},
+        {"alphabet": "a"},
+        {"delta": [5]},
+        {"accepting": 0},
+        {"alphabet": ...},  # a missing key
+        {"initial": ...},
     ],
     ids=lambda fields: repr(fields).replace(" ", ""),
 )
 def test_dfa_json_rejects_a_miscounted_or_non_int_state(fields):
     obj = {"alphabet": ["a"], "delta": [[0]], "accepting": [0], "initial": 0, "states": 1}
     assert rl.Dfa.from_json(json.dumps(obj)) == rl.Dfa(("a",), ((0,),), frozenset({0}))
+    doc = {key: value for key, value in {**obj, **fields}.items() if value is not ...}
     with pytest.raises(ValueError):
-        rl.Dfa.from_json(json.dumps({**obj, **fields}))
+        rl.Dfa.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[]", "0", "null", "{", '"dfa"'])
+def test_dfa_json_rejects_a_document_that_is_not_an_object(text):
+    with pytest.raises(ValueError):
+        rl.Dfa.from_json(text)
 
 
 # --- property: random pairs ---------------------------------------------

@@ -28,6 +28,7 @@ def test_smallest_rung_of_each_family_is_timed():
         ("periodic", 100),
         ("cold", 4),
     ]
+    from_regex = ("dfa_from_regex_left_s", "dfa_from_regex_right_s")
     counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s")
     pair = ("entropy_distance_s", "cesaro_jaccard_s")
     structure = (
@@ -46,6 +47,7 @@ def test_smallest_rung_of_each_family_is_timed():
         "language_entropy_right_kept_s",
         "separating_n_kept_s",
     )
+    separation = ("separating_n_s", "separating_n_kept_s")
     build = ("build_process_s",)
     jn_process = ("distance_jn_process_s",)
     command_line = (
@@ -54,10 +56,10 @@ def test_smallest_rung_of_each_family_is_timed():
         "distance_jn_process_s",
         "entropy_golden_process_s",
     )
-    expected = {"tie": counting + pair + build + jn_process,
-                "disjoint": counting + pair + build + jn_process,
-                "chain": counting + structure + build + jn_process,
-                "periodic": ("jaccard_cum_n_s",) + structure + build + jn_process,
+    expected = {"tie": from_regex + counting + pair + build + jn_process,
+                "disjoint": from_regex + counting + pair + separation + build + jn_process,
+                "chain": from_regex + counting + structure + build + jn_process,
+                "periodic": from_regex + ("jaccard_cum_n_s",) + structure + build + jn_process,
                 "cold": command_line}
     for record in records:
         timed = [key for key in record if key.endswith("_s")]
@@ -128,7 +130,7 @@ def test_against_times_a_second_checkout_at_the_smallest_rungs(tmp_path, monkeyp
         monkeypatch.setattr(ladder, name, value)
     out = tmp_path / "pair.json"
     # the same sources, imported a second time under another module name
-    layers = ["jaccard_cum_n_s", "trim_left_s", "distance_jn_process_s"]
+    layers = ["dfa_from_regex_left_s", "jaccard_cum_n_s", "trim_left_s", "distance_jn_process_s"]
     src = str(Path(rl.__file__).resolve().parents[1])
     argv = ["--src", src, "--against", src, "--layers", *layers]
     assert ladder.main([*argv, "--out", str(out)]) == 0
@@ -137,7 +139,7 @@ def test_against_times_a_second_checkout_at_the_smallest_rungs(tmp_path, monkeyp
     alternating = result["alternating"]
     assert (alternating["rounds"], alternating["runs"], alternating["cold_runs"]) == (2, 1, 1)
     expected = {
-        ("tie", 4): ["jaccard_cum_n_s", "distance_jn_process_s"],
+        ("tie", 4): ["dfa_from_regex_left_s", "jaccard_cum_n_s", "distance_jn_process_s"],
         ("periodic", 100): layers,
     }
     for name in ("src", "against"):

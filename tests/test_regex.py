@@ -6,6 +6,8 @@ import reglang as rl
 from reglang.counting import CountVectors, count_len
 from reglang.errors import AlphabetError, RegexSyntaxError
 from reglang.oracle import ast_language_upto, ast_matches, all_strings
+from reglang.regex import literal_set
+from subsets import reference_dfa
 from reglang.regex import (
     MAX_NESTING,
     Alt,
@@ -217,3 +219,47 @@ def test_compiled_counts_match_set_semantics(ast):
     words = ast_language_upto(ast, 8)
     for n in range(9):
         assert count_len(cv, n) == sum(len(w) == n for w in words), n
+
+
+# --- the windowed build against the frozenset reference --------------------
+
+
+def _nested_asts(symbols):
+    """Random trees of at most 12 leaves in which stars and repeats of up
+    to 4 copies nest."""
+    return st.recursive(
+        st.one_of(
+            st.builds(Literal, st.sampled_from(symbols)),
+            st.just(Epsilon()),
+            st.just(Empty()),
+        ),
+        lambda children: st.one_of(
+            st.builds(Star, children),
+            st.builds(lambda x, y: Alt((x, y)), children, children),
+            st.builds(lambda x, y, z: Concat((x, y, z)), children, children, children),
+            st.builds(Repeat, children, st.integers(min_value=0, max_value=4)),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(ast=_nested_asts("abc"), alphabet=st.sampled_from(["abc", "abcd"]))
+def test_determinize_matches_the_frozenset_reference(ast, alphabet):
+    assert rl.determinize(rl.compile_to_nfa(ast, alphabet)) == reference_dfa(ast, alphabet)
+
+
+def _fixed_cases():
+    yield from (f"(~|a){{{n}}}" for n in range(61))
+    yield from (f"a{{{n}}}(a|b)*" for n in (0, 1, 2, 3, 10, 100))
+    yield "((a|b){3}c*){5}"
+    for k in range(9):
+        yield f"(a|b)*a(a|b){{{k}}}"
+        yield f"(a|b)*b(a|b){{{k}}}"
+
+
+def test_determinize_matches_the_frozenset_reference_on_fixed_cases():
+    for text in _fixed_cases():
+        ast = rl.parse_regex(text)
+        alphabet = literal_set(ast)
+        assert rl.dfa_from_regex(text) == reference_dfa(ast, alphabet), text
