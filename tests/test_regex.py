@@ -182,8 +182,9 @@ def test_round_trip_tree_semantics_vs_automata(corpus):
             assert lang.dfa.accepts(word) == expected, (lang.name, word)
 
 
-def _asts_over(symbols):
-    """Random syntax trees of at most 8 leaves over the given literals."""
+def _asts_over(symbols, max_leaves=8, max_copies=3):
+    """Random syntax trees over the given literals, of at most
+    `max_leaves` leaves and with repeats of at most `max_copies` copies."""
     return st.recursive(
         st.one_of(
             st.builds(Literal, st.sampled_from(symbols)),
@@ -194,9 +195,9 @@ def _asts_over(symbols):
             st.builds(Star, children),
             st.builds(lambda x, y: Alt((x, y)), children, children),
             st.builds(lambda x, y: Concat((x, y)), children, children),
-            st.builds(Repeat, children, st.integers(min_value=0, max_value=3)),
+            st.builds(Repeat, children, st.integers(min_value=0, max_value=max_copies)),
         ),
-        max_leaves=8,
+        max_leaves=max_leaves,
     )
 
 
@@ -224,27 +225,8 @@ def test_compiled_counts_match_set_semantics(ast):
 # --- the windowed build against the frozenset reference --------------------
 
 
-def _nested_asts(symbols):
-    """Random trees of at most 12 leaves in which stars and repeats of up
-    to 4 copies nest."""
-    return st.recursive(
-        st.one_of(
-            st.builds(Literal, st.sampled_from(symbols)),
-            st.just(Epsilon()),
-            st.just(Empty()),
-        ),
-        lambda children: st.one_of(
-            st.builds(Star, children),
-            st.builds(lambda x, y: Alt((x, y)), children, children),
-            st.builds(lambda x, y, z: Concat((x, y, z)), children, children, children),
-            st.builds(Repeat, children, st.integers(min_value=0, max_value=4)),
-        ),
-        max_leaves=12,
-    )
-
-
 @settings(max_examples=300, deadline=None)
-@given(ast=_nested_asts("abc"), alphabet=st.sampled_from(["abc", "abcd"]))
+@given(ast=_asts_over("abc", max_leaves=12, max_copies=4), alphabet=st.sampled_from(["abc", "abcd"]))
 def test_determinize_matches_the_frozenset_reference(ast, alphabet):
     assert rl.determinize(rl.compile_to_nfa(ast, alphabet)) == reference_dfa(ast, alphabet)
 
