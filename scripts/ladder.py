@@ -10,22 +10,25 @@ layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` of the pair, also timed as a whole process
 running `reglang distance --metric jn --n 200`.  Pair layers:
 `entropy_distance` and `cesaro_jaccard` of the pair.  Structural layers:
-`trim`, `scc_decompose(trim(d))` and `language_entropy` of each operand,
-and `separating_n` of the pair, which the disjoint family times too:
-its operands lie equally far from acceptance, so their separation
-searches the pairs of states.  A DFA keeps the components of one
-search over its table, its spectral report, its trim graph and its
-distances to acceptance, so each run of those four layers gets fresh
-equal copies of the operands, made outside the timed call, and pays for
-the whole analysis; its `<layer>_kept` twin times the same call repeated
-on the same operands, after a first, untimed call.  Cold-start layers time whole
-processes, each a fresh interpreter: `build_process_s` imports reglang
-and builds the rung's two operands, in every family; the cold family
-runs the command line on the tie pair: `reglang entropy` of its left
-operand, `reglang distance --metric h` and `--metric jn --n 200` of the
-pair, and `reglang entropy '(a|bb)*'`, whose component needs power
-iteration.  Beside each
-cold-start time, `<layer>_numpy` records whether the process loaded numpy.
+`trim`, `scc_decompose(trim(d))`, `language_entropy` and
+`CountVectors.from_dfa` of each operand, and `separating_n` of the pair,
+which the disjoint family times too: its operands lie equally far from
+acceptance, so their separation searches the pairs of states.  A DFA
+keeps the components of one search over its table, its spectral report,
+its trim graph and its distances to acceptance, so each run of those
+five layers gets fresh equal copies of the operands, made outside the
+timed call, and pays for the whole analysis; its `<layer>_kept` twin
+times the same call repeated on the same operands, after a first,
+untimed call.  A DFA keeps no counting system, so the
+`count_vectors_*_kept` twins time the whole build again.  Cold-start
+layers time whole processes, each a fresh interpreter: `build_process_s`
+imports reglang and builds the rung's two operands, in every family; the
+cold family runs the command line on the tie pair: `reglang entropy` of
+its left operand, `reglang distance --metric h` and `--metric jn --n 200`
+of the pair, `reglang entropy '(a|bb)*'`, whose component needs power
+iteration, and `reglang analyze --counts 20` of its left operand.
+Beside each cold-start time, `<layer>_numpy` records whether the process
+loaded numpy.
 Rungs, each family in increasing size:
 
 - tie k:        (a|b)*a(a|b){k}  against (a|b)*a(a|b){k-1},  k = 4..12
@@ -37,9 +40,10 @@ Rungs, each family in increasing size:
 where P(m) = (a{2})*b(a{3})*b(a{4})*b(a{2})*b... has m starred parts, the
 i-th of period 2 + i mod 3, so its trim graph has m periodic components.
 Every family but the cold one times the front-end layers.  The first
-two families time the counting and pair layers, the periodic family the
-structural ones and both `jaccard_cum_n` layers, and the chain the
-counting and structural ones.  Under lumping, the
+two families time the counting and pair layers, and the tie family the
+`count_vectors` ones too; the periodic family times the structural ones
+and both `jaccard_cum_n` layers, and the chain the counting and
+structural ones.  Under lumping, the
 counting systems of the first two families shrink to a few vertices; the
 chain's do not shrink.  Each time is the median of RUNS
 wall-clock runs, after the operands are built (COLD_RUNS processes for a
@@ -91,6 +95,8 @@ LAYERS = {
     "language_entropy_left_s": lambda rl, a, b: rl.language_entropy(a),
     "language_entropy_right_s": lambda rl, a, b: rl.language_entropy(b),
     "separating_n_s": lambda rl, a, b: rl.separating_n([a, b]),
+    "count_vectors_left_s": lambda rl, a, b: rl.CountVectors.from_dfa(a),
+    "count_vectors_right_s": lambda rl, a, b: rl.CountVectors.from_dfa(b),
 }
 COUNTING = tuple(LAYERS)[:3]
 PAIR = tuple(LAYERS)[3:5]
@@ -99,6 +105,7 @@ KEPT = tuple(f"{layer[:-2]}_kept_s" for layer in FRESH)
 LAYERS.update(zip(KEPT, map(LAYERS.get, FRESH)))
 STRUCTURE = FRESH + KEPT
 SEPARATION = ("separating_n_s", "separating_n_kept_s")
+COUNT_VECTORS = tuple(layer for layer in STRUCTURE if layer.startswith("count_vectors"))
 
 # front-end layer -> the call it times, on the patterns p1 and p2 of a rung
 FRONT_END = {
@@ -116,6 +123,7 @@ PROCESSES = {
         "distance", "--metric", "jn", "--n", str(HORIZON), p1, p2
     ],
     "entropy_golden_process_s": lambda p1, p2: ["entropy", GOLDEN],
+    "analyze_process_s": lambda p1, p2: ["analyze", p1, "--counts", "20"],
 }
 BUILD = ("build_process_s",)
 JN_PROCESS = ("distance_jn_process_s",)
@@ -152,7 +160,7 @@ FAMILIES = {
     "tie": (
         range(4, 13),
         tie,
-        FROM_REGEX + COUNTING + PAIR + BUILD + JN_PROCESS,
+        FROM_REGEX + COUNTING + PAIR + COUNT_VECTORS + BUILD + JN_PROCESS,
     ),
     "disjoint": (
         range(4, 13),

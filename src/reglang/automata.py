@@ -7,7 +7,7 @@ with a trash state absorbing dead inputs where needed.
 Completeness makes complement a flip of the accepting set and keeps the
 product constructions closed.  Trimming then discards the states that
 cannot lie on an accepting path (the trash state among them) and yields
-the labeled graph consumed by the counting and spectral layers.
+the labeled graph that the spectral layer reads.
 
 All operations are pure; the returned automata and graphs are immutable
 and safe to share across threads.  Each also keeps what has been read off
@@ -20,10 +20,11 @@ distances to acceptance, found by one breadth-first pass over its
 reversed table the first time a separation, a finite-horizon Jaccard
 distance, `is_empty` or `shortest_accepted` asks for them, and holds all
 of these as long as it lives.  Any other `LabeledGraph` keeps the
-components and condensation DAG of its own search, and `spectral` stores
-its decomposition beside them.  A kept value is built whole before it is
-stored, so two threads racing to read it may both compute it, but
-neither sees a partial result.
+integer rows of its edges and the components and condensation DAG of
+its own search over them, and `spectral` stores its decomposition
+beside them.  A kept value is built whole before it is stored, so two
+threads racing to read it may both compute it, but neither sees a
+partial result.
 
 Language equality and separation search the pairs of states reached
 together, pruned by those distances: a word telling two states apart is
@@ -302,10 +303,8 @@ class LabeledGraph:
 
     Vertices keep their original state ids.  `role` records whether the
     graph is merely trimmed or also essential (every vertex has at least
-    one incoming and one outgoing edge).  The adjacency matrix counts
-    parallel edges, so entries are bounded by the alphabet size per row.
-    The graph's `component_report` and `condensation` are found once and
-    kept.
+    one incoming and one outgoing edge).  The graph's `component_report`
+    and `condensation` are found once and kept.
     """
 
     vertices: tuple[int, ...]
@@ -325,16 +324,6 @@ class LabeledGraph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def matrix(self) -> tuple:
-        """Adjacency matrix with multiplicities, row/column order = vertices."""
-        idx = self.vertex_index
-        n = len(self.vertices)
-        rows = [[0] * n for _ in range(n)]
-        for src, _symbol, dst in self.edges:
-            rows[idx[src]][idx[dst]] += 1
-        return tuple(tuple(r) for r in rows)
-
-    @cached_property
     def successors(self) -> dict:
         """vertex -> sorted tuple of distinct successor vertices."""
         out = {v: set() for v in self.vertices}
@@ -343,14 +332,22 @@ class LabeledGraph:
         return {v: tuple(sorted(ts)) for v, ts in out.items()}
 
     @cached_property
-    def _components(self) -> tuple:
-        """(report, DAG) of `graphs._strong_components`.  `trim` sets it
-        to the DFA's own; any other graph runs that search over its own
-        edges here, once."""
+    def _rows(self) -> list:
+        """Each vertex's successors by index, once per edge, in vertex
+        order: the integer rows that `_components` searches and
+        `counting.block_count` counts over, kept."""
         index = self.vertex_index
         rows = [[] for _ in self.vertices]
         for src, _symbol, dst in self.edges:
             rows[index[src]].append(index[dst])
+        return rows
+
+    @cached_property
+    def _components(self) -> tuple:
+        """(report, DAG) of `graphs._strong_components`.  `trim` sets it
+        to the DFA's own; any other graph runs that search over its own
+        rows here, once."""
+        rows = self._rows
         report, dag, _kept = _strong_components(rows, range(len(rows)), names=self.vertices)
         return report, dag
 

@@ -9,10 +9,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from itertools import islice
+from itertools import chain, islice
 
 from . import dfa_from_regex
-from .automata import trim
 from .counting import CountVectors, length_counts
 from .errors import (
     AlphabetError,
@@ -165,8 +164,7 @@ def _count_rows(dfa):
 
 def cmd_analyze(args) -> int:
     dfa = dfa_from_regex(args.regex, args.alphabet)
-    graph = trim(dfa)
-    report = scc_decompose(graph)
+    report = scc_decompose(dfa)  # the trim graph's components, from the DFA's search
 
     stream = _count_rows(dfa)
     count_rows = []
@@ -184,7 +182,7 @@ def cmd_analyze(args) -> int:
         return 0
 
     obj = {
-        "vertices": list(graph.vertices),
+        "vertices": sorted(chain.from_iterable(report.components)),
         "components": [sorted(c) for c in report.components],
         "periods": list(report.periods),
         "trivial": list(report.trivial),

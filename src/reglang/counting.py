@@ -1,14 +1,17 @@
 """Exact word counting by sparse big-integer vector-matrix steps.
 
-A counting system is (A, i, f): the adjacency matrix of a trimmed
-automaton graph, an initial indicator row vector, and a final column
-vector (possibly with multiplicities).  The number of words of length n
-is then i . A^n . f, with A^0 the identity, so the length-0 term is just
-i . f.
+A counting system is (A, i, f): the adjacency matrix of an automaton's
+states on some accepting path, an initial indicator row vector, and a
+final column vector (possibly with multiplicities).  The number of words
+of length n is then i . A^n . f, with A^0 the identity, so the length-0
+term is just i . f.
 
-A is kept as sparse rows of (column, entry) pairs, built from the
-graph's edges in O(E); the dense matrix is formed only when a caller
-reads `CountVectors.matrix`, and `CountVectors(matrix, ...)` takes one.
+A is kept as sparse rows of (column, entry) pairs.  One builder,
+`_own_system`, forms them in O(E) from integer rows that list each
+state's successors once per edge: a DFA's table for `from_dfa`, a pair's
+product table for `shared_system`, a labeled graph's rows for
+`block_count`.  `CountVectors(matrix, ...)` takes a dense matrix instead,
+and `CountVectors.matrix` forms one only when it is read.
 One stepping loop, `final_counts`, advances the single
 vector i . A^n at O(E) per length and reads one count per final vector
 from it: a symmetric difference lies inside the union of the same pair,
@@ -37,7 +40,7 @@ from itertools import chain, compress, islice
 from math import inf
 from operator import add, mul
 
-from .automata import Dfa, LabeledGraph, coarsest_partition, trim
+from .automata import Dfa, LabeledGraph, coarsest_partition
 
 
 class CountVectors:
@@ -45,9 +48,10 @@ class CountVectors:
     holds the (column, entry) pairs of the nonzero entries of row i.
 
     `CountVectors(matrix, initial, final)` takes A as a square dense
-    matrix, and the vectors of its size, of non-negative ints; `from_dfa`
-    builds the rows from a trim graph's edges.  Either way the dense
-    `matrix` is formed only if it is read.
+    matrix, and the vectors of its size, of non-negative ints, the form in
+    which the paper's worked example states a system; `from_dfa` builds
+    the rows from the DFA's table.
+    Either way the dense `matrix` is formed only if it is read.
     """
 
     def __init__(self, matrix, initial, final):
@@ -77,32 +81,19 @@ class CountVectors:
 
     @classmethod
     def from_dfa(cls, dfa: Dfa) -> "CountVectors":
-        """Counting system for a DFA's language, on its trim graph: the
+        """Counting system for a DFA's language: its table's own system
+        from the initial state, restricted to the states on some accepting
+        path, which are the trim graph's vertices in the same order; the
         discarded states would only contribute zero terms."""
-        return cls._on_graph(trim(dfa), {dfa.initial}, dfa.accepting)
-
-    @classmethod
-    def _on_graph(cls, graph: LabeledGraph, initial, final) -> "CountVectors":
-        """System on a graph's adjacency matrix, in O(E): the vectors
-        indicate the vertex sets `initial` and `final`."""
-        index = graph.vertex_index
-        rows = [{} for _ in graph.vertices]
-        for src, _symbol, dst in graph.edges:
-            row = rows[index[src]]
-            j = index[dst]
-            row[j] = row.get(j, 0) + 1
-        rows = tuple(tuple(sorted(row.items())) for row in rows)
-        return cls._from_rows(rows, _indicator(graph, initial), _indicator(graph, final))
+        system = _own_system(dfa.transitions, (dfa.accepting,), (dfa.initial,))
+        rows, _columns, initial, finals = _trimmed(*system)
+        return cls._from_rows(rows, initial, finals[0])
 
     @classmethod
     def _from_rows(cls, rows, initial, final) -> "CountVectors":
         cv = cls.__new__(cls)
         cv.rows, cv.initial, cv.final = tuple(rows), tuple(initial), tuple(final)
         return cv
-
-
-def _indicator(graph: LabeledGraph, states) -> tuple:
-    return tuple(1 if v in states else 0 for v in graph.vertices)
 
 
 def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple]:
@@ -140,7 +131,7 @@ def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple
     and stepped with counts that are all 0.  A caller that knows no
     state lies that far gives no horizon and saves the two searches.
     """
-    system = _own_system(transitions, parts)
+    system = _own_system(transitions, parts, (0,))
     if horizon is not None:
         system = _trimmed(*system, horizon)
     return _reduced(system, _lumps_backward_first(*system))
@@ -156,14 +147,16 @@ def _reduced(system, backward_first: bool) -> tuple[CountVectors, tuple]:
     return CountVectors._from_rows(rows, initial, finals[0]), finals[1:]
 
 
-def _own_system(transitions, parts) -> tuple:
-    """(rows, columns, initial, finals) of a table's own counting system:
-    the sparse rows and columns of A, each in index order with parallel
-    edges merged, i at state 0, and the final vectors of the union of the
-    parts and of each part."""
-    n = len(transitions)
+def _own_system(successors, parts, starts) -> tuple:
+    """(rows, columns, initial, finals) of the counting system of a table
+    whose row `successors[q]` lists q's successors once per edge, as a
+    DFA's or product's transition row or a `LabeledGraph`'s integer row
+    does: the sparse rows and columns of A, each in index order with
+    parallel edges merged, i over the states `starts`, and the final
+    vectors of the union of the parts and of each part."""
+    n = len(successors)
     columns = [[] for _ in range(n)]
-    for q, targets in enumerate(transitions):
+    for q, targets in enumerate(successors):
         edge = (q, 1)
         for t in targets:
             column = columns[t]
@@ -173,7 +166,8 @@ def _own_system(transitions, parts) -> tuple:
                 column.append(edge)
     columns = list(map(tuple, columns))
     initial = [0] * n
-    initial[0] = 1
+    for q in starts:
+        initial[q] = 1
     finals = []
     for part in (frozenset().union(*parts), *parts):
         final = [0] * n
@@ -260,19 +254,17 @@ def _distances(adjacent, seeds, limit=inf) -> list:
     v to each u of the (u, weight) pairs in `adjacent[v]`; -1 where no
     seed leads within `limit` steps."""
     distance = [-1] * len(adjacent)
-    frontier = list(seeds)
-    for v in frontier:
+    queue = list(seeds)
+    for v in queue:
         distance[v] = 0
-    steps = 0
-    while frontier and steps < limit:
-        steps += 1
-        reached = []
-        for v in frontier:
-            for u, _a in adjacent[v]:
-                if distance[u] < 0:
-                    distance[u] = steps
-                    reached.append(u)
-        frontier = reached
+    for v in queue:  # in order of distance, the queue growing as it is read
+        step = distance[v] + 1
+        if step > limit:
+            break
+        for u, _a in adjacent[v]:
+            if distance[u] < 0:
+                distance[u] = step
+                queue.append(u)
     return distance
 
 
@@ -293,8 +285,10 @@ def _trimmed(rows, columns, initial, finals, horizon=inf) -> tuple:
     ]
     if len(keep) == len(rows):
         return rows, columns, initial, finals
-    new = {v: k for k, v in enumerate(keep)}
-    rows = [tuple((new[j], a) for j, a in rows[v] if j in new) for v in keep]
+    new = [-1] * len(rows)
+    for k, v in enumerate(keep):
+        new[v] = k
+    rows = [tuple([(new[j], a) for j, a in rows[v] if new[j] >= 0]) for v in keep]
     initial = tuple(initial[v] for v in keep)
     return rows, _transpose(rows), initial, tuple(tuple(f[v] for v in keep) for f in finals)
 
@@ -388,8 +382,9 @@ def block_count(graph: LabeledGraph, n: int) -> int:
     """
     if n < 0:
         raise ValueError("length must be non-negative")
-    everything = frozenset(graph.vertices)
-    return count_len(CountVectors._on_graph(graph, everything, everything), n)
+    everything = range(graph.n_vertices)
+    rows, _columns, initial, finals = _own_system(graph._rows, (everything,), everything)
+    return count_len(CountVectors._from_rows(rows, initial, finals[0]), n)
 
 
 def residue_language(cv: CountVectors, q: int, k: int) -> CountVectors:

@@ -48,8 +48,6 @@ from .counting import CountVectors, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
 from .spectral import ENTROPY_EPS, POWER_MAX_ITER, _decomposition
 
-METRIC_NAMES = ("jn_exact", "jn_cum", "cesaro", "entropy", "entropy_sum")
-
 # Residual that settles the leading vector.  The float radius it is
 # normalized by leaves a floor of about 5e-13.
 LIMIT_TOL = 1e-10

@@ -200,16 +200,6 @@ def literal_set(node: RegexAst) -> set:
     return set().union(*map(literal_set, _children(node)))
 
 
-def _positions(node: RegexAst) -> int:
-    """Literal occurrences once bounded repeats are expanded: the number
-    of position-automaton states besides the initial one."""
-    if isinstance(node, Literal):
-        return 1
-    if isinstance(node, Repeat):
-        return node.count * _positions(node.child)
-    return sum(map(_positions, _children(node)))
-
-
 def _shifted(window, shift: int) -> tuple[int, int]:
     lo, mask = window
     return (lo + shift, mask) if mask else EMPTY
@@ -218,11 +208,19 @@ def _shifted(window, shift: int) -> tuple[int, int]:
 class _Glushkov:
     """Position automaton: state 0 is initial, state p > 0 is the p-th
     literal occurrence and is entered by reading that literal.  Sets of
-    positions are windows (see `automata._window`)."""
+    positions are windows (see `automata._window`).  The states are
+    counted against `cap` before each is added, and a repeat's copies
+    before they are made."""
 
-    def __init__(self):
+    def __init__(self, cap: int):
+        self.cap = cap
         self.symbols = [None]  # literal of each position
         self.follow = [EMPTY]  # positions that may come right after each one
+
+    def check(self, states: int):
+        """Raise StateLimitError if `states` states would pass the cap."""
+        if states > self.cap:
+            raise StateLimitError(f"position automaton would exceed {self.cap} states")
 
     def link(self, last, first):
         if first[1]:
@@ -246,6 +244,7 @@ class _Glushkov:
             return isinstance(node, Epsilon), EMPTY, EMPTY
         if isinstance(node, Literal):
             p = len(self.symbols)
+            self.check(p + 1)
             self.symbols.append(node.symbol)
             self.follow.append(EMPTY)
             return False, (p, 1), (p, 1)
@@ -279,6 +278,7 @@ class _Glushkov:
             # without positions the child denotes at most the empty word,
             # so one copy stands for any positive count
             return nullable, first, last
+        self.check(start + count * width)
         shifts = range(0, count * width, width)
         follow = self.follow[start:]
         self.symbols += self.symbols[start:] * (count - 1)
@@ -293,8 +293,9 @@ def compile_to_nfa(ast: RegexAst, alphabet=None) -> Nfa:
     moves: one state per literal occurrence plus the initial state 0.
 
     A bounded repetition's child is compiled once and its positions copied
-    by shifting (see `_Glushkov.repeat`).  Raises StateLimitError before
-    building when the state count would exceed `state_cap()`.
+    by shifting (see `_Glushkov.repeat`).  Raises StateLimitError as soon
+    as a literal's position or a repeat's copies would take the state
+    count past `state_cap()`, before the copies are made.
     """
     literals = literal_set(ast)
     symbols = set(alphabet) if alphabet is not None else literals
@@ -303,10 +304,7 @@ def compile_to_nfa(ast: RegexAst, alphabet=None) -> Nfa:
         raise AlphabetError(
             f"literals {sorted(missing)!r} are outside the declared alphabet"
         )
-    cap = state_cap()
-    if _positions(ast) + 1 > cap:
-        raise StateLimitError(f"position automaton would exceed {cap} states")
-    builder = _Glushkov()
+    builder = _Glushkov(state_cap())
     nullable, first, last = builder.visit(ast)
     builder.link((0, 1), first)
     accepting = _members(last) + [0] if nullable else _members(last)

@@ -113,42 +113,26 @@ def _perron_root(step, v):
     )
 
 
-def _start_vector(start, n: int):
-    """`start` as a float array, which must be a strictly positive n-vector."""
-    import numpy as np
-
-    v = np.asarray(start, dtype=float)
-    if v.shape != (n,) or (v <= 0).any():
-        raise ValueError("start vector must be strictly positive")
-    return v
-
-
-def component_spectrum(graph: LabeledGraph, component, start=None) -> ComponentSpectrum:
-    """Perron root of one strongly connected component, with diagnostics.
-
-    The component's internal edges and period are those the graph's report
-    holds, and without `start` the spectrum is the one the graph's
-    decomposition keeps.  Raises ValueError when `component` is not a
-    component of the graph, and TrivialComponentError when it has no cycle.
+def component_spectrum(graph: LabeledGraph, component) -> ComponentSpectrum:
+    """Perron root of one strongly connected component, with diagnostics:
+    the spectrum the graph's decomposition keeps, from the internal edges
+    and period its report holds.  Raises ValueError when `component` is
+    not a component of the graph, and TrivialComponentError when it has
+    no cycle.
     """
-    period = component_period(graph, component)
+    component_period(graph, component)  # raises for a trivial or unknown component
     decomposition = _decomposition(graph)
     c = decomposition._component_of[min(component)]
-    if start is None:
-        return decomposition._spectrum(c)
-    scc = decomposition.scc
-    return _spectrum(scc.components[c], scc.internal[c], period, start)
+    return decomposition._spectrum(c)
 
 
-def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
+def _spectrum(component, internal, period) -> ComponentSpectrum:
     """Perron root of a component of the given period from its internal
     (src, dst) edges: r when every vertex has r internal out-edges, or
     every vertex r internal in-edges; otherwise by power iteration over
     the edges in their order."""
     vertices = tuple(sorted(component))
     n = len(vertices)
-    if start is not None:
-        start = _start_vector(start, n)
     for end in (0, 1):
         degrees = Counter(map(itemgetter(end), internal))
         if len(degrees) == n and len(set(degrees.values())) == 1:
@@ -164,8 +148,7 @@ def _spectrum(component, internal, period, start=None) -> ComponentSpectrum:
             v = np.bincount(src, weights=v[dst], minlength=n)
         return v
 
-    start = np.ones(n) if start is None else start
-    root, iterations, residual = _perron_root(step, start)
+    root, iterations, residual = _perron_root(step, np.ones(n))
     radius = root ** (1.0 / period) if period > 1 else root
     return ComponentSpectrum(vertices, period, radius, iterations, residual)
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -25,7 +26,7 @@ from reglang.counting import (
     trim_system,
 )
 from reglang.metrics import jaccard_cum_n, jaccard_exact_n
-from reglang.oracle import DEFAULT_BUDGET, acceptance_by_length, oracle_distance
+from reglang.oracle import DEFAULT_BUDGET, acceptance_by_length, oracle_counts, oracle_distance
 from reglang.spectral import graph_from_matrix
 from corpus import (
     SHOWCASE_FINAL_UNION,
@@ -209,7 +210,7 @@ def _check_both_orders(a, b):
     left, right = prod.left, prod.right
     parts = (left ^ right, left | right)
     unreduced = [CountVectors.from_dfa(prod.dfa(part)) for part in parts]
-    system = _own_system(prod.transitions, parts)
+    system = _own_system(prod.transitions, parts, (0,))
     for backward_first in (False, True):
         cv, finals = _reduced(system, backward_first)
         for row in cv.rows:
@@ -234,7 +235,7 @@ def test_both_lumping_orders_count_like_the_unreduced_systems_on_ties(k):
 @settings(max_examples=100, deadline=None)
 @given(a=_dfas, b=_dfas)
 def test_distances_to_the_keyed_support_leave_the_partition_unchanged(a, b):
-    rows, columns, initial, finals = _own_system(*_union(a, b))
+    rows, columns, initial, finals = _own_system(*_union(a, b), (0,))
     for into, keyed in ((columns, finals), (rows, (initial,))):
         keys = list(zip(*keyed))
         seeds = {v for f in keyed for v, x in enumerate(f) if x}
@@ -244,7 +245,7 @@ def test_distances_to_the_keyed_support_leave_the_partition_unchanged(a, b):
 
 def test_first_lumping_direction_has_more_exact_duplicates(by_name):
     def backward_first(a, b):
-        return _lumps_backward_first(*_own_system(*_union(a, b)))
+        return _lumps_backward_first(*_own_system(*_union(a, b), (0,)))
 
     # 33 states: 1 forward and 16 backward duplicates
     assert backward_first(*_tie(4))
@@ -271,6 +272,36 @@ def test_counting_system_of_a_large_dfa_is_built_from_edges():
     dfa = rl.dfa_from_regex("(a|b)*a(a|b){12}")
     assert dfa.n_states == 8193
     assert count_len(CountVectors.from_dfa(dfa), 20) == 2**19
+
+
+@st.composite
+def _dfas_with_an_unreachable_accepting_state(draw):
+    dfa = draw(_complete_dfas())
+    n = dfa.n_states  # the new state, which no transition enters
+    row = draw(st.tuples(*(st.integers(0, n) for _ in dfa.alphabet)))
+    return rl.Dfa(dfa.alphabet, (*dfa.transitions, row), dfa.accepting | {n}, dfa.initial)
+
+
+def _trim_graph_system(dfa):
+    """(rows, initial, final) of the DFA's system counted from its trim
+    graph's edges, in the order of the graph's sorted vertices."""
+    graph = rl.trim(dfa)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    rows = [Counter() for _ in graph.vertices]
+    for src, _symbol, dst in graph.edges:
+        rows[index[src]][index[dst]] += 1
+    initial = tuple(int(v == dfa.initial) for v in graph.vertices)
+    final = tuple(int(v in dfa.accepting) for v in graph.vertices)
+    return tuple(tuple(sorted(row.items())) for row in rows), initial, final
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dfa=_dfas_with_an_unreachable_accepting_state())
+def test_the_table_system_is_the_trim_graphs_system(dfa):
+    cv = CountVectors.from_dfa(dfa)
+    assert (cv.rows, cv.initial, cv.final) == _trim_graph_system(dfa)
+    for n, exact, _total in oracle_counts(dfa, 8):
+        assert count_len(cv, n) == exact, n
 
 
 # --- systems trimmed to a horizon ---------------------------------------------
@@ -389,6 +420,12 @@ def test_block_count_empty_graph():
 def test_block_count_single_self_loop():
     graph = graph_from_matrix([[1]])
     assert block_count(graph, 5) == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rows=_matrices, n=st.integers(0, 6))
+def test_block_count_is_ones_times_the_power_times_ones(rows, n):
+    assert block_count(graph_from_matrix(rows), n) == sum(map(sum, matrix_power(rows, n)))
 
 
 # --- residue-class systems -----------------------------------------------------

@@ -89,9 +89,10 @@ def test_self_loop_is_primitive():
 
 
 def test_two_cycle_with_extra_self_loop_is_primitive():
-    graph = graph_from_matrix([[1, 1], [1, 0]])
+    rows = [[1, 1], [1, 0]]
+    graph = graph_from_matrix(rows)
     assert rl.is_primitive(graph, {0, 1})
-    cube = matrix_power(graph.matrix, 3)
+    cube = matrix_power(rows, 3)
     assert all(entry > 0 for row in cube for entry in row)
 
 
@@ -176,7 +177,7 @@ def test_primitivity_matches_power_positivity(rows):
         if trivial:
             continue
         keep = sorted(idx[v] for v in component)
-        sub = tuple(tuple(graph.matrix[i][j] for j in keep) for i in keep)
+        sub = tuple(tuple(rows[i][j] for j in keep) for i in keep)
         k = len(keep)
         bound = (k - 1) ** 2 + 1
         positive = False

@@ -39,6 +39,8 @@ def test_smallest_rung_of_each_family_is_timed():
         "language_entropy_left_s",
         "language_entropy_right_s",
         "separating_n_s",
+        "count_vectors_left_s",
+        "count_vectors_right_s",
         "trim_left_kept_s",
         "trim_right_kept_s",
         "scc_decompose_left_kept_s",
@@ -46,6 +48,14 @@ def test_smallest_rung_of_each_family_is_timed():
         "language_entropy_left_kept_s",
         "language_entropy_right_kept_s",
         "separating_n_kept_s",
+        "count_vectors_left_kept_s",
+        "count_vectors_right_kept_s",
+    )
+    count_vectors = (
+        "count_vectors_left_s",
+        "count_vectors_right_s",
+        "count_vectors_left_kept_s",
+        "count_vectors_right_kept_s",
     )
     separation = ("separating_n_s", "separating_n_kept_s")
     build = ("build_process_s",)
@@ -55,8 +65,9 @@ def test_smallest_rung_of_each_family_is_timed():
         "distance_h_process_s",
         "distance_jn_process_s",
         "entropy_golden_process_s",
+        "analyze_process_s",
     )
-    expected = {"tie": from_regex + counting + pair + build + jn_process,
+    expected = {"tie": from_regex + counting + pair + count_vectors + build + jn_process,
                 "disjoint": from_regex + counting + pair + separation + build + jn_process,
                 "chain": from_regex + counting + structure + build + jn_process,
                 "periodic": from_regex + ("jaccard_cum_n_s",) + structure + build + jn_process,

@@ -102,14 +102,6 @@ def test_constant_degree_components_have_radius_r_without_iteration(data):
     assert abs(spectrum.radius - max(abs(np.linalg.eigvals(np.array(rows, float))))) < 1e-9
 
 
-def test_radius_independent_of_start_vector():
-    graph = graph_from_matrix([[1, 1], [1, 0]])
-    uniform = component_spectrum(graph, {0, 1}).radius
-    rng = np.random.default_rng(7)
-    seeded = component_spectrum(graph, {0, 1}, start=rng.uniform(0.5, 1.5, 2)).radius
-    assert rl.entropies_equal(uniform, seeded)
-
-
 # --- language entropy -----------------------------------------------------------
 
 
