@@ -59,7 +59,11 @@ in ROUNDS rounds; in a round each checkout times it once (the median of
 RUNS runs, or of COLD_RUNS processes), the two taking turns to go first,
 so that a drift of the host's speed over the run reaches both alike.
 The output holds, under "alternating", each checkout's records with the
-median over the rounds of each layer.
+median over the rounds of each layer, its first and third quartiles over
+the rounds as `<layer>_quartiles`, and in the records of `src` the
+number of rounds in which `src` took less time than `against` as
+`<layer>_wins`: a change shows where the two checkouts' quartiles part
+and `src` wins nearly every round, not in one ratio of medians.
 """
 
 import argparse
@@ -245,7 +249,9 @@ def alternate(trees, families=FAMILIES, rounds=ROUNDS, runs=RUNS, cold_runs=COLD
     """The records of `measure` for each reglang module in `trees` (name
     -> module), each layer timed in `rounds` rounds in which every module
     times it once, the modules taking turns to go first; a record holds
-    the median over the rounds."""
+    the median over the rounds and, with more than one round, the
+    quartiles, and for the module "src" timed against one named
+    "against", the rounds it won."""
     records = {name: [] for name in trees}
     for family, (sizes, patterns, layers) in families.items():
         stopped = {name: set() for name in trees}  # layers that timed out on a smaller rung
@@ -277,6 +283,13 @@ def alternate(trees, families=FAMILIES, rounds=ROUNDS, runs=RUNS, cold_runs=COLD
                         record[layer] = "timeout"
                     else:
                         record[layer] = round(statistics.median(seconds), 6)
+                        if rounds > 1:
+                            q1, _q2, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+                            record[f"{layer[:-2]}_quartiles"] = [round(q1, 6), round(q3, 6)]
+                timed = [isinstance(rung[name][3][layer], float) for name in trees]
+                if set(trees) == {"src", "against"} and all(timed):
+                    wins = sum(s < a for s, a in zip(times["src"], times["against"]))
+                    rung["src"][3][f"{layer[:-2]}_wins"] = wins
             for name in trees:
                 records[name].append(rung[name][3])
                 print(json.dumps({"tree": name, **rung[name][3]}), file=sys.stderr, flush=True)

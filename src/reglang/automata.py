@@ -21,9 +21,9 @@ reversed table the first time a separation, a finite-horizon Jaccard
 distance, `is_empty` or `shortest_accepted` asks for them, and holds all
 of these as long as it lives.  Any other `LabeledGraph` keeps the
 integer rows of its edges and the components and condensation DAG of
-its own search over them, and `spectral` stores its decomposition
-beside them.  A kept value is built whole before it is stored, so two
-threads racing to read it may both compute it, but neither sees a
+its own search over them; `spectral` keeps one decomposition per search
+beside its report.  A kept value is built whole before it is stored, so
+two threads racing to read it may both compute it, but neither sees a
 partial result.
 
 Language equality and separation search the pairs of states reached
@@ -188,8 +188,7 @@ class Dfa:
         """(report, DAG) of one search over the table from the initial
         state, keeping the components that reach an accepting state, kept.
         They are the components of the trim graph (see `trim`)."""
-        report, dag, _kept = _strong_components(self.transitions, (self.initial,), self.accepting)
-        return report, dag
+        return _strong_components(self.transitions, (self.initial,), self.accepting)
 
     @cached_property
     def _trim(self) -> "LabeledGraph":
@@ -348,8 +347,7 @@ class LabeledGraph:
         to the DFA's own; any other graph runs that search over its own
         rows here, once."""
         rows = self._rows
-        report, dag, _kept = _strong_components(rows, range(len(rows)), names=self.vertices)
-        return report, dag
+        return _strong_components(rows, range(len(rows)), names=self.vertices)
 
     @property
     def component_report(self):
@@ -636,8 +634,7 @@ class Product:
         """(report, DAG) of one search from state 0, kept.  All states are
         reachable, so a combination's trim graph is the part reaching its
         accepting states."""
-        report, dag, _kept = _strong_components(self.transitions, (0,))
-        return report, dag
+        return _strong_components(self.transitions, (0,))
 
     def _within(self, steps: int) -> bool:
         """Whether every state is at most `steps` steps from state 0, read
@@ -726,8 +723,9 @@ def trim(dfa: Dfa) -> LabeledGraph:
     The graph's vertices are the states of those components, its edges
     the table's transitions between them, and it shares the components,
     periods, internal edges and condensation DAG the DFA keeps from that
-    search, which runs only if nothing has read them yet.  The DFA keeps
-    its trim graph too, so `trim(dfa) is trim(dfa)`.
+    search, which runs only if nothing has read them yet, and the
+    spectra computed from it.  The DFA keeps its trim graph too, so
+    `trim(dfa) is trim(dfa)`.
     The result can be empty (empty language); that is a flagged graph,
     not an error, because the distance definitions assign 0 to empty
     denominators downstream.

@@ -45,7 +45,9 @@ from .automata import Dfa, LabeledGraph, coarsest_partition
 
 class CountVectors:
     """Counting system (A, i, f) with A kept as sparse rows: `rows[i]`
-    holds the (column, entry) pairs of the nonzero entries of row i.
+    holds the (column, entry) pairs of the nonzero entries of row i.  The
+    columns, which `final_counts` steps on, are kept as the builder made
+    them.
 
     `CountVectors(matrix, initial, final)` takes A as a square dense
     matrix, and the vectors of its size, of non-negative ints, the form in
@@ -63,6 +65,7 @@ class CountVectors:
         self.rows = tuple(
             tuple((j, a) for j, a in enumerate(row) if a) for row in matrix
         )
+        self._columns = _transpose(self.rows)
         self.initial = tuple(initial)
         self.final = tuple(final)
 
@@ -86,13 +89,14 @@ class CountVectors:
         path, which are the trim graph's vertices in the same order; the
         discarded states would only contribute zero terms."""
         system = _own_system(dfa.transitions, (dfa.accepting,), (dfa.initial,))
-        rows, _columns, initial, finals = _trimmed(*system)
-        return cls._from_rows(rows, initial, finals[0])
+        rows, columns, initial, finals = _trimmed(*system)
+        return cls._from_rows(rows, initial, finals[0], columns)
 
     @classmethod
-    def _from_rows(cls, rows, initial, final) -> "CountVectors":
+    def _from_rows(cls, rows, initial, final, columns) -> "CountVectors":
         cv = cls.__new__(cls)
         cv.rows, cv.initial, cv.final = tuple(rows), tuple(initial), tuple(final)
+        cv._columns = columns
         return cv
 
 
@@ -143,8 +147,8 @@ def _reduced(system, backward_first: bool) -> tuple[CountVectors, tuple]:
     backward or forward, and the vertices off every accepting path
     dropped after it."""
     first, second = (_backward, _forward) if backward_first else (_forward, _backward)
-    rows, _columns, initial, finals = second(*_trimmed(*first(*system)))
-    return CountVectors._from_rows(rows, initial, finals[0]), finals[1:]
+    rows, columns, initial, finals = second(*_trimmed(*first(*system)))
+    return CountVectors._from_rows(rows, initial, finals[0], columns), finals[1:]
 
 
 def _own_system(successors, parts, starts) -> tuple:
@@ -298,7 +302,7 @@ def final_counts(cv: CountVectors, finals):
     vectors f; one O(E) step of the vector i . A^n per length, however
     many counts are read from it."""
     n = cv.n
-    columns = _transpose(cv.rows)  # column j of A as (row, entry) pairs
+    columns = cv._columns  # column j of A as (row, entry) pairs
     # The vector's coordinates are held in order of decreasing column
     # length, so the k-th entries of the columns that have one form the
     # layer k over a prefix of the coordinates.  A step sums the layers
@@ -383,8 +387,8 @@ def block_count(graph: LabeledGraph, n: int) -> int:
     if n < 0:
         raise ValueError("length must be non-negative")
     everything = range(graph.n_vertices)
-    rows, _columns, initial, finals = _own_system(graph._rows, (everything,), everything)
-    return count_len(CountVectors._from_rows(rows, initial, finals[0]), n)
+    rows, columns, initial, finals = _own_system(graph._rows, (everything,), everything)
+    return count_len(CountVectors._from_rows(rows, initial, finals[0], columns), n)
 
 
 def residue_language(cv: CountVectors, q: int, k: int) -> CountVectors:
@@ -405,7 +409,7 @@ def residue_language(cv: CountVectors, q: int, k: int) -> CountVectors:
     power = cv.rows  # the rows of A^q, by q - 1 sparse steps each
     for _ in range(q - 1):
         power = [_times(row, cv.rows) for row in power]
-    return CountVectors._from_rows(power, cv.initial, new_final)
+    return CountVectors._from_rows(power, cv.initial, new_final, _transpose(power))
 
 
 def _times(row, rows) -> tuple:
@@ -421,7 +425,5 @@ def trim_system(cv: CountVectors) -> CountVectors:
     """Drop states that cannot contribute: unreachable from the support
     of the initial vector or unable to reach the support of the final
     vector through nonzero matrix entries."""
-    rows, _columns, initial, (final,) = _trimmed(
-        cv.rows, _transpose(cv.rows), cv.initial, (cv.final,)
-    )
-    return CountVectors._from_rows(rows, initial, final)
+    rows, columns, initial, (final,) = _trimmed(cv.rows, cv._columns, cv.initial, (cv.final,))
+    return CountVectors._from_rows(rows, initial, final, columns)

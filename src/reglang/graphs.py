@@ -8,8 +8,9 @@ Comput. 1972) over integer successor rows: the components, which of them
 reach a target vertex set, each component's internal edges and period,
 and the condensation DAG.  A `Dfa` (whose trim graph `automata.trim`
 builds from it), a `Product` table or any other graph runs it the first
-time either is read, and keeps them.
-This module imports nothing from `automata`.
+time either is read, and keeps them; `spectral` keeps its spectra beside
+the report, which a DFA shares with its trim graph.  This module imports
+nothing from `automata`.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ class ComponentReport:
 
 
 def _strong_components(rows, roots, target=None, names=None) -> tuple:
-    """(report, dag, kept) from one Tarjan search over the vertices 0, 1,
+    """(report, dag) from one Tarjan search over the vertices 0, 1,
     ... reachable from `roots`, where `rows[v]` lists v's successors once
     per edge.
 
@@ -53,7 +54,7 @@ def _strong_components(rows, roots, target=None, names=None) -> tuple:
     length inside the component).  The report covers the kept
     components, its vertices renamed by `names` when given; `dag` is
     their condensation DAG, for each component the sorted numbers of
-    those its outgoing edges enter; `kept[v]` tells whether v is in one.
+    those its outgoing edges enter.
     A single vertex, the common case, makes no container unless it has a
     self-loop or enters a kept component.
     """
@@ -130,8 +131,7 @@ def _strong_components(rows, roots, target=None, names=None) -> tuple:
                         period = gcd(*{depth[u] + 1 - depth[w] for u, w in internal})
                         found.append((members[0], c, members, internal, period, entered))
                 alive.append(keep)
-    kept = [c >= 0 and alive[c] for c in component]
-    return (*_report(found, len(alive), names), kept)
+    return _report(found, len(alive), names)
 
 
 def _report(found, popped, names) -> tuple:
@@ -171,14 +171,19 @@ def _report(found, popped, names) -> tuple:
     return report, tuple(successors)
 
 
-def _find(report: ComponentReport, component) -> int:
-    """The number of a component in the report."""
+def _find_cyclic(report: ComponentReport, component) -> int:
+    """The number of a component of the report that has a cycle."""
     try:
-        return report.components.index(frozenset(component))
+        c = report.components.index(frozenset(component))
     except ValueError:
         raise ValueError(
             f"{sorted(component)} is not a strongly connected component of the graph"
         ) from None
+    if report.trivial[c]:
+        raise TrivialComponentError(
+            f"component {sorted(component)} has no cycle; period undefined"
+        )
+    return c
 
 
 def component_period(graph, component) -> int:
@@ -187,12 +192,7 @@ def component_period(graph, component) -> int:
     depth[u] + 1 - depth[v] over internal edges u -> v, with depths from
     the DFS.  Undefined for trivial components."""
     report = scc_decompose(graph)
-    c = _find(report, component)
-    if report.trivial[c]:
-        raise TrivialComponentError(
-            f"component {sorted(component)} has no cycle; period undefined"
-        )
-    return report.periods[c]
+    return report.periods[_find_cyclic(report, component)]
 
 
 def is_primitive(graph, component) -> bool:

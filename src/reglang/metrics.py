@@ -32,7 +32,7 @@ never search.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import comb, inf, lcm
+from math import comb, inf
 
 from .automata import (
     Dfa,
@@ -46,7 +46,7 @@ from .automata import (
 )
 from .counting import CountVectors, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
-from .spectral import ENTROPY_EPS, POWER_MAX_ITER, _decomposition
+from .spectral import POWER_MAX_ITER, _decomposition, _tied
 
 # Residual that settles the leading vector.  The float radius it is
 # normalized by leaves a floor of about 5e-13.
@@ -158,7 +158,7 @@ def _cumulative_limit(prod: Product, left, right, diagnostics, analytic=False):
         return Fraction(1), "analytic-shortcut"
 
     # sym's nontrivial components lie inside union ones: same periods
-    q = lcm(*(c.period for c in uni_report.components))
+    q = pair.period(left | right)
     radius, d = uni_report.spectral_radius, uni_report.index
     diagnostics["residue_period"] = q
     if uni_report.lambda_class != "expanding":
@@ -167,9 +167,8 @@ def _cumulative_limit(prod: Product, left, right, diagnostics, analytic=False):
         order = f"radius {radius:.6g}, index {d}"
         reason = f"sym, union and intersection all grow as ({order}); the limit needs iteration"
         raise ConvergenceError(reason, diagnostics=diagnostics)
-    # the union's trim graph: its vertices are the components reaching its
-    # accepting states, its edges the product's edges among them
-    vertices = sorted(v for c in pair.reaching(left | right) for v in pair.scc.components[c])
+    # the union's trim graph: the states that reach the union, and their edges
+    vertices = pair.states(left | right)
     kept = set(vertices)
     edges = [(s, t) for s in vertices for t in prod.transitions[s] if t in kept]
     limits, residual, blocks = _leading_limits(vertices, edges, parts, radius, q, d)
@@ -187,14 +186,11 @@ def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
     a finite union has terms 0.  Class k accepts at the states of one
     product, the pair's own with lengths counted modulo q, that are reached
     at lengths k mod q; its one decomposition serves every class.  q is
-    the lcm of the periods of the pair's components that reach the union,
-    read without a spectrum; the union's radius class is that of the
-    lifted union, whose spectra the classes compute anyway.
+    the union's period, read without a spectrum; its radius class is that
+    of the lifted union, whose spectra the classes compute anyway.
     """
     prod = product(d1, d2)
-    own = _decomposition(prod)
-    reaching = own.reaching(prod.left | prod.right)
-    q = lcm(*(own.scc.periods[c] for c in reaching if not own.scc.trivial[c]))
+    q = _decomposition(prod).period(prod.left | prod.right)
     diagnostics["residue_period"] = q
     lifted, at = _lengths_mod(prod, q)
     pair = _decomposition(lifted)
@@ -214,10 +210,9 @@ def _fixed_length_limit(d1: Dfa, d2: Dfa, diagnostics: dict):
 
 def _grows_slower(low, high) -> bool:
     """Whether the growth order (radius, index) of `low` is below `high`'s;
-    radii within 10 * ENTROPY_EPS in log2 count as equal."""
+    radii in one band of equal growth (`spectral._tied`) count as equal."""
     gap = high.entropy_bits - low.entropy_bits
-    tie = abs(gap) <= 10 * ENTROPY_EPS
-    return gap > 10 * ENTROPY_EPS or (tie and low.index < high.index)
+    return low.index < high.index if _tied(gap) else gap > 0
 
 
 def _exact_tie_limit(cv, finals, q, d) -> Fraction:

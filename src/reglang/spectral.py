@@ -24,16 +24,15 @@ loads it.
 
 Components, periods, internal edges and the condensation DAG are those
 a DFA, a pair's product table or a graph keeps from its one search (see
-`graphs`).  Each also keeps one `Decomposition`, stored in its
-`__dict__` the first time `analyze_graph`, `topological_entropy`,
-`language_entropy` or `component_spectrum` reads it, which keeps each
-spectrum it computes and its report over the whole graph.  A DFA's
-language entropy is read straight off its table's search, with no
-labeled graph, so its spectra are computed once in its lifetime.  The
-boolean combinations of a pair of languages are sets of states of one
-product table: every combination's report is read from the
-`Decomposition` of the table's one search, which the metrics make afresh
-for each pair.
+`graphs`).  One `Decomposition` per search, kept beside the search's
+report once `analyze_graph`, `topological_entropy`, `language_entropy`
+or `component_spectrum` reads it, keeps each spectrum it computes and
+the whole graph's report.  A DFA's trim graph holds the DFA's report, so
+`language_entropy(d)` and the spectra of `trim(d)` compute each spectrum
+once in the DFA's lifetime, in any order.  The boolean combinations of
+a pair of languages are sets of states of one product table, whose one
+`Decomposition`, made afresh for each pair, gives each one's report,
+period and states.
 """
 
 import math
@@ -44,7 +43,7 @@ from operator import itemgetter
 
 from .automata import Dfa, LabeledGraph, _reach
 from .errors import ConvergenceError
-from .graphs import component_period, scc_decompose
+from .graphs import _find_cyclic, scc_decompose
 
 ENTROPY_EPS = 1e-9
 POWER_TOL = 1e-12
@@ -114,16 +113,10 @@ def _perron_root(step, v):
 
 
 def component_spectrum(graph: LabeledGraph, component) -> ComponentSpectrum:
-    """Perron root of one strongly connected component, with diagnostics:
-    the spectrum the graph's decomposition keeps, from the internal edges
-    and period its report holds.  Raises ValueError when `component` is
-    not a component of the graph, and TrivialComponentError when it has
-    no cycle.
-    """
-    component_period(graph, component)  # raises for a trivial or unknown component
-    decomposition = _decomposition(graph)
-    c = decomposition._component_of[min(component)]
-    return decomposition._spectrum(c)
+    """The spectrum the graph's decomposition keeps for one strongly
+    connected component.  Raises ValueError when `component` is not one,
+    and TrivialComponentError when it has no cycle."""
+    return _decomposition(graph)._spectrum(_find_cyclic(scc_decompose(graph), component))
 
 
 def _spectrum(component, internal, period) -> ComponentSpectrum:
@@ -155,8 +148,8 @@ def _spectrum(component, internal, period) -> ComponentSpectrum:
 
 class Decomposition:
     """Strongly connected components, from a `graphs.ComponentReport` and
-    its condensation DAG, and the spectral report of the whole graph or of
-    its part that reaches a vertex set.
+    its condensation DAG, and the states, period and spectral report of
+    the whole graph or of its part that reaches a vertex set.
 
     If every vertex is reachable, as in a `Product` table, trimming to an
     accepting set keeps or drops each component whole, and no path
@@ -165,47 +158,58 @@ class Decomposition:
     """
 
     def __init__(self, scc, condensation):
-        self.scc = scc
+        # the report's fields, not the report, which keeps this object (no cycle)
+        self.components = scc.components
+        self.periods = scc.periods
+        self.trivial = scc.trivial
+        self.internal = scc.internal
         self.condensation = condensation
         self._spectra = {}  # computed when a report first keeps the component
 
     @cached_property
     def _component_of(self) -> dict:
-        return {v: c for c, comp in enumerate(self.scc.components) for v in comp}
+        return {v: c for c, comp in enumerate(self.components) for v in comp}
 
     @cached_property
     def _predecessors(self) -> list:
         """The condensation DAG's edges, reversed."""
-        predecessors = [[] for _ in self.scc.components]
+        predecessors = [[] for _ in self.components]
         for c, targets in enumerate(self.condensation):
             for t in targets:
                 predecessors[t].append(c)
         return predecessors
 
-    def reaching(self, accepting) -> list:
+    def _reaching(self, accepting) -> list:
         """The numbers, in order, of the components that reach `accepting`."""
         seeds = {self._component_of[v] for v in accepting}
         return sorted(_reach(seeds, self._predecessors))
 
+    def states(self, accepting) -> list:
+        """The vertices, in order, of the components that reach `accepting`."""
+        return sorted(v for c in self._reaching(accepting) for v in self.components[c])
+
+    def period(self, accepting) -> int:
+        """The lcm of the periods of the cyclic components reaching `accepting`."""
+        reaching = self._reaching(accepting)
+        return math.lcm(*(self.periods[c] for c in reaching if not self.trivial[c]))
+
     def _spectrum(self, c: int) -> ComponentSpectrum:
         if c not in self._spectra:
-            scc = self.scc
-            self._spectra[c] = _spectrum(scc.components[c], scc.internal[c], scc.periods[c])
+            self._spectra[c] = _spectrum(self.components[c], self.internal[c], self.periods[c])
         return self._spectra[c]
 
     def report(self, accepting=None) -> SpectralReport:
         """Report over the components that reach `accepting` (all if None)."""
-        kept = range(len(self.scc.components))
+        kept = range(len(self.components))
         if accepting is not None:
-            kept = self.reaching(accepting)
-        spectra = {c: self._spectrum(c) for c in kept if not self.scc.trivial[c]}
+            kept = self._reaching(accepting)
+        spectra = {c: self._spectrum(c) for c in kept if not self.trivial[c]}
         radius = max((s.radius for s in spectra.values()), default=0.0)
         label = classify_radius(radius)
         entropy = max(0.0, math.log2(radius)) if label == "expanding" else 0.0
         dominant = [
-            c in spectra
-            and abs(math.log2(spectra[c].radius / radius)) <= 10 * ENTROPY_EPS
-            for c in range(len(self.scc.components))
+            c in spectra and _tied(math.log2(spectra[c].radius / radius))
+            for c in range(len(self.components))
         ]
         index = sum(dominant)  # the index when at most one component dominates
         if index > 1:
@@ -218,14 +222,22 @@ class Decomposition:
         return self.report()
 
 
+def _tied(gap: float) -> bool:
+    """The one band of equal growth: whether rates `gap` bits apart tie."""
+    return abs(gap) <= 10 * ENTROPY_EPS
+
+
 def _decomposition(graph) -> Decomposition:
-    """The decomposition of the (report, condensation) pair that a `Dfa`,
-    a `Product` or a `LabeledGraph` keeps, made on the first call and kept
-    beside that pair in its `__dict__`."""
+    """The decomposition of the search a `Dfa`, a `Product` or a
+    `LabeledGraph` keeps, made on the first call and kept beside its
+    report, which a DFA's trim graph shares (see `automata.trim`).  The
+    graph also holds it in its `__dict__`, where later calls find it."""
     kept = graph.__dict__.get("_decomposition")
     if kept is None:
-        kept = Decomposition(scc_decompose(graph), graph._components[1])
-        graph.__dict__["_decomposition"] = kept
+        report = scc_decompose(graph)
+        if "_decomposition" not in report.__dict__:
+            report.__dict__["_decomposition"] = Decomposition(report, graph._components[1])
+        kept = graph.__dict__["_decomposition"] = report.__dict__["_decomposition"]
     return kept
 
 
@@ -270,10 +282,9 @@ def language_entropy(dfa: Dfa) -> SpectralReport:
     components of the trim graph are analysed instead: peeling it down to
     the essential graph only removes vertices outside every cycle, so both
     graphs have the same nontrivial components, internal edges and
-    periods, hence the same spectrum.  They are read off the DFA's one
-    search over its table, which `trim` shares, and no labeled graph is
-    built.  The DFA keeps the search and the report: a second call on it
-    computes nothing.
+    periods, hence the same spectrum, read off the decomposition of the
+    DFA's one search, which `trim` shares: no labeled graph is built, and
+    a second call computes nothing.
     """
     return _decomposition(dfa).whole
 

@@ -128,6 +128,10 @@ def test_alternating_rounds_take_turns_to_go_first():
         (record,) = records[name]
         assert (record["family"], record["size"]) == ("tie", 4)
         assert isinstance(record["jaccard_cum_n_s"], float)
+        low, high = record["jaccard_cum_n_quartiles"]
+        assert low <= record["jaccard_cum_n_s"] <= high
+        # rounds are counted as won only between "src" and "against"
+        assert "jaccard_cum_n_wins" not in record
 
 
 def test_against_times_a_second_checkout_at_the_smallest_rungs(tmp_path, monkeypatch):
@@ -159,4 +163,11 @@ def test_against_times_a_second_checkout_at_the_smallest_rungs(tmp_path, monkeyp
         for record in records:
             for layer in expected[record["family"], record["size"]]:
                 assert isinstance(record[layer], float), (name, record, layer)
+                low, high = record[f"{layer[:-2]}_quartiles"]
+                assert low <= record[layer] <= high, (name, record, layer)
+                wins = record.get(f"{layer[:-2]}_wins")
+                if name == "src":
+                    assert wins in range(3), (record, layer)  # of the 2 rounds
+                else:
+                    assert wins is None, (record, layer)
     assert ladder.load(Path(src), "reglang_against") is not rl

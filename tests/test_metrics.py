@@ -513,6 +513,15 @@ def test_axiom_checker_passes_entropy_sum(corpus):
     assert report.passed, report.violations
 
 
+def test_axiom_checker_passes_cesaro_on_the_whole_corpus(corpus):
+    # the Cesaro Jaccard distance is a pseudo-metric (distinct languages
+    # may lie 0 apart): symmetry and the triangle inequality hold over
+    # all 1,771 triples of the corpus
+    report = rl.check_metric_axioms("cesaro", [lang.dfa for lang in corpus], kind="pseudo")
+    assert report.passed, report.violations
+    assert (report.n_languages, report.n_pairs, report.n_triples) == (23, 253, 1771)
+
+
 def test_axiom_checker_flags_violations(by_name):
     dfas = [by_name[k].dfa for k in ("a_star", "even_a", "odd_a")]
     calls = {}

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
+from reglang import spectral
 from reglang.counting import CountVectors, count_len, count_upto
 from reglang.spectral import (
     ENTROPY_EPS,
@@ -159,6 +160,39 @@ def test_trim_and_essential_graphs_have_one_spectrum(corpus):
     for lang in corpus:
         graph = rl.trim(lang.dfa)
         assert analyze_graph(graph) == analyze_graph(rl.essential(graph)), lang.name
+
+
+@pytest.mark.parametrize("views_first", [False, True])
+@pytest.mark.parametrize("pattern, cycles", [("(a|bb)*c(a|bb)*", 2), ("(a|bb)*", 1)])
+def test_a_dfa_and_its_trim_graph_compute_each_spectrum_once(monkeypatch, pattern, cycles,
+                                                             views_first):
+    computed = []
+
+    def counted(component, internal, period, spectrum=spectral._spectrum):
+        computed.append(component)
+        return spectrum(component, internal, period)
+
+    monkeypatch.setattr(spectral, "_spectrum", counted)
+    dfa = rl.dfa_from_regex(pattern)
+    reports = []
+
+    def read_the_dfa():
+        reports.append(rl.language_entropy(dfa))
+
+    def read_the_trim_graph():
+        graph = rl.trim(dfa)
+        reports.append(analyze_graph(graph))
+        assert rl.topological_entropy(graph) == reports[-1].entropy_bits
+        scc = rl.scc_decompose(graph)
+        for component, trivial in zip(scc.components, scc.trivial):
+            if not trivial:
+                assert component_spectrum(graph, component) in reports[-1].components
+
+    order = (read_the_dfa, read_the_trim_graph)
+    for read in order[::-1] if views_first else order:
+        read()
+    assert len(computed) == cycles
+    assert reports[0] is reports[1]
 
 
 def _dfas_upto(max_states):
