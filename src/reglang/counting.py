@@ -46,8 +46,7 @@ from .automata import Dfa, LabeledGraph, coarsest_partition
 class CountVectors:
     """Counting system (A, i, f) with A kept as sparse rows: `rows[i]`
     holds the (column, entry) pairs of the nonzero entries of row i.  The
-    columns, which `final_counts` steps on, are kept as the builder made
-    them.
+    columns, which `final_counts` steps on, are kept as they were built.
 
     `CountVectors(matrix, initial, final)` takes A as a square dense
     matrix, and the vectors of its size, of non-negative ints, the form in
