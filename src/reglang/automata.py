@@ -36,14 +36,13 @@ two DFAs over different alphabets through one row reader (`_reader`),
 with no harmonized copy.
 """
 
-import json
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count
 from math import inf
 from operator import itemgetter
 
+from ._record import record
 from .errors import AlphabetError, StateLimitError
 from .graphs import _strong_components
 
@@ -111,7 +110,7 @@ def _meets(a, b) -> bool:
     return bool(bmask >> (alo - blo) & amask)
 
 
-@dataclass
+@record
 class Nfa:
     """Position automaton without epsilon moves, as the regex compiler
     builds it (Glushkov, McNaughton-Yamada): state 0 is initial, and every
@@ -148,7 +147,7 @@ class Nfa:
         return _meets(current, _window(self.accepting))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dfa:
     """Complete DFA: alphabet, total transition table, accepting set.
 
@@ -251,6 +250,8 @@ class Dfa:
         return state in self.accepting
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "alphabet": list(self.alphabet),
@@ -270,6 +271,8 @@ class Dfa:
         list, whose `states` is the int number of rows of `delta`, and
         whose every state number is an int (a bool is not one), and
         unless these make a `Dfa`."""
+        import json
+
         obj = json.loads(text)
         if type(obj) is not dict or not _JSON_FIELDS <= obj.keys():
             raise ValueError(f"a DFA document is an object with the keys {sorted(_JSON_FIELDS)}")
@@ -296,7 +299,7 @@ class Dfa:
 _JSON_FIELDS = frozenset({"alphabet", "states", "initial", "accepting", "delta"})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabeledGraph:
     """Symbol-labeled directed multigraph over surviving DFA states.
 
@@ -608,7 +611,7 @@ def _reader(dfa: Dfa, symbols: tuple[str, ...]):
     return lambda p: pick(rows[p] + dead) if p < n else all_dead
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Product:
     """Reachable part of the product of two DFAs over their union alphabet.
 

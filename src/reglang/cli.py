@@ -8,7 +8,6 @@ point fields are rounded to 12 decimals so output is reproducible.
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from itertools import chain, islice
 
 from . import dfa_from_regex
@@ -55,7 +54,9 @@ def _jsonable(value):
 
 
 def _emit(obj):
-    print(json.dumps(_jsonable(obj), sort_keys=True))
+    """Print `obj` as one line of JSON, its floats already rounded by
+    `_jsonable` where it may hold any."""
+    print(json.dumps(obj, sort_keys=True))
 
 
 def build_parser() -> _Parser:
@@ -103,17 +104,16 @@ def build_parser() -> _Parser:
 def cmd_entropy(args) -> int:
     dfa = dfa_from_regex(args.regex, args.alphabet)
     report = language_entropy(dfa)
-    _emit(
-        {
-            "entropy_bits": report.entropy_bits,
-            "spectral_radius": report.spectral_radius,
-            "lambda_class": report.lambda_class,
-            "components": [
-                {"size": len(c.vertices), "period": c.period, "radius": c.radius}
-                for c in report.components
-            ],
-        }
-    )
+    obj = {
+        "entropy_bits": report.entropy_bits,
+        "spectral_radius": report.spectral_radius,
+        "lambda_class": report.lambda_class,
+        "components": [
+            {"size": len(c.vertices), "period": c.period, "radius": c.radius}
+            for c in report.components
+        ],
+    }
+    _emit(_jsonable(obj))
     return 0
 
 
@@ -123,7 +123,13 @@ def cmd_distance(args) -> int:
     d2 = dfa_from_regex(args.regex2, args.alphabet)
     config = CesaroConfig(mode=args.mode)
     result = distance_result(metric, d1, d2, n=args.n, config=config)
-    _emit(asdict(result))
+    obj = {
+        "metric": result.metric,
+        "value": result.value,
+        "mode": result.mode,
+        "diagnostics": result.diagnostics,
+    }
+    _emit(_jsonable(obj))
     return 0
 
 
@@ -181,6 +187,7 @@ def cmd_analyze(args) -> int:
             print(f"{n},{exact},{total}")
         return 0
 
+    # ints, bools and strings only: `_emit` prints it with no float walk
     obj = {
         "vertices": sorted(chain.from_iterable(report.components)),
         "components": [sorted(c) for c in report.components],

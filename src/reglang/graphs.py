@@ -13,13 +13,13 @@ the report, which a DFA shares with its trim graph.  This module imports
 nothing from `automata`.
 """
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
+from ._record import record
 from .errors import TrivialComponentError
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComponentReport:
     """SCC decomposition of a labeled graph.
 

@@ -29,11 +29,11 @@ combination's report from the table's one search; the finite horizons
 never search.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import comb, inf
 
+from ._record import Fresh, record
 from .automata import (
     Dfa,
     Product,
@@ -53,7 +53,7 @@ from .spectral import POWER_MAX_ITER, _decomposition, _tied
 LIMIT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CesaroConfig:
     """Settings of the staged Cesaro computation.
 
@@ -68,7 +68,7 @@ class CesaroConfig:
     sequence: str = "cum"  # "cum" | "exact"
 
 
-@dataclass
+@record
 class DistanceResult:
     """A distance, the stage that decided it, and its evidence: an "exact"
     Cesaro value has `numerator` and `denominator`; a "per-residue" one has
@@ -78,7 +78,7 @@ class DistanceResult:
     metric: str
     value: float
     mode: str  # "exact" | "analytic-shortcut" | "per-residue"
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict = Fresh(dict)
 
 
 def _pair_counts(cv: CountVectors, finals, cumulative: bool):
@@ -362,7 +362,7 @@ def separating_n(dfas) -> int:
     return worst
 
 
-@dataclass
+@record
 class AxiomReport:
     kind: str
     n_languages: int

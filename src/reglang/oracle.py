@@ -7,11 +7,11 @@ recursive matcher and from plain set semantics on the tree.  Budgets
 keep the exhaustive modes at desk scale.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+from ._record import record
 from .automata import Dfa
 from .errors import BudgetError
 from .regex import Alt, Concat, Empty, Epsilon, Literal, Repeat, Star
@@ -19,7 +19,7 @@ from .regex import Alt, Concat, Empty, Epsilon, Literal, Repeat, Star
 ENUMERATION_LIMIT = 10**9
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OracleBudget:
     """Bounds on exhaustive enumeration: maximum word length and maximum
     alphabet size, with the total string count capped below a billion."""

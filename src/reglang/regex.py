@@ -24,8 +24,7 @@ path of the tree, which keeps the recursive parser, `literal_set` and
 the compiler well inside Python's recursion limit.
 """
 
-from dataclasses import dataclass
-
+from ._record import record
 from .automata import EMPTY, Nfa, _members, _union, state_cap
 from .errors import AlphabetError, RegexSyntaxError, StateLimitError
 
@@ -33,37 +32,37 @@ RESERVED = set("|*(){}~#\\")
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Empty:
     """The empty language (no strings)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Epsilon:
     """The language containing exactly the empty string."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Literal:
     symbol: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Concat:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Alt:
     options: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Star:
     child: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Repeat:
     child: object
     count: int

@@ -37,10 +37,10 @@ period and states.
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
+from ._record import record
 from .automata import Dfa, LabeledGraph, _reach
 from .errors import ConvergenceError
 from .graphs import _find_cyclic, scc_decompose
@@ -50,7 +50,7 @@ POWER_TOL = 1e-12
 POWER_MAX_ITER = 100_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComponentSpectrum:
     vertices: tuple
     period: int
@@ -59,7 +59,7 @@ class ComponentSpectrum:
     residual: float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpectralReport:
     """Per-component radii plus the language-level summary.
 

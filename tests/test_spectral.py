@@ -347,3 +347,26 @@ def test_numpy_loads_only_for_a_component_that_needs_iteration():
     run = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == ["False", "True"]
+
+
+# Which of the modules that no import needs are loaded by `import reglang`,
+# then by `import reglang.cli`, counting only those the interpreter had not
+# loaded before.
+IMPORT_ONLY = """
+import sys
+late = {"dataclasses", "inspect", "json", "numpy"} - set(sys.modules)
+import reglang
+print(",".join(sorted(late & set(sys.modules))))
+import reglang.cli
+print(",".join(sorted(late & set(sys.modules))))
+"""
+
+
+def test_import_loads_no_dataclasses_inspect_json_or_numpy():
+    src = str(Path(rl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", IMPORT_ONLY], env=env,
+                         capture_output=True, text=True, check=True)
+    package, cli = run.stdout.split("\n")[:2]
+    assert package == ""
+    assert cli in ("", "json")  # the command line prints JSON
