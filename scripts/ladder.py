@@ -22,8 +22,10 @@ times the same call repeated on the same operands, after a first,
 untimed call.  A DFA keeps no counting system, so the
 `count_vectors_*_kept` twins time the whole build again.  Cold-start
 layers time whole processes, each a fresh interpreter: `build_process_s`
-imports reglang and builds the rung's two operands, in every family; the
-cold family runs the command line on the tie pair: `reglang entropy` of
+imports reglang and builds the rung's two operands, in every family but
+the cold one; the cold family times `import_process_s`, which imports
+`reglang` and `reglang.cli` and builds nothing, and runs the command
+line on the tie pair: `reglang entropy` of
 its left operand, `reglang distance --metric h` and `--metric jn --n 200`
 of the pair, `reglang entropy '(a|bb)*'`, whose component needs power
 iteration, and `reglang analyze --counts 20` of its left operand.
@@ -47,7 +49,7 @@ structural ones.  Under lumping, the
 counting systems of the first two families shrink to a few vertices; the
 chain's do not shrink.  Each time is the median of RUNS
 wall-clock runs, after the operands are built (COLD_RUNS processes for a
-cold-start layer).  A run longer than
+cold-start layer), kept to FIGURES significant figures.  A run longer than
 BUDGET_S seconds is stopped and recorded as "timeout", and that layer is
 "skipped" on the family's larger rungs.  `--src` selects the reglang
 sources to time, so one script times two checkouts alike, and `--layers`
@@ -82,6 +84,7 @@ RUNS = 3
 COLD_RUNS = 5
 ROUNDS = 5
 BUDGET_S = 10.0
+FIGURES = 4
 HORIZON = 200
 GOLDEN = "(a|bb)*"
 
@@ -120,6 +123,7 @@ FROM_REGEX = tuple(FRONT_END)
 
 # cold-start layer -> the arguments of PROBE, given the rung's patterns
 PROCESSES = {
+    "import_process_s": lambda p1, p2: ["import"],
     "build_process_s": lambda p1, p2: ["build", p1, p2],
     "entropy_process_s": lambda p1, p2: ["entropy", p1],
     "distance_h_process_s": lambda p1, p2: ["distance", "--metric", "h", p1, p2],
@@ -129,16 +133,22 @@ PROCESSES = {
     "entropy_golden_process_s": lambda p1, p2: ["entropy", GOLDEN],
     "analyze_process_s": lambda p1, p2: ["analyze", p1, "--counts", "20"],
 }
-BUILD = ("build_process_s",)
+IMPORT, BUILD = ("import_process_s",), ("build_process_s",)
 JN_PROCESS = ("distance_jn_process_s",)
-COMMAND_LINE = tuple(PROCESSES)[1:]
-# Run as `python -c PROBE src build pattern...` to import reglang from src
-# and build each pattern's DFA, or as `python -c PROBE src args...` to run
-# `reglang args...`; its last line of output says whether numpy loaded.
+COMMAND_LINE = tuple(PROCESSES)[2:]
+# Run as `python -c PROBE src import` to import reglang and its command
+# line from src, as `python -c PROBE src build pattern...` to import
+# reglang and build each pattern's DFA, or as `python -c PROBE src
+# args...` to run `reglang args...`; its last line of output says whether
+# numpy loaded.
 PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
-if sys.argv[2] == "build":
+if sys.argv[2] == "import":
+    import reglang
+    import reglang.cli
+    code = 0
+elif sys.argv[2] == "build":
     import reglang
     for pattern in sys.argv[3:]:
         reglang.dfa_from_regex(pattern)
@@ -181,7 +191,7 @@ FAMILIES = {
         lambda m: (periodic(m), periodic(m + 1)),
         FROM_REGEX + ("jaccard_cum_n_s",) + STRUCTURE + BUILD + JN_PROCESS,
     ),
-    "cold": ((4, 7, 12), tie, COMMAND_LINE),
+    "cold": ((4, 7, 12), tie, IMPORT + COMMAND_LINE),
 }
 
 
@@ -282,10 +292,10 @@ def alternate(trees, families=FAMILIES, rounds=ROUNDS, runs=RUNS, cold_runs=COLD
                         stopped[name].add(layer)
                         record[layer] = "timeout"
                     else:
-                        record[layer] = round(statistics.median(seconds), 6)
+                        record[layer] = _figures(statistics.median(seconds))
                         if rounds > 1:
                             q1, _q2, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
-                            record[f"{layer[:-2]}_quartiles"] = [round(q1, 6), round(q3, 6)]
+                            record[f"{layer[:-2]}_quartiles"] = [_figures(q1), _figures(q3)]
                 timed = [isinstance(rung[name][3][layer], float) for name in trees]
                 if set(trees) == {"src", "against"} and all(timed):
                     wins = sum(s < a for s, a in zip(times["src"], times["against"]))
@@ -294,6 +304,13 @@ def alternate(trees, families=FAMILIES, rounds=ROUNDS, runs=RUNS, cold_runs=COLD
                 records[name].append(rung[name][3])
                 print(json.dumps({"tree": name, **rung[name][3]}), file=sys.stderr, flush=True)
     return records
+
+
+def _figures(seconds: float) -> float:
+    """`seconds` to FIGURES significant figures: a kept analysis read back
+    takes well under a microsecond, which a fixed number of decimals
+    would flatten."""
+    return float(f"{seconds:.{FIGURES}g}")
 
 
 def _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs):

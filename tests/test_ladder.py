@@ -67,11 +67,12 @@ def test_smallest_rung_of_each_family_is_timed():
         "entropy_golden_process_s",
         "analyze_process_s",
     )
+    import_only = ("import_process_s",)
     expected = {"tie": from_regex + counting + pair + count_vectors + build + jn_process,
                 "disjoint": from_regex + counting + pair + separation + build + jn_process,
                 "chain": from_regex + counting + structure + build + jn_process,
                 "periodic": from_regex + ("jaccard_cum_n_s",) + structure + build + jn_process,
-                "cold": command_line}
+                "cold": import_only + command_line}
     for record in records:
         timed = [key for key in record if key.endswith("_s")]
         assert timed == list(expected[record["family"]]), record
@@ -132,6 +133,16 @@ def test_alternating_rounds_take_turns_to_go_first():
         assert low <= record["jaccard_cum_n_s"] <= high
         # rounds are counted as won only between "src" and "against"
         assert "jaccard_cum_n_wins" not in record
+
+
+def test_a_sub_microsecond_time_keeps_four_significant_figures(monkeypatch):
+    ladder = _ladder()
+    times = iter([1.2345678e-07, 2.3456789e-07, 3.4567891e-07])
+    monkeypatch.setattr(ladder, "median_time", lambda *args, **kwargs: next(times))
+    families = {"tie": ((4,), ladder.tie, ("trim_left_kept_s",))}
+    (record,) = ladder.alternate({"src": rl}, families, rounds=3, runs=1)["src"]
+    assert record["trim_left_kept_s"] == 2.346e-07
+    assert record["trim_left_kept_quartiles"] == [1.79e-07, 2.901e-07]
 
 
 def test_against_times_a_second_checkout_at_the_smallest_rungs(tmp_path, monkeypatch):
