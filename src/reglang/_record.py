@@ -42,9 +42,6 @@ def record(cls=None, *, frozen=False):
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(fields)
     defaults = {field: cls.__dict__[field] for field in fields if field in cls.__dict__}
-    for field, default in defaults.items():
-        if isinstance(default, Fresh):
-            delattr(cls, field)
     post_init = cls.__dict__.get("__post_init__")
     # the fields as a tuple: `attrgetter` of one name returns the bare value
     get = attrgetter(*fields) if fields else None
