@@ -20,7 +20,10 @@ every class on every import, which cost more start-up time than anything
 else in the package.
 """
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
+
+_set = object.__setattr__
+MOST = 5  # fields a record may have: `__init__` sets each in a statement of its own
 
 
 class FrozenInstanceError(AttributeError):
@@ -41,13 +44,23 @@ def record(cls=None, *, frozen=False):
     name = cls.__qualname__
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     n = len(fields)
+    if n > MOST:
+        raise TypeError(f"a record has at most {MOST} fields; {name} has {n}")
+    f0, f1, f2, f3, f4 = fields + (None,) * (MOST - n)
     defaults = {field: cls.__dict__[field] for field in fields if field in cls.__dict__}
     post_init = cls.__dict__.get("__post_init__")
+    # The values are set one attribute at a time, where instances keep
+    # them: reading `__dict__` would move them into a dict, from which
+    # every later read of a field is slower.
+    put = _set if frozen else setattr
     # the fields as a tuple: `attrgetter` of one name returns the bare value
     get = attrgetter(*fields) if fields else None
     values = get if n > 1 else (lambda self: (get(self),)) if n else (lambda self: ())
+    keywords, take = frozenset(fields), itemgetter(*fields) if n > 1 else None
 
     def bind(args, kwargs):
+        if not args and take is not None and kwargs.keys() == keywords:
+            return take(kwargs)
         if len(args) > n:
             raise TypeError(f"{name}() takes {n} arguments but {len(args)} were given")
         args = list(args)
@@ -66,7 +79,17 @@ def record(cls=None, *, frozen=False):
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
             args = bind(args, kwargs)
-        self.__dict__.update(zip(fields, args))
+        # a loop over the fields would cost a third more
+        if n:
+            put(self, f0, args[0])
+        if n > 1:
+            put(self, f1, args[1])
+        if n > 2:
+            put(self, f2, args[2])
+        if n > 3:
+            put(self, f3, args[3])
+        if n > 4:
+            put(self, f4, args[4])
         if post_init is not None:
             post_init(self)
 
