@@ -25,10 +25,10 @@ layers time whole processes, each a fresh interpreter: `build_process_s`
 imports reglang and builds the rung's two operands, in every family but
 the cold one; the cold family times `import_process_s`, which imports
 `reglang` and `reglang.cli` and builds nothing, and runs the command
-line on the tie pair: `reglang entropy` of
-its left operand, `reglang distance --metric h` and `--metric jn --n 200`
-of the pair, `reglang entropy '(a|bb)*'`, whose component needs power
-iteration, and `reglang analyze --counts 20` of its left operand.
+line on the tie pair: `reglang entropy` of its left operand, `reglang
+distance --metric h` and `--metric jn --n 200` of the pair, `reglang
+entropy '(a|bb)*'`, whose component needs power iteration, and `reglang
+analyze --counts 20` of its left operand.
 Beside each cold-start time, `<layer>_numpy` records whether the process
 loaded numpy.
 Rungs, each family in increasing size:

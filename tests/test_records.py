@@ -7,6 +7,7 @@ from dataclasses import field, make_dataclass
 
 import pytest
 
+from reglang._record import MOST, record
 from reglang.automata import Dfa, LabeledGraph, Nfa, Product
 from reglang.errors import AlphabetError
 from reglang.graphs import ComponentReport
@@ -144,3 +145,9 @@ def test_record_behaves_as_its_dataclass_twin(cls, frozen, spec, one, other):
                 assert isinstance(got, type) and issubclass(got, AttributeError)
             else:
                 assert got == want
+
+
+def test_a_record_of_more_fields_than_init_sets_is_refused():
+    names = [f"f{k}" for k in range(MOST + 1)]
+    with pytest.raises(TypeError, match="at most"):
+        record(type("Wide", (), {"__annotations__": dict.fromkeys(names, int)}))
