@@ -1,97 +1,39 @@
-"""Record classes without `dataclasses`.
+"""Record classes built without generating code.
 
-`record` gives a class whose annotations list its fields the methods that
+A record class lists its fields as annotations and writes its own
+`__init__` with the fields as named parameters; a frozen one sets them with
+`object.__setattr__`.  `record` gives it the other methods that
 `@dataclass` would:
-- `__init__`, taking the fields in annotation order, by position or by
-  keyword, with defaults from the class attributes (a `Fresh` one made
-  anew for each instance), then calling the class's `__post_init__` when
-  it has one;
 - a `Name(field=value, ...)` `__repr__`;
 - an `__eq__` comparing the fields of two instances of the same class;
 - for a frozen record, a `__hash__` of the tuple of its fields and a
   `__setattr__` and `__delattr__` that refuse every change.  Any other
   record is unhashable;
 - `__match_args__`, the field names.
+A method the class defines itself is kept, as `@dataclass` keeps it.
 
 The methods are closures over the field names, and they read the fields
 alone, never the rest of `__dict__`, where instances keep what they have
-analysed.  `dataclasses` instead compiles their source with `exec` for
+analysed.  `@dataclass` instead compiles their source with `exec` for
 every class on every import, which cost more start-up time than anything
 else in the package.
 """
 
-from operator import attrgetter, itemgetter
-
-_set = object.__setattr__
-MOST = 5  # fields a record may have: `__init__` sets each in a statement of its own
+from operator import attrgetter
 
 
 class FrozenInstanceError(AttributeError):
     """An assignment to or a deletion of an attribute of a frozen record."""
 
 
-class Fresh:
-    """A field default made anew for each instance by calling `factory`."""
-
-    def __init__(self, factory):
-        self.factory = factory
-
-
 def record(cls=None, *, frozen=False):
     """`cls` with the methods of a record, as `@record` or `@record(frozen=True)`."""
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
-    name = cls.__qualname__
     fields = tuple(cls.__dict__.get("__annotations__", ()))
-    n = len(fields)
-    if n > MOST:
-        raise TypeError(f"a record has at most {MOST} fields; {name} has {n}")
-    f0, f1, f2, f3, f4 = fields + (None,) * (MOST - n)
-    defaults = {field: cls.__dict__[field] for field in fields if field in cls.__dict__}
-    post_init = cls.__dict__.get("__post_init__")
-    # The values are set one attribute at a time, where instances keep
-    # them: reading `__dict__` would move them into a dict, from which
-    # every later read of a field is slower.
-    put = _set if frozen else setattr
     # the fields as a tuple: `attrgetter` of one name returns the bare value
     get = attrgetter(*fields) if fields else None
-    values = get if n > 1 else (lambda self: (get(self),)) if n else (lambda self: ())
-    keywords, take = frozenset(fields), itemgetter(*fields) if n > 1 else None
-
-    def bind(args, kwargs):
-        if not args and take is not None and kwargs.keys() == keywords:
-            return take(kwargs)
-        if len(args) > n:
-            raise TypeError(f"{name}() takes {n} arguments but {len(args)} were given")
-        args = list(args)
-        for field in fields[len(args):]:
-            if field in kwargs:
-                args.append(kwargs.pop(field))
-            elif field not in defaults:
-                raise TypeError(f"{name}() missing argument {field!r}")
-            else:
-                default = defaults[field]
-                args.append(default.factory() if isinstance(default, Fresh) else default)
-        if kwargs:
-            raise TypeError(f"{name}() got unexpected or repeated arguments {sorted(kwargs)}")
-        return args
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != n:
-            args = bind(args, kwargs)
-        # a loop over the fields would cost a third more
-        if n:
-            put(self, f0, args[0])
-        if n > 1:
-            put(self, f1, args[1])
-        if n > 2:
-            put(self, f2, args[2])
-        if n > 3:
-            put(self, f3, args[3])
-        if n > 4:
-            put(self, f4, args[4])
-        if post_init is not None:
-            post_init(self)
+    values = get if len(fields) > 1 else (lambda self: (get(self),)) if fields else (lambda self: ())
 
     def __repr__(self):
         shown = ", ".join([f"{field}={value!r}" for field, value in zip(fields, values(self))])
@@ -105,19 +47,18 @@ def record(cls=None, *, frozen=False):
     def __hash__(self):
         return hash(values(self))
 
-    def hash_one(self):  # `__hash__` for one field, without the call to `values`
-        return hash((get(self),))
-
     def __setattr__(self, attribute, value):
         raise FrozenInstanceError(f"cannot assign to field {attribute!r}")
 
     def __delattr__(self, attribute):
         raise FrozenInstanceError(f"cannot delete field {attribute!r}")
 
-    cls.__init__, cls.__repr__, cls.__eq__ = __init__, __repr__, __eq__
-    cls.__match_args__ = fields
-    cls.__hash__ = None
+    methods = {"__repr__": __repr__, "__eq__": __eq__, "__match_args__": fields}
     if frozen:
-        cls.__hash__ = hash_one if n == 1 else __hash__
-        cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
+    else:
+        methods["__hash__"] = None
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
     return cls

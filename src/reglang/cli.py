@@ -54,9 +54,7 @@ def _jsonable(value):
 
 
 def _emit(obj):
-    """Print `obj` as one line of JSON, its floats already rounded by
-    `_jsonable` where it may hold any."""
-    print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(_jsonable(obj), sort_keys=True))
 
 
 def build_parser() -> _Parser:
@@ -104,16 +102,17 @@ def build_parser() -> _Parser:
 def cmd_entropy(args) -> int:
     dfa = dfa_from_regex(args.regex, args.alphabet)
     report = language_entropy(dfa)
-    obj = {
-        "entropy_bits": report.entropy_bits,
-        "spectral_radius": report.spectral_radius,
-        "lambda_class": report.lambda_class,
-        "components": [
-            {"size": len(c.vertices), "period": c.period, "radius": c.radius}
-            for c in report.components
-        ],
-    }
-    _emit(_jsonable(obj))
+    _emit(
+        {
+            "entropy_bits": report.entropy_bits,
+            "spectral_radius": report.spectral_radius,
+            "lambda_class": report.lambda_class,
+            "components": [
+                {"size": len(c.vertices), "period": c.period, "radius": c.radius}
+                for c in report.components
+            ],
+        }
+    )
     return 0
 
 
@@ -123,13 +122,14 @@ def cmd_distance(args) -> int:
     d2 = dfa_from_regex(args.regex2, args.alphabet)
     config = CesaroConfig(mode=args.mode)
     result = distance_result(metric, d1, d2, n=args.n, config=config)
-    obj = {
-        "metric": result.metric,
-        "value": result.value,
-        "mode": result.mode,
-        "diagnostics": result.diagnostics,
-    }
-    _emit(_jsonable(obj))
+    _emit(
+        {
+            "metric": result.metric,
+            "value": result.value,
+            "mode": result.mode,
+            "diagnostics": result.diagnostics,
+        }
+    )
     return 0
 
 
@@ -187,7 +187,7 @@ def cmd_analyze(args) -> int:
             print(f"{n},{exact},{total}")
         return 0
 
-    # ints, bools and strings only: `_emit` prints it with no float walk
+    # ints, bools and strings only, so printed with no `_jsonable` walk
     obj = {
         "vertices": sorted(chain.from_iterable(report.components)),
         "components": [sorted(c) for c in report.components],
@@ -210,13 +210,13 @@ def cmd_analyze(args) -> int:
         mismatches = [want[0] for want, got in zip(expected, computed) if want != got]
         obj["verify"] = {"max_length": horizon, "match": not mismatches}
         if mismatches:
-            _emit(obj)
+            print(json.dumps(obj, sort_keys=True))
             print(
                 f"diagnostic: counts disagree with enumeration at lengths {mismatches}",
                 file=sys.stderr,
             )
             return 2
-    _emit(obj)
+    print(json.dumps(obj, sort_keys=True))
     return 0
 
 

@@ -38,6 +38,13 @@ class ComponentReport:
     residue_period: int
     internal: tuple  # of tuples of (src, dst), aligned with components
 
+    def __init__(self, components, periods, trivial, residue_period, internal):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "periods", periods)
+        object.__setattr__(self, "trivial", trivial)
+        object.__setattr__(self, "residue_period", residue_period)
+        object.__setattr__(self, "internal", internal)
+
 
 def _strong_components(rows, roots, target=None, names=None) -> tuple:
     """(report, dag) from one Tarjan search over the vertices 0, 1,

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import islice
 from math import comb, inf
 
-from ._record import Fresh, record
+from ._record import record
 from .automata import (
     Dfa,
     Product,
@@ -67,6 +67,10 @@ class CesaroConfig:
     mode: str = "auto"  # "auto" | "analytic" (decided without iteration)
     sequence: str = "cum"  # "cum" | "exact"
 
+    def __init__(self, mode="auto", sequence="cum"):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "sequence", sequence)
+
 
 @record
 class DistanceResult:
@@ -78,7 +82,13 @@ class DistanceResult:
     metric: str
     value: float
     mode: str  # "exact" | "analytic-shortcut" | "per-residue"
-    diagnostics: dict = Fresh(dict)
+    diagnostics: dict
+
+    def __init__(self, metric, value, mode, diagnostics=None):
+        self.metric = metric
+        self.value = value
+        self.mode = mode
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def _pair_counts(cv: CountVectors, finals, cumulative: bool):
@@ -369,6 +379,13 @@ class AxiomReport:
     n_pairs: int
     n_triples: int
     violations: list
+
+    def __init__(self, kind, n_languages, n_pairs, n_triples, violations):
+        self.kind = kind
+        self.n_languages = n_languages
+        self.n_pairs = n_pairs
+        self.n_triples = n_triples
+        self.violations = violations
 
     @property
     def passed(self) -> bool:

@@ -27,6 +27,10 @@ class OracleBudget:
     n_max: int = 8
     max_alphabet: int = 7
 
+    def __init__(self, n_max=8, max_alphabet=7):
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "max_alphabet", max_alphabet)
+
     def validate(self, alphabet_size: int, n_max: int) -> None:
         if n_max > self.n_max:
             raise BudgetError(f"length {n_max} exceeds oracle budget {self.n_max}")

@@ -46,26 +46,42 @@ class Epsilon:
 class Literal:
     symbol: str
 
+    def __init__(self, symbol):
+        object.__setattr__(self, "symbol", symbol)
+
 
 @record(frozen=True)
 class Concat:
     parts: tuple
+
+    def __init__(self, parts):
+        object.__setattr__(self, "parts", parts)
 
 
 @record(frozen=True)
 class Alt:
     options: tuple
 
+    def __init__(self, options):
+        object.__setattr__(self, "options", options)
+
 
 @record(frozen=True)
 class Star:
     child: object
+
+    def __init__(self, child):
+        object.__setattr__(self, "child", child)
 
 
 @record(frozen=True)
 class Repeat:
     child: object
     count: int
+
+    def __init__(self, child, count):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "count", count)
 
 
 RegexAst = Empty | Epsilon | Literal | Concat | Alt | Star | Repeat

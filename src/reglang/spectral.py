@@ -58,6 +58,13 @@ class ComponentSpectrum:
     iterations: int
     residual: float
 
+    def __init__(self, vertices, period, radius, iterations, residual):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "residual", residual)
+
 
 @record(frozen=True)
 class SpectralReport:
@@ -76,6 +83,13 @@ class SpectralReport:
     entropy_bits: float
     lambda_class: str
     index: int
+
+    def __init__(self, components, spectral_radius, entropy_bits, lambda_class, index):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "spectral_radius", spectral_radius)
+        object.__setattr__(self, "entropy_bits", entropy_bits)
+        object.__setattr__(self, "lambda_class", lambda_class)
+        object.__setattr__(self, "index", index)
 
 
 def classify_radius(radius: float) -> str:

@@ -7,7 +7,7 @@ from dataclasses import field, make_dataclass
 
 import pytest
 
-from reglang._record import MOST, record
+from reglang._record import record
 from reglang.automata import Dfa, LabeledGraph, Nfa, Product
 from reglang.errors import AlphabetError
 from reglang.graphs import ComponentReport
@@ -147,7 +147,24 @@ def test_record_behaves_as_its_dataclass_twin(cls, frozen, spec, one, other):
                 assert got == want
 
 
-def test_a_record_of_more_fields_than_init_sets_is_refused():
-    names = [f"f{k}" for k in range(MOST + 1)]
-    with pytest.raises(TypeError, match="at most"):
-        record(type("Wide", (), {"__annotations__": dict.fromkeys(names, int)}))
+def test_a_method_the_class_defines_is_kept():
+    @record(frozen=True)
+    class Point:
+        x: int
+        y: int
+
+        def __init__(self, x, y):
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+
+        def __repr__(self):
+            return f"<{self.x}, {self.y}>"
+
+        def __hash__(self):
+            return self.x
+
+    point = Point(1, 2)
+    assert repr(point) == "<1, 2>" and hash(point) == 1
+    assert point == Point(1, 2) and point != Point(1, 3)
+    with pytest.raises(AttributeError):
+        point.x = 3
