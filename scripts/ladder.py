@@ -30,7 +30,8 @@ distance --metric h` and `--metric jn --n 200` of the pair, `reglang
 entropy '(a|bb)*'`, whose component needs power iteration, and `reglang
 analyze --counts 20` of its left operand.
 Beside each cold-start time, `<layer>_numpy` records whether the process
-loaded numpy.
+loaded numpy, and `<layer>_modules` the sorted names of the reglang
+modules it loaded.
 Rungs, each family in increasing size:
 
 - tie k:        (a|b)*a(a|b){k}  against (a|b)*a(a|b){k-1},  k = 4..12
@@ -139,8 +140,8 @@ COMMAND_LINE = tuple(PROCESSES)[2:]
 # Run as `python -c PROBE src import` to import reglang and its command
 # line from src, as `python -c PROBE src build pattern...` to import
 # reglang and build each pattern's DFA, or as `python -c PROBE src
-# args...` to run `reglang args...`; its last line of output says whether
-# numpy loaded.
+# args...` to run `reglang args...`; its last line of output names the
+# loaded modules among numpy and reglang's.
 PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -156,7 +157,7 @@ elif sys.argv[2] == "build":
 else:
     from reglang.cli import main
     code = main(sys.argv[2:])
-print("numpy" in sys.modules)
+print(*sorted(m for m in sys.modules if m == "numpy" or m.split(".")[0] == "reglang"))
 sys.exit(code)
 """
 
@@ -229,8 +230,8 @@ def median_time(call, runs=RUNS, budget=BUDGET_S, prepare=tuple, warmup=0):
 
 def process_time(args, runs=COLD_RUNS, budget=BUDGET_S):
     """(median wall time of `runs` fresh interpreters running PROBE with
-    `args`, whether numpy loaded in the last), or (None, None) when one
-    exceeds `budget` s."""
+    `args`, the sorted names of the modules among numpy and reglang's
+    that the last loaded), or (None, None) when one exceeds `budget` s."""
     times = []
     for _ in range(runs):
         start = time.perf_counter()
@@ -240,7 +241,7 @@ def process_time(args, runs=COLD_RUNS, budget=BUDGET_S):
         except subprocess.TimeoutExpired:
             return None, None
         times.append(time.perf_counter() - start)
-    return sorted(times)[len(times) // 2], run.stdout.split()[-1] == "True"
+    return sorted(times)[len(times) // 2], run.stdout.splitlines()[-1].split()
 
 
 def fresh(rl, dfa):
@@ -251,7 +252,7 @@ def fresh(rl, dfa):
 def measure(rl, families=FAMILIES, runs=RUNS, cold_runs=COLD_RUNS):
     """One record per rung: the operands' patterns and sizes and each
     layer's median seconds, "timeout" or "skipped", and for a cold-start
-    layer whether numpy loaded."""
+    layer whether numpy loaded and which reglang modules."""
     return alternate({"src": rl}, families, 1, runs, cold_runs)["src"]
 
 
@@ -282,8 +283,10 @@ def alternate(trees, families=FAMILIES, rounds=ROUNDS, runs=RUNS, cold_runs=COLD
                         rl, a, b, record = rung[name]
                         seconds, loaded = _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs)
                         times[name].append(seconds)
-                        if layer in PROCESSES:
-                            record[f"{layer[:-2]}_numpy"] = loaded
+                        if layer in PROCESSES:  # None after a timeout
+                            record[f"{layer[:-2]}_numpy"] = loaded and "numpy" in loaded
+                            record[f"{layer[:-2]}_modules"] = loaded and [
+                                m for m in loaded if m != "numpy"]
                 for name, seconds in times.items():
                     record = rung[name][3]
                     if layer in stopped[name]:
@@ -315,7 +318,7 @@ def _figures(seconds: float) -> float:
 
 def _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs):
     """(median seconds of the layer on the rung, or None on a timeout, and
-    for a cold-start layer whether numpy loaded)."""
+    for a cold-start layer the modules of `process_time`)."""
     if layer in PROCESSES:
         src = str(Path(rl.__file__).resolve().parents[1])
         return process_time([src, *PROCESSES[layer](p1, p2)], cold_runs)

@@ -11,7 +11,6 @@ import sys
 from itertools import chain, islice
 
 from . import dfa_from_regex
-from .counting import CountVectors, length_counts
 from .errors import (
     AlphabetError,
     BudgetError,
@@ -21,9 +20,10 @@ from .errors import (
     StateLimitError,
 )
 from .graphs import scc_decompose
-from .metrics import CesaroConfig, distance_result
-from .oracle import DEFAULT_BUDGET, oracle_counts
-from .spectral import language_entropy
+
+# The analysis layers (counting, spectral, metrics, oracle) are imported
+# in the commands that run them: a process compiles only what its command
+# uses.
 
 _METRIC_CODES = {
     "jn": "jn_cum",
@@ -100,6 +100,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_entropy(args) -> int:
+    from .spectral import language_entropy
+
     dfa = dfa_from_regex(args.regex, args.alphabet)
     report = language_entropy(dfa)
     _emit(
@@ -117,6 +119,8 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    from .metrics import CesaroConfig, distance_result
+
     metric = _METRIC_CODES[args.metric]
     d1 = dfa_from_regex(args.regex1, args.alphabet)
     d2 = dfa_from_regex(args.regex2, args.alphabet)
@@ -134,6 +138,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from .metrics import CesaroConfig, distance_result
+
     metric = _METRIC_CODES[args.metric]
     with open(args.file, encoding="utf-8") as handle:
         patterns = [line.strip() for line in handle if line.strip()]
@@ -162,6 +168,8 @@ def cmd_matrix(args) -> int:
 
 def _count_rows(dfa):
     """Yield (n, |W_n|, |W_<=n|) for n = 0, 1, ... from one count stream."""
+    from .counting import CountVectors, length_counts
+
     total = 0
     for n, exact in enumerate(length_counts(CountVectors.from_dfa(dfa))):
         total += exact
@@ -202,6 +210,8 @@ def cmd_analyze(args) -> int:
     if args.dump:
         obj["dfa"] = json.loads(dfa.to_json())
     if args.verify:
+        from .oracle import DEFAULT_BUDGET, oracle_counts
+
         horizon = min(8, args.counts if args.counts is not None else 8)
         DEFAULT_BUDGET.validate(len(dfa.alphabet), horizon)
         expected = oracle_counts(dfa, horizon)

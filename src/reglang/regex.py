@@ -121,7 +121,7 @@ class _Parser:
 
     def cat(self) -> RegexAst:
         parts = [self.rep()]
-        while self.peek() is not None and self.peek() not in "|)":
+        while (c := self.peek()) is not None and c not in "|)":
             parts.append(self.rep())
         return parts[0] if len(parts) == 1 else Concat(tuple(parts))
 
@@ -139,8 +139,8 @@ class _Parser:
             elif c == "{":
                 self.pos += 1
                 digits = ""
-                while self.peek() is not None and self.peek().isdigit():
-                    digits += self.text[self.pos]
+                while (d := self.peek()) is not None and d.isdigit():
+                    digits += d
                     self.pos += 1
                 if not digits:
                     self.error("expected a count after '{'")

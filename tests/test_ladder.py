@@ -14,6 +14,21 @@ def _ladder():
     return module
 
 
+# The reglang modules a cold-start process loads: the front end, and
+# beside it those its command runs.
+FRONT_END = ("reglang", "reglang._record", "reglang.automata", "reglang.errors",
+             "reglang.graphs", "reglang.regex")
+ANALYSIS = {
+    "build_process_s": (),
+    "import_process_s": ("cli",),
+    "entropy_process_s": ("cli", "spectral"),
+    "entropy_golden_process_s": ("cli", "spectral"),
+    "analyze_process_s": ("cli", "counting"),
+    "distance_h_process_s": ("cli", "counting", "metrics", "spectral"),
+    "distance_jn_process_s": ("cli", "counting", "metrics", "spectral"),
+}
+
+
 def test_smallest_rung_of_each_family_is_timed():
     ladder = _ladder()
     smallest = {
@@ -81,6 +96,10 @@ def test_smallest_rung_of_each_family_is_timed():
         # only the golden-ratio control has a component that needs iteration
         loaded = {key for key in record if key.endswith("_numpy") and record[key]}
         assert loaded == ({"entropy_golden_process_numpy"} if record["family"] == "cold" else set())
+        for layer in timed:
+            if layer in ladder.PROCESSES:
+                layers = {f"reglang.{m}" for m in ANALYSIS[layer]}
+                assert record[f"{layer[:-2]}_modules"] == sorted({*FRONT_END, *layers}), layer
 
 
 def _spin():
