@@ -112,8 +112,8 @@ def dfa_from_regex(text: str, alphabet=None) -> Dfa:
     """
     symbols = set(alphabet) if alphabet is not None else None
     nfa = compile_to_nfa(parse_regex(text, symbols), symbols)
-    if symbols is None and not nfa.alphabet:
-        nfa.alphabet = ("a",)  # no literal, so no state reads a symbol
+    if symbols is None and not nfa.alphabet:  # no literal: no state reads a symbol
+        nfa = Nfa(("a",), nfa.symbols, nfa.follow, nfa.accepting)
     return determinize(nfa)
 
 

@@ -207,11 +207,14 @@ def test_matrix_missing_file_is_input_error(capsys, tmp_path):
 
 
 def test_console_script_entry_point():
+    src = os.path.dirname(os.path.dirname(reglang.automata.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "reglang.cli", "entropy", "(a|b)*"],
         capture_output=True,
         text=True,
         check=False,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["entropy_bits"] == 1.0

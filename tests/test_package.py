@@ -67,14 +67,16 @@ def renamed():
 
 
 def test_every_exported_name_is_its_submodules_object():
+    star = {}
+    exec("from reglang import *", star)
     for module, names in EXPORTS.items():
         source = importlib.import_module(f"reglang.{module}")
-        assert getattr(rl, module) is source
+        assert getattr(rl, module) is star[module] is source
         for name in names:
             assert getattr(rl, name) is getattr(source, name), name
             scope = {}
             exec(f"from reglang import {name}", scope)
-            assert scope[name] is getattr(source, name), name
+            assert scope[name] is star[name] is getattr(source, name), name
 
 
 @pytest.mark.parametrize("access", ["attribute", "from_import"])
