@@ -4,8 +4,10 @@
     python scripts/ladder.py --src ../other-checkout/src --out other.json
     python scripts/ladder.py --against ../parent/src --layers jaccard_cum_n_s --out pair.json
 
-Front-end layers: `dfa_from_regex` of each operand's pattern, the
-parse, compile and subset construction, timed in process.  Counting
+Front-end layers, timed in process on each operand's pattern:
+`dfa_from_regex`, the parse, compile and determinization; `compile`,
+the parse and `compile_to_nfa`; and `determinize` of the position
+automaton, compiled outside the timed call.  Counting
 layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` of the pair, also timed as a whole process
 running `reglang distance --metric jn --n 200`.  Pair layers:
@@ -31,7 +33,11 @@ entropy '(a|bb)*'`, whose component needs power iteration, and `reglang
 analyze --counts 20` of its left operand.
 Beside each cold-start time, `<layer>_numpy` records whether the process
 loaded numpy, and `<layer>_modules` the sorted names of the reglang
-modules it loaded.
+modules it loaded.  Each process runs with `-B` and imports a copy of
+the checkout's package made in an empty directory, so it compiles
+reglang from source and reads no bytecode cache of either checkout,
+however old; the standard library keeps its caches, as in any installed
+interpreter.
 Rungs, each family in increasing size:
 
 - tie k:        (a|b)*a(a|b){k}  against (a|b)*a(a|b){k-1},  k = 4..12
@@ -74,10 +80,12 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -115,12 +123,18 @@ STRUCTURE = FRESH + KEPT
 SEPARATION = ("separating_n_s", "separating_n_kept_s")
 COUNT_VECTORS = tuple(layer for layer in STRUCTURE if layer.startswith("count_vectors"))
 
-# front-end layer -> the call it times, on the patterns p1 and p2 of a rung
+# front-end layer -> the call it times, on the patterns p1 and p2 of a
+# rung, or for a DETERMINIZE layer on their position automata n1 and n2
 FRONT_END = {
     "dfa_from_regex_left_s": lambda rl, p1, p2: rl.dfa_from_regex(p1),
     "dfa_from_regex_right_s": lambda rl, p1, p2: rl.dfa_from_regex(p2),
+    "compile_left_s": lambda rl, p1, p2: _compile(rl, p1),
+    "compile_right_s": lambda rl, p1, p2: _compile(rl, p2),
+    "determinize_left_s": lambda rl, n1, n2: rl.determinize(n1),
+    "determinize_right_s": lambda rl, n1, n2: rl.determinize(n2),
 }
 FROM_REGEX = tuple(FRONT_END)
+DETERMINIZE = FROM_REGEX[4:]
 
 # cold-start layer -> the arguments of PROBE, given the rung's patterns
 PROCESSES = {
@@ -228,20 +242,32 @@ def median_time(call, runs=RUNS, budget=BUDGET_S, prepare=tuple, warmup=0):
     return times[len(times) // 2]
 
 
-def process_time(args, runs=COLD_RUNS, budget=BUDGET_S):
+def process_time(src, args, runs=COLD_RUNS, budget=BUDGET_S):
     """(median wall time of `runs` fresh interpreters running PROBE with
-    `args`, the sorted names of the modules among numpy and reglang's
-    that the last loaded), or (None, None) when one exceeds `budget` s."""
+    `args` on the reglang package in the directory `src`, the sorted names
+    of the modules among numpy and reglang's that the last loaded), or
+    (None, None) when one exceeds `budget` s.  The interpreters import a
+    copy of the package with no `__pycache__` and write no bytecode, so
+    none reads a cache of it."""
     times = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        try:
-            run = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True,
-                                 text=True, timeout=budget, check=True)
-        except subprocess.TimeoutExpired:
-            return None, None
-        times.append(time.perf_counter() - start)
+    with tempfile.TemporaryDirectory() as copy:
+        shutil.copytree(Path(src) / "reglang", Path(copy) / "reglang",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        command = [sys.executable, "-B", "-c", PROBE, copy, *args]
+        for _ in range(runs):
+            start = time.perf_counter()
+            try:
+                run = subprocess.run(command, capture_output=True, text=True, timeout=budget,
+                                     check=True)
+            except subprocess.TimeoutExpired:
+                return None, None
+            times.append(time.perf_counter() - start)
     return sorted(times)[len(times) // 2], run.stdout.splitlines()[-1].split()
+
+
+def _compile(rl, pattern):
+    """The position automaton of `pattern`, as `dfa_from_regex` compiles it."""
+    return rl.compile_to_nfa(rl.parse_regex(pattern))
 
 
 def fresh(rl, dfa):
@@ -320,8 +346,11 @@ def _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs):
     """(median seconds of the layer on the rung, or None on a timeout, and
     for a cold-start layer the modules of `process_time`)."""
     if layer in PROCESSES:
-        src = str(Path(rl.__file__).resolve().parents[1])
-        return process_time([src, *PROCESSES[layer](p1, p2)], cold_runs)
+        src = Path(rl.__file__).resolve().parents[1]
+        return process_time(src, PROCESSES[layer](p1, p2), cold_runs)
+    if layer in DETERMINIZE:
+        n1, n2 = _compile(rl, p1), _compile(rl, p2)
+        return median_time(FRONT_END[layer], runs, prepare=lambda: (rl, n1, n2)), None
     if layer in FRONT_END:
         return median_time(FRONT_END[layer], runs, prepare=lambda: (rl, p1, p2)), None
     if layer in FRESH:

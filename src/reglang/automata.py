@@ -1,8 +1,11 @@
 """Complete deterministic automata and the boolean algebra over them.
 
 DFAs are built from the regex compiler's position automaton (`Nfa`) by
-a subset construction over int bitsets (`determinize`).  Every DFA here
-is total: each state has a transition on every symbol of its alphabet,
+`determinize`.  The positions of a one-unambiguous expression are
+numbered directly, since each subset they reach is one position or
+empty; any other automaton goes on from its first position followed by
+two of one symbol by a subset construction over int bitsets.  Every DFA
+here is total: each state has a transition on every symbol of its alphabet,
 with a trash state absorbing dead inputs where needed.
 Completeness makes complement a flip of the accepting set and keeps the
 product constructions closed.  Trimming then discards the states that
@@ -38,7 +41,7 @@ with no harmonized copy.
 
 import os
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice
 from math import inf
 from operator import itemgetter
 
@@ -121,8 +124,9 @@ class Nfa:
     A set of states is held as a window, an int bitset shifted down to
     its lowest member (see `_window`): `follow[p]` is the window of the
     states that may come right after p.  Every state but 0 has a symbol
-    of the alphabet, and no state is followed by 0.  Consumed by
-    `determinize`; treated as immutable after construction.
+    of the alphabet, or the constructor raises AlphabetError, and no
+    state is followed by 0.  Consumed by `determinize`; treated as
+    immutable after construction.
     """
 
     alphabet: tuple[str, ...]
@@ -132,6 +136,8 @@ class Nfa:
     initial = 0
 
     def __init__(self, alphabet, symbols, follow, accepting):
+        if not set(symbols[1:]).issubset(alphabet):
+            raise AlphabetError(f"a state reads a symbol outside the alphabet {alphabet!r}")
         self.alphabet = alphabet
         self.symbols = symbols
         self.follow = follow
@@ -386,19 +392,75 @@ class LabeledGraph:
 
 
 def determinize(nfa: Nfa) -> Dfa:
-    """Subset construction over windows.  Always yields a complete DFA;
-    the empty subset plays the trash state when it is reachable.
+    """The subsets of the NFA's states reachable from {0}, numbered
+    breadth first in symbol order.  Always yields a complete DFA; the
+    empty subset plays the trash state when it is reachable.
 
-    A subset's successors are one union of its states' follow windows,
-    split by symbol with one AND per symbol mask (see `_subset_moves`);
-    each subset is keyed by its window, which is unique."""
+    While every reached state's follow window holds at most one state per
+    symbol, as in the position automaton of a one-unambiguous expression
+    (Brüggemann-Klein and Wood, 1998), every reached subset is one state
+    or empty, and the states are numbered directly (see `_one_state`).  At
+    the first follow window that holds two states of one symbol, the
+    subset construction takes over that numbering where it stands: a
+    subset's successors are one union of its states' follow windows, split
+    by symbol with one AND per symbol mask (see `_subset_moves`), and each
+    subset is keyed by its window, which is unique."""
     alphabet = tuple(sorted(set(nfa.alphabet)))
     if not alphabet:
         raise AlphabetError("cannot determinize over an empty alphabet")
-    order, rows = _explore((nfa.initial, 1), _subset_moves(nfa, alphabet), "subset construction")
-    final = _window(nfa.accepting)
-    accepting = frozenset(i for i, subset in enumerate(order) if _meets(subset, final))
-    return Dfa(alphabet=alphabet, transitions=rows, accepting=accepting, initial=0)
+    ids, order, rows = _one_state(nfa, alphabet)
+    if len(rows) == len(order):
+        # sorted: the set is built, and so printed, as the subset construction builds it
+        accepting = frozenset(sorted(ids[p] for p in nfa.accepting if ids[p] >= 0))
+    else:
+        subsets = [(p, 1) if p < len(nfa.follow) else EMPTY for p in order]
+        subsets, rows = _explore(subsets, rows, _subset_moves(nfa, alphabet), "subset construction")
+        final = _window(nfa.accepting)
+        accepting = frozenset(i for i, subset in enumerate(subsets) if _meets(subset, final))
+    return Dfa(alphabet=alphabet, transitions=tuple(rows), accepting=accepting, initial=0)
+
+
+def _one_state(nfa: Nfa, alphabet: tuple[str, ...]) -> tuple[list, list, list]:
+    """The subset construction's numbering while each subset it reaches
+    holds at most one state: (ids, order, rows), where `ids[p]` is the
+    number of state p or -1, the position past the last state stands for
+    the empty subset, `order` lists the states in number order and `rows`
+    the transition rows of the first of them.  Each row is read off the
+    state's follow window, one set bit at a time, and the numbering stops
+    before the first state whose window holds two states of one symbol,
+    so that `rows` is shorter than `order`.  Raises StateLimitError where
+    the subset construction would."""
+    symbols, follow = nfa.symbols, nfa.follow
+    index = {symbol: k for k, symbol in enumerate(alphabet)}
+    empty = len(follow)
+    ids = [0] + [-1] * empty
+    order, rows, nowhere, cap = [0], [], [empty] * len(alphabet), state_cap()
+    for p in order:  # a queue: numbered states are appended
+        targets = nowhere.copy()
+        if p != empty:
+            lo, mask = follow[p]
+            if mask == 1:  # one state, as along a chain: no bits to walk
+                targets[index[symbols[lo]]] = lo
+            else:
+                while mask:
+                    bit = mask & -mask
+                    q = lo + bit.bit_length() - 1
+                    k = index[symbols[q]]
+                    if targets[k] != empty:
+                        return ids, order, rows
+                    targets[k] = q
+                    mask ^= bit
+        row = []
+        for q in targets:
+            k = ids[q]
+            if k < 0:
+                k = ids[q] = len(order)
+                order.append(q)
+            row.append(k)
+        if len(order) > cap:
+            raise StateLimitError(f"subset construction exceeded {cap} states")
+        rows.append(tuple(row))
+    return ids, order, rows
 
 
 def _subset_moves(nfa: Nfa, alphabet: tuple[str, ...]):
@@ -453,19 +515,19 @@ def _normal(base: int, mask: int) -> tuple[int, int]:
     return base + shift, mask >> shift
 
 
-def _explore(start, moves, what: str) -> tuple[list, tuple]:
-    """Number the states reachable from `start` breadth first, where
-    `moves(state)` lists a state's successors in symbol order.  Returns
-    the states in number order and the transition rows over the numbers;
+def _explore(order: list, rows: list, moves, what: str) -> tuple[list, tuple]:
+    """Number the states reachable from `order[0]` breadth first, where
+    `moves(state)` lists a state's successors in symbol order, going on
+    from the states numbered in `order` and the rows of the first of them
+    in `rows`: `[start]` and `[]` number from the start.  Returns the
+    states in number order and the transition rows over the numbers;
     raises StateLimitError when a state past `state_cap()` appears.  Each
     edge costs one dict lookup: a target not yet numbered takes the next
     number."""
     cap = state_cap()
-    ids = {start: 0}
+    ids = dict(zip(order, count()))
     number = ids.setdefault
-    order = [start]
-    rows = []
-    for state in order:  # a queue: numbered states are appended
+    for state in islice(order, len(rows), None):  # a queue: numbered states are appended
         row = []
         for target in moves(state):
             n = len(order)
@@ -494,7 +556,7 @@ def _reach(seeds, neighbours) -> set:
 def _canonical(dfa: Dfa) -> Dfa:
     """Renumber states in BFS order from the initial state (symbol order),
     making equal-language minimal DFAs structurally identical."""
-    order, rows = _explore(dfa.initial, dfa.transitions.__getitem__, "minimization")
+    order, rows = _explore([dfa.initial], [], dfa.transitions.__getitem__, "minimization")
     accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
     return Dfa(dfa.alphabet, rows, accepting, 0)
 
@@ -690,7 +752,8 @@ def product(d1: Dfa, d2: Dfa) -> Product:
     symbols = _alphabet_of(d1, d2)
     read1, read2 = _reader(d1, symbols), _reader(d2, symbols)
     order, rows = _explore(
-        (d1.initial, d2.initial),
+        [(d1.initial, d2.initial)],
+        [],
         lambda pair: zip(read1(pair[0]), read2(pair[1])),
         "product construction",
     )
@@ -707,7 +770,8 @@ def _lengths_mod(prod: Product, q: int) -> tuple[Product, list]:
     if q == 1:
         return prod, [frozenset(range(len(prod.transitions)))]
     order, rows = _explore(
-        (0, 0),
+        [(0, 0)],
+        [],
         lambda state: ((t, (state[1] + 1) % q) for t in prod.transitions[state[0]]),
         "product construction",
     )

@@ -14,10 +14,13 @@ non-reserved character; reserved characters are written with a leading
 backslash.  Precedence is star/repeat over concatenation over
 alternation, the usual convention.  Bounded repetition `e{n}` is kept in
 the tree.  The compiler visits `e` once and makes the other n - 1 copies
-of its positions by shifting them, their follow sets with them, before
-linking the copies in sequence; the automaton is the one of the n-fold
-concatenation, so the automaton layer never sees powers.  Sets of
-positions are windowed int bitsets (see `automata.Nfa`).
+of its positions by shifting them, their follow sets with them.  When `e`
+is not nullable, its last positions are linked to the next copy's first
+once, before the copies are made, so each copy inherits that link by the
+shift; a nullable `e`'s copies are linked as a concatenation.  The
+automaton is the one of the n-fold concatenation, so the automaton layer
+never sees powers.  Sets of positions are windowed int bitsets (see
+`automata.Nfa`).
 
 Groups and postfix operators may nest at most MAX_NESTING deep along any
 path of the tree, which keeps the recursive parser, `literal_set` and
@@ -282,8 +285,11 @@ class _Glushkov:
     def repeat(self, child, count: int) -> tuple[bool, tuple, tuple]:
         """The child visited once, then copied count - 1 times: each copy
         is the first one's positions shifted past the copy before it, the
-        follow pairs inside the child shifted with them, before the copies
-        are linked in sequence."""
+        follow pairs inside the child shifted with them.  A child that is
+        not nullable is linked to the next copy once, before the copies
+        are made, so each copy inherits its link by the shift, and the
+        last copy gets its own follow windows back; the copies of a
+        nullable child are linked as a concatenation."""
         if count == 0:
             return True, EMPTY, EMPTY
         start = len(self.symbols)
@@ -295,12 +301,22 @@ class _Glushkov:
             return nullable, first, last
         self.check(start + count * width)
         shifts = range(0, count * width, width)
-        follow = self.follow[start:]
+        follow = self.follow
+        if not nullable:
+            ends = _members(last)
+            own = [follow[p] for p in ends]
+            self.link(last, _shifted(first, width))
+        copied = follow[start:]
         self.symbols += self.symbols[start:] * (count - 1)
-        self.follow += [_shifted(window, shift) for shift in shifts[1:] for window in follow]
-        return self.concat(
-            (nullable, _shifted(first, shift), _shifted(last, shift)) for shift in shifts
-        )
+        follow += [_shifted(window, shift) for shift in shifts[1:] for window in copied]
+        if nullable:
+            return self.concat(
+                (nullable, _shifted(first, shift), _shifted(last, shift)) for shift in shifts
+            )
+        final = shifts[-1]
+        for p, window in zip(ends, own):
+            follow[p + final] = _shifted(window, final)
+        return False, first, _shifted(last, final)
 
 
 def compile_to_nfa(ast: RegexAst, alphabet=None) -> Nfa:

@@ -50,17 +50,24 @@ class _Positions:
         raise TypeError(f"not a regex node: {node!r}")
 
 
-def reference_dfa(ast, alphabet) -> Dfa:
-    """The complete DFA of the tree over `alphabet`, its states numbered
-    breadth first in symbol order from the initial subset {0}."""
+def reference_positions(ast) -> tuple[list, list, set]:
+    """(symbols, follow, final) of the tree's position automaton: the
+    literal of each position (None for 0), the set of positions that may
+    follow each one, and the set of accepting positions."""
     builder = _Positions()
     nullable, first, last = builder.visit(ast)
     builder.link({0}, first)
+    return builder.symbols, builder.follow, last | {0} if nullable else last
+
+
+def reference_dfa(ast, alphabet) -> Dfa:
+    """The complete DFA of the tree over `alphabet`, its states numbered
+    breadth first in symbol order from the initial subset {0}."""
+    symbols, follow, final = reference_positions(ast)
     steps = {}
-    for p, targets in enumerate(builder.follow):
+    for p, targets in enumerate(follow):
         for t in targets:
-            steps.setdefault((p, builder.symbols[t]), set()).add(t)
-    final = last | {0} if nullable else last
+            steps.setdefault((p, symbols[t]), set()).add(t)
     symbols = tuple(sorted(set(alphabet)))
     start = frozenset({0})
     ids, order, rows = {start: 0}, [start], []

@@ -50,6 +50,12 @@ def test_subset_construction_stops_at_the_state_cap(monkeypatch):
         rl.determinize(nfa)
 
 
+def test_nfa_rejects_a_state_symbol_outside_its_alphabet():
+    # the last symbol was read in place of any unknown one, so "b" was accepted
+    with pytest.raises(rl.AlphabetError, match="outside the alphabet"):
+        rl.Nfa(("a", "b"), (None, "c"), ((1, 1), (0, 0)), frozenset({1}))
+
+
 # --- minimize --------------------------------------------------------------
 
 

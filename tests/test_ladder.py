@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import reglang as rl
@@ -43,7 +44,8 @@ def test_smallest_rung_of_each_family_is_timed():
         ("periodic", 100),
         ("cold", 4),
     ]
-    from_regex = ("dfa_from_regex_left_s", "dfa_from_regex_right_s")
+    from_regex = ("dfa_from_regex_left_s", "dfa_from_regex_right_s", "compile_left_s",
+                  "compile_right_s", "determinize_left_s", "determinize_right_s")
     counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s")
     pair = ("entropy_distance_s", "cesaro_jaccard_s")
     structure = (
@@ -100,6 +102,30 @@ def test_smallest_rung_of_each_family_is_timed():
             if layer in ladder.PROCESSES:
                 layers = {f"reglang.{m}" for m in ANALYSIS[layer]}
                 assert record[f"{layer[:-2]}_modules"] == sorted({*FRONT_END, *layers}), layer
+
+
+class _Run:
+    stdout = "reglang\n"
+
+
+def test_cold_start_processes_read_no_bytecode_cache(monkeypatch):
+    # each process imports a copy of the package without `__pycache__`
+    # and writes none, so neither checkout reads a cache left behind
+    ladder = _ladder()
+    src = Path(rl.__file__).resolve().parents[1]
+    copies = []
+
+    def run(command, **kwargs):
+        package = Path(command[4]) / "reglang"
+        copies.append(sorted(path.name for path in package.iterdir()))
+        assert command == [sys.executable, "-B", "-c", ladder.PROBE, command[4], "import"]
+        return _Run()
+
+    monkeypatch.setattr(ladder.subprocess, "run", run)
+    seconds, modules = ladder.process_time(src, ["import"], runs=2)
+    assert seconds >= 0.0 and modules == ["reglang"]
+    sources = sorted(path.name for path in (src / "reglang").glob("*.py"))
+    assert copies == [sources, sources]
 
 
 def _spin():

@@ -7,7 +7,8 @@ from reglang.counting import CountVectors, count_len
 from reglang.errors import AlphabetError, RegexSyntaxError
 from reglang.oracle import ast_language_upto, ast_matches, all_strings
 from reglang.regex import literal_set
-from subsets import reference_dfa
+from reglang.automata import _members
+from subsets import reference_dfa, reference_positions
 from reglang.regex import (
     MAX_NESTING,
     Alt,
@@ -231,6 +232,22 @@ def test_determinize_matches_the_frozenset_reference(ast, alphabet):
     assert rl.determinize(rl.compile_to_nfa(ast, alphabet)) == reference_dfa(ast, alphabet)
 
 
+@settings(max_examples=300, deadline=None)
+@given(ast=_asts_over("abc", max_leaves=12, max_copies=4))
+def test_compiled_positions_match_the_set_reference(ast):
+    # the windows, shifted copies and once-linked repeats against plain sets
+    nfa = rl.compile_to_nfa(ast, "abc")
+    symbols, follow, final = reference_positions(ast)
+    assert nfa.symbols == tuple(symbols)
+    assert [set(_members(window)) for window in nfa.follow] == follow
+    assert nfa.accepting == final
+
+
+def _periodic(m):
+    """The ladder's periodic pattern P(m): m starred parts of periods 2, 3, 4, 2, ..."""
+    return "b".join(f"(a{{{2 + i % 3}}})*" for i in range(m))
+
+
 def _fixed_cases():
     yield from (f"(~|a){{{n}}}" for n in range(61))
     yield from (f"a{{{n}}}(a|b)*" for n in (0, 1, 2, 3, 10, 100))
@@ -238,6 +255,10 @@ def _fixed_cases():
     for k in range(9):
         yield f"(a|b)*a(a|b){{{k}}}"
         yield f"(a|b)*b(a|b){{{k}}}"
+    # one-unambiguous: every subset reached holds at most one position
+    yield from ("a{300}", "(a|b){50}", "((a|b)c){30}", "(ab*c){20}", _periodic(20))
+    # a position followed by two of one symbol only after a long prefix
+    yield from ("a{300}(a|b)*a", "((a|b)c){30}(a|c)*a", "(ab){40}(a|b)*b(a|b){3}")
 
 
 def test_determinize_matches_the_frozenset_reference_on_fixed_cases():
@@ -245,3 +266,27 @@ def test_determinize_matches_the_frozenset_reference_on_fixed_cases():
         ast = rl.parse_regex(text)
         alphabet = literal_set(ast)
         assert rl.dfa_from_regex(text) == reference_dfa(ast, alphabet), text
+
+
+@pytest.mark.parametrize("text", ["a{200}", "a{100}(a|b)*a(a|b){3}"])
+def test_state_cap_binds_where_the_subset_construction_stops(text, monkeypatch):
+    # numbered one position at a time, and resumed after a late conflict
+    nfa = rl.compile_to_nfa(rl.parse_regex(text))
+    states = reference_dfa(rl.parse_regex(text), nfa.alphabet).n_states
+    monkeypatch.setenv("REGLANG_MAX_STATES", str(states))
+    assert rl.determinize(nfa).n_states == states
+    monkeypatch.setenv("REGLANG_MAX_STATES", str(states - 1))
+    with pytest.raises(rl.StateLimitError, match=f"subset construction exceeded {states - 1} states"):
+        rl.determinize(nfa)
+
+
+@pytest.mark.parametrize("text, subsets", [("a{3000}", False), ("(a|b)*a(a|b){7}", True)])
+def test_only_a_position_followed_by_two_of_one_symbol_runs_the_subset_construction(
+    text, subsets, monkeypatch
+):
+    calls = []
+    moves = rl.automata._subset_moves
+    monkeypatch.setattr(rl.automata, "_subset_moves", lambda *args: calls.append(args) or moves(*args))
+    dfa = rl.dfa_from_regex(text, "ab")
+    assert bool(calls) == subsets
+    assert dfa == reference_dfa(rl.parse_regex(text), "ab")
