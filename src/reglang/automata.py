@@ -527,7 +527,9 @@ def _explore(order: list, rows: list, moves, what: str) -> tuple[list, tuple]:
     cap = state_cap()
     ids = dict(zip(order, count()))
     number = ids.setdefault
-    for state in islice(order, len(rows), None):  # a queue: numbered states are appended
+    states = iter(order)  # a queue: numbered states are appended
+    next(islice(states, len(rows), len(rows)), None)  # past the states with rows
+    for state in states:
         row = []
         for target in moves(state):
             n = len(order)
