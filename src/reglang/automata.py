@@ -5,8 +5,8 @@ DFAs are built from the regex compiler's position automaton (`Nfa`) by
 numbered directly, since each subset they reach is one position or
 empty; any other automaton goes on from its first position followed by
 two of one symbol by a subset construction over int bitsets.  Every DFA
-here is total: each state has a transition on every symbol of its alphabet,
-with a trash state absorbing dead inputs where needed.
+here is total: each state has a transition on every symbol of its
+alphabet, with a trash state absorbing dead inputs where needed.
 Completeness makes complement a flip of the accepting set and keeps the
 product constructions closed.  Trimming then discards the states that
 cannot lie on an accepting path (the trash state among them) and yields
