@@ -404,23 +404,43 @@ def determinize(nfa: Nfa) -> Dfa:
     subset construction takes over that numbering where it stands: a
     subset's successors are one union of its states' follow windows, split
     by symbol with one AND per symbol mask (see `_subset_moves`), and each
-    subset is keyed by its window, which is unique."""
+    subset is keyed by its window, which is unique.  If the initial
+    state's own window holds two states of one symbol, as in `(a|b)*a`,
+    the subset construction starts at once, with no numbering set up."""
     alphabet = tuple(sorted(set(nfa.alphabet)))
     if not alphabet:
         raise AlphabetError("cannot determinize over an empty alphabet")
-    ids, order, rows = _one_state(nfa, alphabet)
-    if len(rows) == len(order):
-        # sorted: the set is built, and so printed, as the subset construction builds it
-        accepting = frozenset(sorted(ids[p] for p in nfa.accepting if ids[p] >= 0))
-    else:
-        subsets = [(p, 1) if p < len(nfa.follow) else EMPTY for p in order]
-        subsets, rows = _explore(subsets, rows, _subset_moves(nfa, alphabet), "subset construction")
-        final = _window(nfa.accepting)
-        accepting = frozenset(i for i, subset in enumerate(subsets) if _meets(subset, final))
+    cap = state_cap()
+    order, rows = [0], []
+    if _one_per_symbol(nfa.symbols, nfa.follow[0]):
+        ids, order, rows = _one_state(nfa, alphabet, cap)
+        if len(rows) == len(order):
+            # sorted: the set is built, and so printed, as the subset construction builds it
+            accepting = frozenset(sorted(ids[p] for p in nfa.accepting if ids[p] >= 0))
+            return Dfa(alphabet=alphabet, transitions=tuple(rows), accepting=accepting, initial=0)
+    subsets = [(p, 1) if p < len(nfa.follow) else EMPTY for p in order]
+    moves = _subset_moves(nfa, alphabet)
+    subsets, rows = _explore(subsets, rows, moves, "subset construction", cap)
+    final = _window(nfa.accepting)
+    accepting = frozenset(i for i, subset in enumerate(subsets) if _meets(subset, final))
     return Dfa(alphabet=alphabet, transitions=tuple(rows), accepting=accepting, initial=0)
 
 
-def _one_state(nfa: Nfa, alphabet: tuple[str, ...]) -> tuple[list, list, list]:
+def _one_per_symbol(symbols, window) -> bool:
+    """Whether no two states of a window read the same symbol."""
+    lo, mask = window
+    seen = set()
+    while mask:
+        bit = mask & -mask
+        symbol = symbols[lo + bit.bit_length() - 1]
+        if symbol in seen:
+            return False
+        seen.add(symbol)
+        mask ^= bit
+    return True
+
+
+def _one_state(nfa: Nfa, alphabet: tuple[str, ...], cap: int) -> tuple[list, list, list]:
     """The subset construction's numbering while each subset it reaches
     holds at most one state: (ids, order, rows), where `ids[p]` is the
     number of state p or -1, the position past the last state stands for
@@ -429,12 +449,12 @@ def _one_state(nfa: Nfa, alphabet: tuple[str, ...]) -> tuple[list, list, list]:
     state's follow window, one set bit at a time, and the numbering stops
     before the first state whose window holds two states of one symbol,
     so that `rows` is shorter than `order`.  Raises StateLimitError where
-    the subset construction would."""
+    the subset construction would, past `cap` states."""
     symbols, follow = nfa.symbols, nfa.follow
     index = {symbol: k for k, symbol in enumerate(alphabet)}
     empty = len(follow)
     ids = [0] + [-1] * empty
-    order, rows, nowhere, cap = [0], [], [empty] * len(alphabet), state_cap()
+    order, rows, nowhere = [0], [], [empty] * len(alphabet)
     for p in order:  # a queue: numbered states are appended
         targets = nowhere.copy()
         if p != empty:
@@ -515,16 +535,15 @@ def _normal(base: int, mask: int) -> tuple[int, int]:
     return base + shift, mask >> shift
 
 
-def _explore(order: list, rows: list, moves, what: str) -> tuple[list, tuple]:
+def _explore(order: list, rows: list, moves, what: str, cap: int) -> tuple[list, tuple]:
     """Number the states reachable from `order[0]` breadth first, where
     `moves(state)` lists a state's successors in symbol order, going on
     from the states numbered in `order` and the rows of the first of them
     in `rows`: `[start]` and `[]` number from the start.  Returns the
     states in number order and the transition rows over the numbers;
-    raises StateLimitError when a state past `state_cap()` appears.  Each
-    edge costs one dict lookup: a target not yet numbered takes the next
+    raises StateLimitError when a state past `cap` appears.  Each edge
+    costs one dict lookup: a target not yet numbered takes the next
     number."""
-    cap = state_cap()
     ids = dict(zip(order, count()))
     number = ids.setdefault
     states = iter(order)  # a queue: numbered states are appended
@@ -558,7 +577,8 @@ def _reach(seeds, neighbours) -> set:
 def _canonical(dfa: Dfa) -> Dfa:
     """Renumber states in BFS order from the initial state (symbol order),
     making equal-language minimal DFAs structurally identical."""
-    order, rows = _explore([dfa.initial], [], dfa.transitions.__getitem__, "minimization")
+    moves = dfa.transitions.__getitem__
+    order, rows = _explore([dfa.initial], [], moves, "minimization", state_cap())
     accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
     return Dfa(dfa.alphabet, rows, accepting, 0)
 
@@ -758,6 +778,7 @@ def product(d1: Dfa, d2: Dfa) -> Product:
         [],
         lambda pair: zip(read1(pair[0]), read2(pair[1])),
         "product construction",
+        state_cap(),
     )
     left = frozenset(i for i, (p, _q) in enumerate(order) if p in d1.accepting)
     right = frozenset(i for i, (_p, q) in enumerate(order) if q in d2.accepting)
@@ -776,6 +797,7 @@ def _lengths_mod(prod: Product, q: int) -> tuple[Product, list]:
         [],
         lambda state: ((t, (state[1] + 1) % q) for t in prod.transitions[state[0]]),
         "product construction",
+        state_cap(),
     )
     left = frozenset(i for i, (s, _k) in enumerate(order) if s in prod.left)
     right = frozenset(i for i, (s, _k) in enumerate(order) if s in prod.right)

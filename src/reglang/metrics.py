@@ -13,7 +13,8 @@ of running averages of the cumulative distances, is decided in stages:
 3. Leading coefficients.  A tie with radius above 1, of any index, has
    a limit along each residue class modulo the graph period, read off the
    leading vector of one power stream stopped on a stated residual; the
-   value is the mean over the classes.
+   value is the mean over the classes.  The stream runs on numpy edge
+   arrays of the union's trim graph, read off the product table whole.
 
 The fixed-length sequence is averaged through the same stages, applied
 to the words of each residue class of lengths modulo the union's period
@@ -30,7 +31,7 @@ never search.
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import comb, inf
 
 from ._record import record
@@ -177,11 +178,9 @@ def _cumulative_limit(prod: Product, left, right, diagnostics, analytic=False):
         order = f"radius {radius:.6g}, index {d}"
         reason = f"sym, union and intersection all grow as ({order}); the limit needs iteration"
         raise ConvergenceError(reason, diagnostics=diagnostics)
-    # the union's trim graph: the states that reach the union, and their edges
-    vertices = pair.states(left | right)
-    kept = set(vertices)
-    edges = [(s, t) for s in vertices for t in prod.transitions[s] if t in kept]
-    limits, residual, blocks = _leading_limits(vertices, edges, parts, radius, q, d)
+    # the union's trim graph: the components that reach the union
+    trim = [pair.components[c] for c in pair.reaching(left | right)]
+    limits, residual, blocks = _leading_limits(prod.transitions, trim, parts, radius, q, d)
     diagnostics.update(residue_limits=limits, residual=residual, blocks=blocks)
     return sum(limits) / q, "per-residue"
 
@@ -245,11 +244,14 @@ def _exact_tie_limit(cv, finals, q, d) -> Fraction:
     return Fraction(sym, uni) if uni else Fraction(0)
 
 
-def _leading_limits(vertices, edges, parts, radius, q, d):
+def _leading_limits(transitions, trim, parts, radius, q, d):
     """(limits, residual, blocks) of the cumulative Jaccard sequence along
     each residue class k mod q, for a tie with radius above 1 and index d,
-    on the union's trim graph: its sorted product states, the first one
-    initial, and its (src, dst) edges in state then symbol order.
+    on the union's trim graph: the states of the components `trim` of the
+    product table `transitions`, numbered in order from the initial state
+    0, and the edges among them in state then symbol order.  The edge
+    arrays, the final columns of `parts` and the start vector are read
+    off the table with numpy, no Python loop over states or edges.
 
     The eigenvalues of A of modulus `radius` are `radius` times q-th roots
     of unity, so b_m = u A^(q m) / radius^(q m) tends to a polynomial in m
@@ -263,9 +265,19 @@ def _leading_limits(vertices, edges, parts, radius, q, d):
     """
     import numpy as np
 
-    index = {v: i for i, v in enumerate(vertices)}
-    src, dst = np.array([(index[s], index[t]) for s, t in edges]).T
-    finals = np.array([[v in part for part in parts] for v in vertices], float)
+    n, k = len(transitions), len(transitions[0])
+    table = np.fromiter(chain.from_iterable(transitions), int, n * k).reshape(n, k)
+    kept = np.zeros(n, bool)
+    kept[np.fromiter(chain.from_iterable(trim), int)] = True
+    vertices = np.flatnonzero(kept)
+    targets = table[vertices]
+    inside = kept[targets]
+    src = inside.nonzero()[0]  # row-major: state then symbol order
+    dst = (kept.cumsum() - 1)[targets[inside]]
+    member = np.zeros((n, len(parts)))
+    for j, part in enumerate(parts):
+        member[np.fromiter(part, int, len(part)), j] = 1.0
+    finals = member[vertices]
 
     def step(v):
         return np.bincount(dst, weights=v[src], minlength=len(v)) / radius
@@ -279,7 +291,7 @@ def _leading_limits(vertices, edges, parts, radius, q, d):
         sums = radius ** -r @ np.array(c)[(r[:, None] - r) % q]
         return [float(s / u) for s, u in sums]
 
-    b = np.array([float(v == 0) for v in vertices])
+    b = (vertices == 0).astype(float)
     diffs = []
     for blocks in range(POWER_MAX_ITER):
         diffs = [b, *diffs[:d]]  # backward differences of b_m, orders 0 to d

@@ -32,7 +32,7 @@ the whole graph's report.  A DFA's trim graph holds the DFA's report, so
 once in the DFA's lifetime, in any order.  The boolean combinations of
 a pair of languages are sets of states of one product table, whose one
 `Decomposition`, made afresh for each pair, gives each one's report,
-period and states.
+period and the components that reach it.
 """
 
 import math
@@ -162,8 +162,8 @@ def _spectrum(component, internal, period) -> ComponentSpectrum:
 
 class Decomposition:
     """Strongly connected components, from a `graphs.ComponentReport` and
-    its condensation DAG, and the states, period and spectral report of
-    the whole graph or of its part that reaches a vertex set.
+    its condensation DAG, and the components, period and spectral report
+    of the whole graph or of its part that reaches a vertex set.
 
     If every vertex is reachable, as in a `Product` table, trimming to an
     accepting set keeps or drops each component whole, and no path
@@ -193,18 +193,14 @@ class Decomposition:
                 predecessors[t].append(c)
         return predecessors
 
-    def _reaching(self, accepting) -> list:
+    def reaching(self, accepting) -> list:
         """The numbers, in order, of the components that reach `accepting`."""
         seeds = {self._component_of[v] for v in accepting}
         return sorted(_reach(seeds, self._predecessors))
 
-    def states(self, accepting) -> list:
-        """The vertices, in order, of the components that reach `accepting`."""
-        return sorted(v for c in self._reaching(accepting) for v in self.components[c])
-
     def period(self, accepting) -> int:
         """The lcm of the periods of the cyclic components reaching `accepting`."""
-        reaching = self._reaching(accepting)
+        reaching = self.reaching(accepting)
         return math.lcm(*(self.periods[c] for c in reaching if not self.trivial[c]))
 
     def _spectrum(self, c: int) -> ComponentSpectrum:
@@ -216,7 +212,7 @@ class Decomposition:
         """Report over the components that reach `accepting` (all if None)."""
         kept = range(len(self.components))
         if accepting is not None:
-            kept = self._reaching(accepting)
+            kept = self.reaching(accepting)
         spectra = {c: self._spectrum(c) for c in kept if not self.trivial[c]}
         radius = max((s.radius for s in spectra.values()), default=0.0)
         label = classify_radius(radius)

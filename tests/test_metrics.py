@@ -2,21 +2,23 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
 import reglang.automata
 import reglang.counting
 import reglang.graphs
+import reglang.metrics
 from reglang import cli
 from reglang.counting import CountVectors, count_upto, cumulative_counts
 from reglang.errors import ConvergenceError, DuplicateLanguageError
 from reglang.metrics import CesaroConfig
 from reglang.oracle import oracle_distance
+from dense import leading_limits
 from test_graphs import _complete_dfas
 
 
@@ -392,6 +394,100 @@ def test_cesaro_stream_matches_exact_terms_at_a_long_horizon(d1, d2):
 
     assume(abs(window_mean(600) - window_mean(300)) < 1e-9)
     assert result.value == pytest.approx(window_mean(600), abs=1e-6)
+
+
+# Random DFAs over "abc" of one or two blocks in a row, each a multiple of
+# p states long: the a- and b-edges of a state i of a block lead to states
+# i + 1 mod p of that block, so each block has radius 2 and a period that
+# p divides, and the c-edges lead into the next block (out of the last
+# one, to a dead state).  Pairs of them tie with periods and indices above 1.
+@st.composite
+def _layered_dfas(draw):
+    p = draw(st.integers(1, 3))
+    sizes = [p * r for r in draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))]
+    starts = [sum(sizes[:k]) for k in range(len(sizes) + 1)]
+    dead = starts[-1]
+    rows = []
+    for k, size in enumerate(sizes):
+        start, end = starts[k], starts[k + 1]
+        for i in range(size):
+            b = draw(st.sampled_from(range((i + 1) % p, size, p)))
+            c = draw(st.integers(end, starts[k + 2] - 1)) if k + 1 < len(sizes) else dead
+            rows.append((start + (i + 1) % size, start + b, c))
+    rows.append((dead,) * 3)
+    accepting = draw(st.frozensets(st.integers(0, dead - 1), min_size=1))
+    return rl.Dfa(("a", "b", "c"), tuple(rows), accepting, 0)
+
+
+def _suffix_pair():
+    return rl.dfa_from_regex("(a|b)*a(a|b){7}"), rl.dfa_from_regex("(a|b)*a(a|b){6}")
+
+
+def _check_against_reference(monkeypatch) -> list:
+    """Make each run of the Cesaro power stream run the list-built
+    reference on the same trim graph too, assert that both outcomes are
+    equal by repr, and list them."""
+    kernel = reglang.metrics._leading_limits
+    outcomes = []
+
+    def checked(transitions, trim, parts, radius, q, d):
+        vertices = sorted(chain.from_iterable(trim))
+        kept = set(vertices)
+        edges = [(s, t) for s in vertices for t in transitions[s] if t in kept]
+        expected = _outcome(leading_limits, vertices, edges, parts, radius, q, d)
+        outcomes.append(_outcome(kernel, transitions, trim, parts, radius, q, d))
+        assert outcomes[-1] == expected
+        return kernel(transitions, trim, parts, radius, q, d)
+
+    monkeypatch.setattr(reglang.metrics, "_leading_limits", checked)
+    return outcomes
+
+
+_some_dfas = st.one_of(_cyclic_dfas, _layered_dfas())
+
+
+@settings(max_examples=150, deadline=None)
+@given(d1=_some_dfas, d2=_some_dfas)
+@example(rl.dfa_from_regex("(a|b)*c(a|b)*"), rl.dfa_from_regex("a(a|b)*c(a|b)*"))
+@example(
+    rl.dfa_from_regex("((a|b){2})*c((a|b){2})*"),
+    rl.dfa_from_regex("a(a|b){3}((a|b){2})*c((a|b){2})*"),
+)
+@example(*_suffix_pair())
+def test_leading_limits_match_the_list_built_reference(d1, d2):
+    # every run of the stream, in both sequences, gives the reference's
+    # limits, residual and blocks by repr
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        outcomes = _check_against_reference(monkeypatch)
+        for sequence in ("cum", "exact"):
+            rl.cesaro_jaccard(d1, d2, CesaroConfig(sequence=sequence))
+    assume(outcomes)
+
+
+def test_suffix_pair_stream_is_pinned():
+    left, right = _suffix_pair()
+    result = rl.cesaro_jaccard(left, right)
+    assert (result.value, result.mode) == (0.6666666666666666, "per-residue")
+    found = [result.diagnostics[key] for key in ("residue_limits", "residual", "blocks")]
+    assert found == [[0.6666666666666666], 0.0, 9]
+    exact = rl.cesaro_jaccard(left, right, CesaroConfig(sequence="exact"))
+    assert repr(exact) == (
+        "DistanceResult(metric='cesaro', value=0.6666666666666666, mode='per-residue', "
+        "diagnostics={'sequence': 'exact', 'residue_period': 1, "
+        "'residue_limits': [0.6666666666666666], 'residual': 0.0, 'blocks': 9})"
+    )
+
+
+def test_leading_limits_fail_as_the_reference_does(monkeypatch):
+    # the suffix pair's stream settles after 9 blocks; capped at 3, the
+    # kernel raises the reference's message, partial value and residual
+    monkeypatch.setattr(reglang.metrics, "POWER_MAX_ITER", 3)
+    outcomes = _check_against_reference(monkeypatch)
+    with pytest.raises(ConvergenceError, match="after 3 blocks") as caught:
+        rl.cesaro_jaccard(*_suffix_pair())
+    error = caught.value
+    assert outcomes == [repr((error, error.partial, error.diagnostics))]
+    assert error.partial is not None and error.diagnostics["residual"] > reglang.metrics.LIMIT_TOL
 
 
 # --- entropy distance -----------------------------------------------------------------
