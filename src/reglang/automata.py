@@ -410,17 +410,15 @@ def determinize(nfa: Nfa) -> Dfa:
     alphabet = tuple(sorted(set(nfa.alphabet)))
     if not alphabet:
         raise AlphabetError("cannot determinize over an empty alphabet")
-    cap = state_cap()
     order, rows = [0], []
     if _one_per_symbol(nfa.symbols, nfa.follow[0]):
-        ids, order, rows = _one_state(nfa, alphabet, cap)
+        ids, order, rows = _one_state(nfa, alphabet)
         if len(rows) == len(order):
             # sorted: the set is built, and so printed, as the subset construction builds it
             accepting = frozenset(sorted(ids[p] for p in nfa.accepting if ids[p] >= 0))
             return Dfa(alphabet=alphabet, transitions=tuple(rows), accepting=accepting, initial=0)
     subsets = [(p, 1) if p < len(nfa.follow) else EMPTY for p in order]
-    moves = _subset_moves(nfa, alphabet)
-    subsets, rows = _explore(subsets, rows, moves, "subset construction", cap)
+    subsets, rows = _explore(subsets, rows, _subset_moves(nfa, alphabet), "subset construction")
     final = _window(nfa.accepting)
     accepting = frozenset(i for i, subset in enumerate(subsets) if _meets(subset, final))
     return Dfa(alphabet=alphabet, transitions=tuple(rows), accepting=accepting, initial=0)
@@ -440,7 +438,7 @@ def _one_per_symbol(symbols, window) -> bool:
     return True
 
 
-def _one_state(nfa: Nfa, alphabet: tuple[str, ...], cap: int) -> tuple[list, list, list]:
+def _one_state(nfa: Nfa, alphabet: tuple[str, ...]) -> tuple[list, list, list]:
     """The subset construction's numbering while each subset it reaches
     holds at most one state: (ids, order, rows), where `ids[p]` is the
     number of state p or -1, the position past the last state stands for
@@ -449,12 +447,12 @@ def _one_state(nfa: Nfa, alphabet: tuple[str, ...], cap: int) -> tuple[list, lis
     state's follow window, one set bit at a time, and the numbering stops
     before the first state whose window holds two states of one symbol,
     so that `rows` is shorter than `order`.  Raises StateLimitError where
-    the subset construction would, past `cap` states."""
+    the subset construction would."""
     symbols, follow = nfa.symbols, nfa.follow
     index = {symbol: k for k, symbol in enumerate(alphabet)}
     empty = len(follow)
     ids = [0] + [-1] * empty
-    order, rows, nowhere = [0], [], [empty] * len(alphabet)
+    order, rows, nowhere, cap = [0], [], [empty] * len(alphabet), state_cap()
     for p in order:  # a queue: numbered states are appended
         targets = nowhere.copy()
         if p != empty:
@@ -535,15 +533,16 @@ def _normal(base: int, mask: int) -> tuple[int, int]:
     return base + shift, mask >> shift
 
 
-def _explore(order: list, rows: list, moves, what: str, cap: int) -> tuple[list, tuple]:
+def _explore(order: list, rows: list, moves, what: str) -> tuple[list, tuple]:
     """Number the states reachable from `order[0]` breadth first, where
     `moves(state)` lists a state's successors in symbol order, going on
     from the states numbered in `order` and the rows of the first of them
     in `rows`: `[start]` and `[]` number from the start.  Returns the
     states in number order and the transition rows over the numbers;
-    raises StateLimitError when a state past `cap` appears.  Each edge
-    costs one dict lookup: a target not yet numbered takes the next
+    raises StateLimitError when a state past `state_cap()` appears.  Each
+    edge costs one dict lookup: a target not yet numbered takes the next
     number."""
+    cap = state_cap()
     ids = dict(zip(order, count()))
     number = ids.setdefault
     states = iter(order)  # a queue: numbered states are appended
@@ -577,8 +576,7 @@ def _reach(seeds, neighbours) -> set:
 def _canonical(dfa: Dfa) -> Dfa:
     """Renumber states in BFS order from the initial state (symbol order),
     making equal-language minimal DFAs structurally identical."""
-    moves = dfa.transitions.__getitem__
-    order, rows = _explore([dfa.initial], [], moves, "minimization", state_cap())
+    order, rows = _explore([dfa.initial], [], dfa.transitions.__getitem__, "minimization")
     accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
     return Dfa(dfa.alphabet, rows, accepting, 0)
 
@@ -778,7 +776,6 @@ def product(d1: Dfa, d2: Dfa) -> Product:
         [],
         lambda pair: zip(read1(pair[0]), read2(pair[1])),
         "product construction",
-        state_cap(),
     )
     left = frozenset(i for i, (p, _q) in enumerate(order) if p in d1.accepting)
     right = frozenset(i for i, (_p, q) in enumerate(order) if q in d2.accepting)
@@ -797,7 +794,6 @@ def _lengths_mod(prod: Product, q: int) -> tuple[Product, list]:
         [],
         lambda state: ((t, (state[1] + 1) % q) for t in prod.transitions[state[0]]),
         "product construction",
-        state_cap(),
     )
     left = frozenset(i for i, (s, _k) in enumerate(order) if s in prod.left)
     right = frozenset(i for i, (s, _k) in enumerate(order) if s in prod.right)
