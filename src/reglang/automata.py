@@ -404,14 +404,14 @@ def determinize(nfa: Nfa) -> Dfa:
     subset construction takes over that numbering where it stands: a
     subset's successors are one union of its states' follow windows, split
     by symbol with one AND per symbol mask (see `_subset_moves`), and each
-    subset is keyed by its window, which is unique.  If the initial
-    state's own window holds two states of one symbol, as in `(a|b)*a`,
-    the subset construction starts at once, with no numbering set up."""
+    subset is keyed by its window, which is unique.  It starts at once,
+    with no numbering set up, when that window is the initial state's."""
     alphabet = tuple(sorted(set(nfa.alphabet)))
     if not alphabet:
         raise AlphabetError("cannot determinize over an empty alphabet")
     order, rows = [0], []
-    if _one_per_symbol(nfa.symbols, nfa.follow[0]):
+    first = [nfa.symbols[p] for p in _members(nfa.follow[0])]
+    if len(set(first)) == len(first):  # at most one state per symbol
         ids, order, rows = _one_state(nfa, alphabet)
         if len(rows) == len(order):
             # sorted: the set is built, and so printed, as the subset construction builds it
@@ -422,20 +422,6 @@ def determinize(nfa: Nfa) -> Dfa:
     final = _window(nfa.accepting)
     accepting = frozenset(i for i, subset in enumerate(subsets) if _meets(subset, final))
     return Dfa(alphabet=alphabet, transitions=tuple(rows), accepting=accepting, initial=0)
-
-
-def _one_per_symbol(symbols, window) -> bool:
-    """Whether no two states of a window read the same symbol."""
-    lo, mask = window
-    seen = set()
-    while mask:
-        bit = mask & -mask
-        symbol = symbols[lo + bit.bit_length() - 1]
-        if symbol in seen:
-            return False
-        seen.add(symbol)
-        mask ^= bit
-    return True
 
 
 def _one_state(nfa: Nfa, alphabet: tuple[str, ...]) -> tuple[list, list, list]:
