@@ -9,8 +9,9 @@ Front-end layers, timed in process on each operand's pattern:
 the parse and `compile_to_nfa`; and `determinize` of the position
 automaton, compiled outside the timed call.  Counting
 layers: `minimize` of each operand of a pair, and
-`jaccard_cum_n(a, b, 200)` of the pair, also timed as a whole process
-running `reglang distance --metric jn --n 200`.  Pair layers:
+`jaccard_cum_n(a, b, 200)` and `jaccard_exact_n(a, b, 200)` of the pair,
+the first also timed as a whole process running `reglang distance
+--metric jn --n 200`.  Pair layers:
 `entropy_distance` and `cesaro_jaccard` of the pair.  Structural layers:
 `trim`, `scc_decompose(trim(d))`, `language_entropy` and
 `CountVectors.from_dfa` of each operand, and `separating_n` of the pair,
@@ -51,7 +52,7 @@ i-th of period 2 + i mod 3, so its trim graph has m periodic components.
 Every family but the cold one times the front-end layers.  The first
 two families time the counting and pair layers, and the tie family the
 `count_vectors` ones too; the periodic family times the structural ones
-and both `jaccard_cum_n` layers, and the chain the counting and
+and the three finite-horizon layers, and the chain the counting and
 structural ones.  Under lumping, the
 counting systems of the first two families shrink to a few vertices; the
 chain's do not shrink.  Each time is the median of RUNS
@@ -102,6 +103,7 @@ LAYERS = {
     "minimize_left_s": lambda rl, a, b: rl.minimize(a),
     "minimize_right_s": lambda rl, a, b: rl.minimize(b),
     "jaccard_cum_n_s": lambda rl, a, b: rl.jaccard_cum_n(a, b, HORIZON),
+    "jaccard_exact_n_s": lambda rl, a, b: rl.jaccard_exact_n(a, b, HORIZON),
     "entropy_distance_s": lambda rl, a, b: rl.entropy_distance(a, b),
     "cesaro_jaccard_s": lambda rl, a, b: rl.cesaro_jaccard(a, b),
     "trim_left_s": lambda rl, a, b: rl.trim(a),
@@ -114,9 +116,11 @@ LAYERS = {
     "count_vectors_left_s": lambda rl, a, b: rl.CountVectors.from_dfa(a),
     "count_vectors_right_s": lambda rl, a, b: rl.CountVectors.from_dfa(b),
 }
-COUNTING = tuple(LAYERS)[:3]
-PAIR = tuple(LAYERS)[3:5]
-FRESH = tuple(LAYERS)[5:]  # analyses the operands keep, timed on fresh copies
+JACCARD = ("jaccard_cum_n_s", "jaccard_exact_n_s")
+COUNTING = ("minimize_left_s", "minimize_right_s", *JACCARD)
+PAIR = ("entropy_distance_s", "cesaro_jaccard_s")
+# analyses the operands keep, timed on fresh copies
+FRESH = tuple(layer for layer in LAYERS if layer not in COUNTING + PAIR)
 KEPT = tuple(f"{layer[:-2]}_kept_s" for layer in FRESH)
 LAYERS.update(zip(KEPT, map(LAYERS.get, FRESH)))
 STRUCTURE = FRESH + KEPT
@@ -204,7 +208,7 @@ FAMILIES = {
     "periodic": (
         (100, 200, 400, 800, 1600, 3200),
         lambda m: (periodic(m), periodic(m + 1)),
-        FROM_REGEX + ("jaccard_cum_n_s",) + STRUCTURE + BUILD + JN_PROCESS,
+        FROM_REGEX + JACCARD + STRUCTURE + BUILD + JN_PROCESS,
     ),
     "cold": ((4, 7, 12), tie, IMPORT + COMMAND_LINE),
 }

@@ -12,11 +12,16 @@ state's successors once per edge: a DFA's table for `from_dfa`, a pair's
 product table for `shared_system`, a labeled graph's rows for
 `block_count`.  `CountVectors(matrix, ...)` takes a dense matrix instead,
 and `CountVectors.matrix` forms one only when it is read.
-One stepping loop, `final_counts`, advances the single
-vector i . A^n at O(E) per length and reads one count per final vector
-from it: a symmetric difference lies inside the union of the same pair,
-so `shared_system` counts both over the union, on the pair's product
-table.  That stream runs on the lumped quotient of the union's system,
+One stepping loop advances the single vector i . A^n at O(E) per
+length, and two readers sit on top of it.  `final_counts` reads one count
+per final vector at every length, a stream; `counts_at` reads each final
+vector once, at one horizon n: from the vector of length n, or for the
+counts up to n from a running sum of the vectors of lengths 0..n, kept
+only at the coordinates that a final vector reads.  The lengths on the
+way cost one step each and no read.  A symmetric
+difference lies inside the union of the same pair, so `shared_system`
+counts both over the union, on the pair's product table.  The loop runs
+on the lumped quotient of the union's system,
 which has the same word counts and often far fewer vertices (257 -> 9 for the suffix pair
 `(a|b)*a(a|b){7}` / `(a|b)*a(a|b){6}`).  The quotient takes one
 partition-refinement pass in each direction, the first in the direction
@@ -29,8 +34,9 @@ a chain whose acceptance lies past n loses every state.  The finite
 horizons (`metrics._jaccard_n`) give it n unless the product's depth
 plus the farthest finite distance to acceptance in either DFA is within
 n, which shows that no state would be dropped; the Cesaro ties count
-with no horizon.  `length_counts` is the
-one-final case of the stream.  Exactness is the point:
+with no horizon, on the stream.  `length_counts` is the one-final case
+of the stream, and `count_len` and `count_upto` the one-final cases of
+`counts_at`.  Exactness is the point:
 everything here is arbitrary-precision integer arithmetic, off-limits to
 floating point.
 """
@@ -46,7 +52,7 @@ from .automata import Dfa, LabeledGraph, coarsest_partition
 class CountVectors:
     """Counting system (A, i, f) with A kept as sparse rows: `rows[i]`
     holds the (column, entry) pairs of the nonzero entries of row i.  The
-    columns, which `final_counts` steps on, are kept as they were built.
+    columns, which the stepping loop steps on, are kept as they were built.
 
     `CountVectors(matrix, initial, final)` takes A as a square dense
     matrix, and the vectors of its size, of non-negative ints, the form in
@@ -106,8 +112,8 @@ def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple
     most `horizon` only.
 
     The parts are sets of states, such as those of a pair's `Product`
-    for its symmetric difference and its union, so one `final_counts`
-    stream over the system counts the words of every part.
+    for its symmetric difference and its union, so one stepping loop
+    over the system counts the words of every part.
 
     The system is a quotient of the table's own (A, i, f) with the same
     word counts (exact and ordinary lumpability: Buchholz, "Bisimulation
@@ -296,10 +302,11 @@ def _trimmed(rows, columns, initial, finals, horizon=inf) -> tuple:
     return rows, _transpose(rows), initial, tuple(tuple(f[v] for v in keep) for f in finals)
 
 
-def final_counts(cv: CountVectors, finals):
-    """Yield, for n = 0, 1, ..., the tuple of i . A^n . f over the final
-    vectors f; one O(E) step of the vector i . A^n per length, however
-    many counts are read from it."""
+def _vectors(cv: CountVectors) -> tuple:
+    """(position, vectors): the coordinate at which the stepped vector
+    holds each state, and the one stepping loop, an iterator over the
+    vectors i . A^n for n = 0, 1, ... in that layout; one O(E) step per
+    length."""
     n = cv.n
     columns = cv._columns  # column j of A as (row, entry) pairs
     # The vector's coordinates are held in order of decreasing column
@@ -315,17 +322,18 @@ def final_counts(cv: CountVectors, finals):
     for j in order:
         for layer, (i, a) in zip(layers, columns[j]):
             layer.append((position[i], a))
-    (first, first_weights), *rest = map(_split, layers)
-    padding = [0] * (n - len(first))
-    reads = [
-        _split([(position[j], f) for j, f in enumerate(final) if f]) for final in finals
-    ]
-    vector = [cv.initial[j] for j in order]
+    return position, _steps([cv.initial[j] for j in order], list(map(_split, layers)))
+
+
+def _steps(vector, layers):
+    """Yield `vector`, then each next one: the first layer's products,
+    padded with zeros to the vector's length, with each other layer's
+    products added to its prefix.  A yielded vector is never changed."""
+    (first, first_weights), *rest = layers
+    padding = [0] * (len(vector) - len(first))
     while True:
+        yield vector
         get = vector.__getitem__
-        yield tuple(
-            [sum(map(get, i) if w is None else map(mul, map(get, i), w)) for i, w in reads]
-        )
         values = map(get, first)
         if first_weights is not None:
             values = map(mul, values, first_weights)
@@ -344,6 +352,41 @@ def _split(entries):
     return indices, None if all(a == 1 for a in weights) else weights
 
 
+def final_counts(cv: CountVectors, finals):
+    """Yield, for n = 0, 1, ..., the tuple of i . A^n . f over the final
+    vectors f: the stepping loop's vector read once per final vector at
+    every length."""
+    position, vectors = _vectors(cv)
+    reads = [
+        _split([(position[j], f) for j, f in enumerate(final) if f]) for final in finals
+    ]
+    for vector in vectors:
+        get = vector.__getitem__
+        yield tuple(
+            [sum(map(get, i) if w is None else map(mul, map(get, i), w)) for i, w in reads]
+        )
+
+
+def counts_at(cv: CountVectors, finals, n: int, cumulative: bool = False) -> tuple:
+    """The tuple of i . A^n . f over the final vectors f, or with
+    `cumulative` of their sums over the lengths 0..n: n steps of the
+    loop, and each final vector read once, at the end.  Only the
+    coordinates that some final vector reads are kept, and summed when
+    `cumulative`, so the sum costs O(|support|) per length, not O(V)."""
+    if n < 0:
+        raise ValueError("length must be non-negative")
+    position, vectors = _vectors(cv)
+    states = sorted(_support(finals))
+    read = [position[j] for j in states]
+    if cumulative:
+        kept = [0] * len(read)
+        for vector in islice(vectors, n + 1):
+            kept = list(map(add, kept, map(vector.__getitem__, read)))
+    else:
+        kept = list(map(next(islice(vectors, n, None)).__getitem__, read))
+    return tuple(sum(map(mul, kept, [final[j] for j in states])) for final in finals)
+
+
 def length_counts(cv: CountVectors):
     """Yield |W_0|, |W_1|, ... forever; one sparse step per length."""
     for (count,) in final_counts(cv, (cv.final,)):
@@ -359,17 +402,15 @@ def cumulative_counts(cv: CountVectors):
 
 
 def count_len(cv: CountVectors, n: int) -> int:
-    """Exact number of words of length exactly n."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    return next(islice(length_counts(cv), n, None))
+    """Exact number of words of length exactly n: n steps of the loop and
+    one read (`counts_at`)."""
+    return counts_at(cv, (cv.final,), n)[0]
 
 
 def count_upto(cv: CountVectors, n: int) -> int:
-    """Exact number of words of length at most n, epsilon included."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    return next(islice(cumulative_counts(cv), n, None))
+    """Exact number of words of length at most n, epsilon included: the
+    sum of the vectors of lengths 0..n, read once (`counts_at`)."""
+    return counts_at(cv, (cv.final,), n, cumulative=True)[0]
 
 
 def block_count(graph: LabeledGraph, n: int) -> int:

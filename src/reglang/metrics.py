@@ -26,12 +26,14 @@ spectral entropies of boolean combinations.  A pair is read as its one
 `automata.Product` table, and each combination as a set of its states:
 the counts run on the table itself (`counting.shared_system`), and
 `cesaro_jaccard`, `entropy_distance` and `entropy_sum` read every
-combination's report from the table's one search; the finite horizons
-never search.
+combination's report from the table's one search.  The finite horizons
+never search: they step the union's one vector to n and read the two
+counts once (`counting.counts_at`), and the exact ties read the stream of
+counts at every length (`counting.final_counts`).
 """
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from math import comb, inf
 
 from ._record import record
@@ -45,7 +47,7 @@ from .automata import (
     minimize,
     product,
 )
-from .counting import CountVectors, final_counts, shared_system
+from .counting import counts_at, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
 from .spectral import POWER_MAX_ITER, _decomposition, _tied
 
@@ -92,16 +94,6 @@ class DistanceResult:
         self.diagnostics = {} if diagnostics is None else diagnostics
 
 
-def _pair_counts(cv: CountVectors, finals, cumulative: bool):
-    """Yield the (sym diff, union) word counts for n = 0, 1, ...: of
-    length exactly n, or at most n when `cumulative`."""
-    total_sym = total_uni = 0
-    for w_sym, w_uni in final_counts(cv, finals):
-        total_sym += w_sym
-        total_uni += w_uni
-        yield (total_sym, total_uni) if cumulative else (w_sym, w_uni)
-
-
 def _jaccard_n(d1: Dfa, d2: Dfa, n: int, cumulative: bool) -> Fraction:
     if n < 0:
         raise ValueError("length must be non-negative")
@@ -112,7 +104,7 @@ def _jaccard_n(d1: Dfa, d2: Dfa, n: int, cumulative: bool) -> Fraction:
     far = max(max(d1._to_accept), max(d2._to_accept))
     horizon = None if prod._within(n - far) else n
     cv, finals = shared_system(prod.transitions, (left ^ right, left | right), horizon)
-    num, den = next(islice(_pair_counts(cv, finals, cumulative), n, None))
+    num, den = counts_at(cv, finals, n, cumulative)
     return Fraction(num, den) if den else Fraction(0)
 
 
@@ -236,10 +228,10 @@ def _exact_tie_limit(cv, finals, q, d) -> Fraction:
     of the d-th differences (|sym| / |union| when d = 0, a finite union).
     """
     n0 = -(-cv.n // q) * q
-    counts = islice(_pair_counts(cv, finals, cumulative=True), n0 + q * (d + 1))
+    counts = islice(final_counts(cv, finals), n0 + q * (d + 1))
     sym, uni = (
         sum((-1) ** (d - k) * comb(d, k) * s for k, s in enumerate(totals[n0::q]))
-        for totals in zip(*counts)
+        for totals in (list(accumulate(terms)) for terms in zip(*counts))
     )
     return Fraction(sym, uni) if uni else Fraction(0)
 
@@ -289,10 +281,12 @@ def _leading_limits(transitions, trim, parts, radius, q, d):
             lead = step(lead)
         r = np.arange(q)
         sums = radius ** -r @ np.array(c)[(r[:, None] - r) % q]
+        if not sums[:, 1].all():  # a class with no union words yet
+            return None
         return [float(s / u) for s, u in sums]
 
     b = (vertices == 0).astype(float)
-    diffs = []
+    diffs, residual = [], inf
     for blocks in range(POWER_MAX_ITER):
         diffs = [b, *diffs[:d]]  # backward differences of b_m, orders 0 to d
         for j in range(1, len(diffs)):
@@ -308,7 +302,8 @@ def _leading_limits(transitions, trim, parts, radius, q, d):
         scale = np.abs(b).max()
         b, diffs = b / scale, [x / scale for x in diffs]
     reason = f"the leading vector's residual is {residual:.3g} after {POWER_MAX_ITER} blocks"
-    partial = sum(limits(diffs[d - 1])) / q if residual < inf else None
+    found = limits(diffs[d - 1]) if residual < inf else None
+    partial = None if found is None else sum(found) / q
     raise ConvergenceError(reason, partial=partial, diagnostics={"residual": residual})
 
 

@@ -62,10 +62,12 @@ def leading_limits(vertices, edges, parts, radius, q, d):
             lead = step(lead)
         r = np.arange(q)
         sums = radius ** -r @ np.array(c)[(r[:, None] - r) % q]
+        if not sums[:, 1].all():  # a class with no union words yet
+            return None
         return [float(s / u) for s, u in sums]
 
     b = np.array([float(v == 0) for v in vertices])
-    diffs = []
+    diffs, residual = [], inf
     for blocks in range(cap):
         diffs = [b, *diffs[:d]]
         for j in range(1, len(diffs)):
@@ -80,5 +82,6 @@ def leading_limits(vertices, edges, parts, radius, q, d):
         scale = np.abs(b).max()
         b, diffs = b / scale, [x / scale for x in diffs]
     reason = f"the leading vector's residual is {residual:.3g} after {cap} blocks"
-    partial = sum(limits(diffs[d - 1])) / q if residual < inf else None
+    found = limits(diffs[d - 1]) if residual < inf else None
+    partial = None if found is None else sum(found) / q
     raise ConvergenceError(reason, partial=partial, diagnostics={"residual": residual})

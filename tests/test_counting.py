@@ -1,7 +1,8 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from reglang.counting import (
     block_count,
     count_len,
     count_upto,
+    counts_at,
     cumulative_counts,
     final_counts,
     length_counts,
@@ -127,6 +129,53 @@ def test_sparse_counts_match_dense_matrix_power(system):
             assert res.initial == cv.initial
             tail = matrix_power(cv.matrix, k)
             assert res.final == tuple(sum(a * f for a, f in zip(row, final)) for row in tail)
+
+
+def _with_finals(rows):
+    vector = st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))
+    return st.tuples(st.just(rows), vector, st.lists(vector, min_size=2, max_size=3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(system=_matrices.flatmap(_with_finals))
+def test_counts_at_one_horizon_are_the_streams_term_and_its_running_sum(system):
+    rows, initial, finals = system
+    cv = CountVectors(rows, initial, finals[0])
+    terms = list(islice(final_counts(cv, finals), 41))
+    totals = list(accumulate(terms, lambda s, t: tuple(map(add, s, t))))
+    for n in range(41):
+        assert counts_at(cv, finals, n) == terms[n], n
+        assert counts_at(cv, finals, n, cumulative=True) == totals[n], n
+
+
+def test_counts_at_length_0_read_the_initial_vector():
+    cv = CountVectors([[1, 1], [0, 1]], [1, 1], [0, 1])
+    finals = ((0, 1), (1, 1), (2, 3))
+    assert counts_at(cv, finals, 0) == counts_at(cv, finals, 0, cumulative=True) == (1, 2, 5)
+    assert counts_at(cv, finals, 1) == (2, 3, 8)  # i . A = (1, 2)
+    assert counts_at(cv, finals, 1, cumulative=True) == (3, 5, 13)
+    for cumulative in (False, True):
+        with pytest.raises(ValueError):
+            counts_at(cv, finals, -1, cumulative)
+
+
+@pytest.mark.parametrize(
+    "p1, p2, horizon",
+    [
+        # the union is empty: no state reaches acceptance
+        ("#", "a#", None),
+        # acceptance 50 steps from state 0, past the horizon 20
+        ("a{50}(a|b)*", "a{60}", 20),
+    ],
+    ids=["empty-union", "acceptance-past-the-horizon"],
+)
+def test_counts_at_on_a_system_with_no_state_are_0(p1, p2, horizon):
+    a, b = rl.dfa_from_regex(p1, "ab"), rl.dfa_from_regex(p2, "ab")
+    cv, finals = shared_system(*_union(a, b), horizon)
+    assert cv.n == 0
+    for n in (0, 1, 20):
+        for cumulative in (False, True):
+            assert counts_at(cv, finals, n, cumulative) == (0, 0), (n, cumulative)
 
 
 @pytest.mark.parametrize(

@@ -46,7 +46,7 @@ def test_smallest_rung_of_each_family_is_timed():
     ]
     from_regex = ("dfa_from_regex_left_s", "dfa_from_regex_right_s", "compile_left_s",
                   "compile_right_s", "determinize_left_s", "determinize_right_s")
-    counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s")
+    counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s", "jaccard_exact_n_s")
     pair = ("entropy_distance_s", "cesaro_jaccard_s")
     structure = (
         "trim_left_s",
@@ -88,7 +88,8 @@ def test_smallest_rung_of_each_family_is_timed():
     expected = {"tie": from_regex + counting + pair + count_vectors + build + jn_process,
                 "disjoint": from_regex + counting + pair + separation + build + jn_process,
                 "chain": from_regex + counting + structure + build + jn_process,
-                "periodic": from_regex + ("jaccard_cum_n_s",) + structure + build + jn_process,
+                "periodic": from_regex + ("jaccard_cum_n_s", "jaccard_exact_n_s") + structure
+                + build + jn_process,
                 "cold": import_only + command_line}
     for record in records:
         timed = [key for key in record if key.endswith("_s")]

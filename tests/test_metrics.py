@@ -479,15 +479,33 @@ def test_suffix_pair_stream_is_pinned():
 
 
 def test_leading_limits_fail_as_the_reference_does(monkeypatch):
-    # the suffix pair's stream settles after 9 blocks; capped at 3, the
+    # the suffix pair's stream settles after 9 blocks; capped at 9, the
     # kernel raises the reference's message, partial value and residual
-    monkeypatch.setattr(reglang.metrics, "POWER_MAX_ITER", 3)
+    monkeypatch.setattr(reglang.metrics, "POWER_MAX_ITER", 9)
     outcomes = _check_against_reference(monkeypatch)
-    with pytest.raises(ConvergenceError, match="after 3 blocks") as caught:
+    with pytest.raises(ConvergenceError, match="after 9 blocks") as caught:
         rl.cesaro_jaccard(*_suffix_pair())
     error = caught.value
     assert outcomes == [repr((error, error.partial, error.diagnostics))]
     assert error.partial is not None and error.diagnostics["residual"] > reglang.metrics.LIMIT_TOL
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cap", range(1, 8))
+def test_leading_limits_give_no_partial_value_before_every_class_has_union_words(
+    monkeypatch, cap
+):
+    # capped at 1 the stream stops before its first residual, which stays
+    # inf; capped at 2-7 some class's union sum is still 0: no partial
+    # value either way, as in the reference, and no division by 0
+    monkeypatch.setattr(reglang.metrics, "POWER_MAX_ITER", cap)
+    outcomes = _check_against_reference(monkeypatch)
+    with pytest.raises(ConvergenceError, match=f"after {cap} blocks") as caught:
+        rl.cesaro_jaccard(*_suffix_pair())
+    error = caught.value
+    assert outcomes == [repr((error, error.partial, error.diagnostics))]
+    assert error.partial is None
+    assert error.diagnostics["residual"] > reglang.metrics.LIMIT_TOL
 
 
 # --- entropy distance -----------------------------------------------------------------
