@@ -479,8 +479,9 @@ def test_suffix_pair_stream_is_pinned():
 
 
 def test_leading_limits_fail_as_the_reference_does(monkeypatch):
-    # the suffix pair's stream settles after 9 blocks; capped at 9, the
-    # kernel raises the reference's message, partial value and residual
+    # the suffix pair's stream settles at block 9; capped at 9 blocks it
+    # stops one short, and the kernel raises the reference's message,
+    # partial value and residual
     monkeypatch.setattr(reglang.metrics, "POWER_MAX_ITER", 9)
     outcomes = _check_against_reference(monkeypatch)
     with pytest.raises(ConvergenceError, match="after 9 blocks") as caught:
