@@ -43,15 +43,18 @@ Rungs, each family in increasing size:
 
 - tie k:        (a|b)*a(a|b){k}  against (a|b)*a(a|b){k-1},  k = 4..12
 - disjoint k:   (a|b)*a(a|b){k}  against (a|b)*b(a|b){k},    k = 4..12
+- gap k:        (a|b)*a(a|b){k}  against a*b(a|b){k},        k = 4..12
 - chain n:      a{n}(a|b)*       against a{n+1000},          n = 1000..16000
 - periodic m:   P(m)             against P(m+1),             m = 100..3200
 - cold k:       the tie pair,                                k = 4, 7, 12
 
 where P(m) = (a{2})*b(a{3})*b(a{4})*b(a{2})*b... has m starred parts, the
 i-th of period 2 + i mod 3, so its trim graph has m periodic components.
-Every family but the cold one times the front-end layers.  The first
-two families time the counting and pair layers, and the tie family the
-`count_vectors` ones too; the periodic family times the structural ones
+Every family but the cold and gap ones times the front-end layers.  The
+first two families time the counting and pair layers, and the tie
+family the `count_vectors` ones too; the gap family, whose operands
+grow at different orders (1 bit against 0), times the pair layers
+alone; the periodic family times the structural ones
 and the three finite-horizon layers, and the chain the counting and
 structural ones.  Under lumping, the
 counting systems of the first two families shrink to a few vertices; the
@@ -199,6 +202,11 @@ FAMILIES = {
         range(4, 13),
         lambda k: (f"(a|b)*a(a|b){{{k}}}", f"(a|b)*b(a|b){{{k}}}"),
         FROM_REGEX + COUNTING + PAIR + SEPARATION + BUILD + JN_PROCESS,
+    ),
+    "gap": (
+        range(4, 13),
+        lambda k: (f"(a|b)*a(a|b){{{k}}}", f"a*b(a|b){{{k}}}"),
+        PAIR,
     ),
     "chain": (
         (1000, 2000, 4000, 8000, 16000),

@@ -7,7 +7,13 @@ of running averages of the cumulative distances, is decided in stages:
 1. Growth orders.  A language grows like n^(d-1) radius^n, d being the
    index of the radius (see `spectral`).  The limit is 0 if the
    symmetric difference has a lower order (radius, d) than the union,
-   and 1 if the intersection does.  No iteration needed.
+   and 1 if the intersection does.  No iteration needed.  Two languages
+   that grow at different orders are the paper's trivial case: their
+   symmetric difference and union grow like the faster one, their
+   intersection no faster than the slower one, so the limit is 1.  That
+   is read off each operand's kept report (`language_entropy`, one
+   search per DFA for its life) before any product is built; only when
+   the orders tie is the pair's product searched for the three reports.
 2. Exact ties.  If all three share an order with radius at most 1, the
    limit is an exact ratio of word counts taken past the transient.
 3. Leading coefficients.  A tie with radius above 1, of any index, has
@@ -26,7 +32,8 @@ spectral entropies of boolean combinations.  A pair is read as its one
 `automata.Product` table, and each combination as a set of its states:
 the counts run on the table itself (`counting.shared_system`), and
 `cesaro_jaccard`, `entropy_distance` and `entropy_sum` read every
-combination's report from the table's one search.  The finite horizons
+combination's report from the table's one search, whenever the
+operands' own reports do not decide the value.  The finite horizons
 never search: they step the union's one vector to n and read the two
 counts once (`counting.counts_at`), and the exact ties read the stream of
 counts at every length (`counting.final_counts`).
@@ -49,7 +56,7 @@ from .automata import (
 )
 from .counting import counts_at, final_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
-from .spectral import POWER_MAX_ITER, _decomposition, _tied
+from .spectral import POWER_MAX_ITER, _decomposition, _tied, language_entropy
 
 # Residual that settles the leading vector.  The float radius it is
 # normalized by leaves a floor of about 5e-13.
@@ -120,6 +127,22 @@ def jaccard_cum_n(d1: Dfa, d2: Dfa, n: int) -> Fraction:
 
 
 def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> DistanceResult:
+    """Cesaro limit of the cumulative (or, with `sequence="exact"`, the
+    fixed-length) Jaccard distances, decided in the stages of the module
+    docstring.
+
+    On the cumulative sequence, operands whose growth orders differ give
+    1, mode "analytic-shortcut", from their kept reports alone: the
+    diagnostics hold the faster order as the sym/union orders and each
+    operand's (`entropy_left`, `index_left`, `entropy_right`,
+    `index_right`), no intersection's.  Otherwise the pair's product
+    reports the sym/union/intersection orders.  The first call on a DFA
+    pays one search of its table, which `language_entropy` and every
+    later pair on it reuse, also when the orders tie and the product is
+    searched too.  The fixed-length average always reads the product: it
+    can differ from 1 there, as on `((a|b){2})*` / `(aaaa)*`, whose odd
+    lengths have an empty union.
+    """
     config = config or CesaroConfig()
     if config.mode not in ("auto", "analytic"):
         raise ValueError(f"unknown mode {config.mode!r}")
@@ -128,15 +151,35 @@ def cesaro_jaccard(d1: Dfa, d2: Dfa, config: CesaroConfig | None = None) -> Dist
     if config.mode == "analytic" and config.sequence != "cum":
         raise ValueError("analytic mode requires the cumulative sequence")
     diagnostics = {"sequence": config.sequence}
-    if config.sequence == "cum":
+    if config.sequence == "exact":
+        limit, mode = _fixed_length_limit(d1, d2, diagnostics)
+    elif _orders_differ(d1, d2, diagnostics):
+        limit, mode = Fraction(1), "analytic-shortcut"
+    else:
         analytic = config.mode == "analytic"
         prod = product(d1, d2)
         limit, mode = _cumulative_limit(prod, prod.left, prod.right, diagnostics, analytic)
-    else:
-        limit, mode = _fixed_length_limit(d1, d2, diagnostics)
     if mode == "exact":
         diagnostics.update(numerator=limit.numerator, denominator=limit.denominator)
     return DistanceResult("cesaro", float(limit), mode, diagnostics)
+
+
+def _orders_differ(d1: Dfa, d2: Dfa, diagnostics) -> bool:
+    """Whether the two languages grow at different orders, read off each
+    DFA's kept report: if so, their symmetric difference and union grow
+    at the faster order, whose entropy and index go into `diagnostics` for
+    both, followed by each operand's."""
+    left, right = language_entropy(d1), language_entropy(d2)
+    if _grows_slower(left, right):
+        faster = right
+    elif _grows_slower(right, left):
+        faster = left
+    else:
+        return False
+    for name, report in (("sym_diff", faster), ("union", faster), ("left", left), ("right", right)):
+        diagnostics[f"entropy_{name}"] = report.entropy_bits
+        diagnostics[f"index_{name}"] = report.index
+    return True
 
 
 def _cumulative_limit(prod: Product, left, right, diagnostics, analytic=False):
@@ -309,7 +352,19 @@ def _leading_limits(transitions, trim, parts, radius, q, d):
 
 def entropy_distance(d1: Dfa, d2: Dfa) -> DistanceResult:
     """Ratio of entropies h(sym diff) / h(union); 0 when the union has
-    entropy 0.  Always lands in [0, 1]."""
+    entropy 0.  Always lands in [0, 1].
+
+    It is trivial, 1, when the two entropies differ (not `spectral._tied`):
+    the symmetric difference and the union both have the larger one, which
+    is read off each operand's kept report with no product, and reported
+    as both.  Only tied entropies read the pair's product, where the first
+    call on fresh DFAs also pays one search of each operand's table, kept
+    for its life."""
+    h1, h2 = language_entropy(d1).entropy_bits, language_entropy(d2).entropy_bits
+    if not _tied(h1 - h2):
+        h_uni = max(h1, h2)
+        diagnostics = {"entropy_sym_diff": h_uni, "entropy_union": h_uni}
+        return DistanceResult("entropy", 1.0, "exact", diagnostics)
     prod = product(d1, d2)
     pair = _decomposition(prod)
     left, right = prod.left, prod.right

@@ -61,6 +61,32 @@ def test_distance_cesaro(capsys):
     assert abs(payload["value"] - 0.5) < 1e-6
 
 
+def test_distance_cesaro_for_different_growth_orders(capsys):
+    # decided from each operand's growth order, with no product: the
+    # operands' orders stand in for the intersection's
+    expected = {
+        "metric": "cesaro",
+        "mode": "analytic-shortcut",
+        "value": 1.0,
+        "diagnostics": {
+            "sequence": "cum",
+            "entropy_sym_diff": 1.0,
+            "index_sym_diff": 1,
+            "entropy_union": 1.0,
+            "index_union": 1,
+            "entropy_left": 0.0,
+            "index_left": 1,
+            "entropy_right": 1.0,
+            "index_right": 1,
+        },
+    }
+    for mode in ("auto", "analytic"):
+        argv = ("distance", "--metric", "jc", "--mode", mode, "a*", "(a|b)*")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == expected
+
+
 def test_distance_entropy_for_unequal_entropies(capsys):
     code, out, _ = run_cli(capsys, "distance", "--metric", "h", "a*", "(a|b)*")
     assert code == 0

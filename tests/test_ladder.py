@@ -40,6 +40,7 @@ def test_smallest_rung_of_each_family_is_timed():
     assert [(r["family"], r["size"]) for r in records] == [
         ("tie", 4),
         ("disjoint", 4),
+        ("gap", 4),
         ("chain", 1000),
         ("periodic", 100),
         ("cold", 4),
@@ -87,6 +88,7 @@ def test_smallest_rung_of_each_family_is_timed():
     import_only = ("import_process_s",)
     expected = {"tie": from_regex + counting + pair + count_vectors + build + jn_process,
                 "disjoint": from_regex + counting + pair + separation + build + jn_process,
+                "gap": pair,
                 "chain": from_regex + counting + structure + build + jn_process,
                 "periodic": from_regex + ("jaccard_cum_n_s", "jaccard_exact_n_s") + structure
                 + build + jn_process,

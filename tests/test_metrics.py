@@ -16,8 +16,9 @@ import reglang.metrics
 from reglang import cli
 from reglang.counting import CountVectors, count_upto, cumulative_counts
 from reglang.errors import ConvergenceError, DuplicateLanguageError
-from reglang.metrics import CesaroConfig
+from reglang.metrics import CesaroConfig, _grows_slower
 from reglang.oracle import oracle_distance
+from reglang.spectral import _decomposition, _tied
 from dense import leading_limits
 from test_graphs import _complete_dfas
 
@@ -570,6 +571,124 @@ def test_entropy_distance_log_ratio_sweep(corpus):
     assert checked >= 150
 
 
+# --- growth orders that differ ----------------------------------------------------------
+
+SYM_UNION = ("entropy_sym_diff", "index_sym_diff", "entropy_union", "index_union")
+
+
+def _by_product(d1, d2):
+    """(jc's limit, mode and diagnostics, h's result) of a pair read off
+    its product table: the route the metrics take when the orders tie."""
+    prod = rl.product(d1, d2)
+    found = {}
+    limit, mode = reglang.metrics._cumulative_limit(prod, prod.left, prod.right, found)
+    pair = _decomposition(prod)
+    h_sym = pair.report(prod.left ^ prod.right).entropy_bits
+    h_uni = pair.report(prod.left | prod.right).entropy_bits
+    value = 0.0 if h_uni == 0.0 else min(1.0, h_sym / h_uni)
+    diagnostics = {"entropy_sym_diff": h_sym, "entropy_union": h_uni}
+    return limit, mode, found, rl.DistanceResult("entropy", value, "exact", diagnostics)
+
+
+def _check_orders(d1, d2) -> tuple:
+    """Check jc and h of a pair against the product route wherever the
+    operands' growth orders (for h, their entropies) differ; return which
+    of the two took the shortcut."""
+    left, right = rl.language_entropy(d1), rl.language_entropy(d2)
+    orders_differ = _grows_slower(left, right) or _grows_slower(right, left)
+    entropies_differ = not _tied(left.entropy_bits - right.entropy_bits)
+    limit, mode, found, h = _by_product(d1, d2)
+    jc = rl.cesaro_jaccard(d1, d2)
+    assert ("entropy_left" in jc.diagnostics) == orders_differ
+    if orders_differ:
+        assert (jc.value, jc.mode) == (float(limit), mode) == (1.0, "analytic-shortcut")
+        assert [jc.diagnostics[k] for k in SYM_UNION] == [found[k] for k in SYM_UNION]
+        operands = [left.entropy_bits, left.index, right.entropy_bits, right.index]
+        sides = ("entropy_left", "index_left", "entropy_right", "index_right")
+        assert [jc.diagnostics[k] for k in sides] == operands
+        assert "entropy_intersection" not in jc.diagnostics
+    if entropies_differ:
+        assert repr(rl.entropy_distance(d1, d2)) == repr(h)
+    return orders_differ, entropies_differ
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d1=_complete_dfas(), d2=_complete_dfas())
+def test_different_orders_decide_as_the_product_does(d1, d2):
+    _check_orders(d1, d2)
+
+
+def test_different_orders_decide_as_the_product_does_on_the_corpus(corpus):
+    # in both orders: 420 ordered pairs grow at different orders, 374 of
+    # them at different entropies
+    taken = [_check_orders(a.dfa, b.dfa) for a in corpus for b in corpus if a is not b]
+    assert [sum(jc for jc, _h in taken), sum(h for _jc, h in taken)] == [420, 374]
+
+
+def test_parity_against_a_period_four_star():
+    # the cumulative limit is 1, but the fixed-length terms are 1 on even
+    # lengths and 0 on odd ones (an empty union), averaging to one half
+    d1, d2 = rl.dfa_from_regex("((a|b){2})*", "ab"), rl.dfa_from_regex("(aaaa)*", "ab")
+    jc = rl.cesaro_jaccard(d1, d2)
+    assert (jc.value, jc.mode) == (1.0, "analytic-shortcut")
+    exact = rl.cesaro_jaccard(d1, d2, CesaroConfig(sequence="exact"))
+    assert (exact.value, exact.mode, exact.diagnostics["residue_period"]) == (0.5, "per-residue", 4)
+    assert rl.entropy_distance(d1, d2).value == 1.0
+
+
+def test_orders_that_differ_by_index_alone():
+    # both entropies are 0: jc is decided by the indices 1 and 0, h is 0/0
+    d1, d2 = rl.dfa_from_regex("a*", "a"), rl.dfa_from_regex("a|aa|aaa", "a")
+    jc = rl.cesaro_jaccard(d1, d2)
+    assert (jc.value, jc.mode) == (1.0, "analytic-shortcut")
+    assert [jc.diagnostics[k] for k in ("index_left", "index_right", "index_union")] == [1, 0, 1]
+    h = rl.entropy_distance(d1, d2)
+    assert (h.value, h.diagnostics) == (0.0, {"entropy_sym_diff": 0.0, "entropy_union": 0.0})
+
+
+def test_radii_in_the_band_of_equal_growth_take_the_product_route():
+    # the words with no a^28 grow at radius 1.99999999627..., inside the
+    # band around 2: the orders tie, so both metrics read the product,
+    # whose union index reads 2 (the band's error, not the shortcut's)
+    d1 = rl.dfa_from_regex("(a|b)*", "ab")
+    d2 = rl.dfa_from_regex("((~|a){27}b)*(~|a){27}", "ab")
+    left, right = rl.language_entropy(d1), rl.language_entropy(d2)
+    assert left.entropy_bits != right.entropy_bits
+    assert _tied(left.entropy_bits - right.entropy_bits) and left.index == right.index == 1
+    jc = rl.cesaro_jaccard(d1, d2)
+    assert (jc.value, jc.mode) == (1.0, "analytic-shortcut")
+    assert jc.diagnostics == {
+        "sequence": "cum",
+        "entropy_sym_diff": 1.0,
+        "index_sym_diff": 2,
+        "entropy_union": 1.0,
+        "index_union": 2,
+        "entropy_intersection": right.entropy_bits,
+        "index_intersection": 1,
+    }
+    assert repr(rl.entropy_distance(d1, d2)) == repr(_by_product(d1, d2)[3])
+
+
+def test_orders_over_different_alphabets():
+    d1, d2 = rl.dfa_from_regex("a*", "a"), rl.dfa_from_regex("(b|c)*", "bc")
+    jc = rl.cesaro_jaccard(d1, d2)
+    assert (jc.value, jc.mode) == (1.0, "analytic-shortcut")
+    assert jc.diagnostics == {
+        "sequence": "cum",
+        "entropy_sym_diff": 1.0,
+        "index_sym_diff": 1,
+        "entropy_union": 1.0,
+        "index_union": 1,
+        "entropy_left": 0.0,
+        "index_left": 1,
+        "entropy_right": 1.0,
+        "index_right": 1,
+    }
+    h = rl.entropy_distance(d1, d2)
+    assert (h.value, h.diagnostics) == (1.0, {"entropy_sym_diff": 1.0, "entropy_union": 1.0})
+    assert _check_orders(d1, d2) == (True, True)
+
+
 # --- entropy sum ------------------------------------------------------------------------
 
 
@@ -672,12 +791,13 @@ def test_axiom_checker_diagonal_passes_on_duplicates(by_name):
 # --- work per call ----------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    """Record each call of `module.name`, at every reglang binding of it."""
+def _count_calls(monkeypatch, module, name, label=None) -> list:
+    """Record each call of `module.name`, at every reglang binding of it:
+    its name, or `label` of its arguments."""
     original, calls = getattr(module, name), []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(name if label is None else label(*args, **kwargs))
         return original(*args, **kwargs)
 
     for module_name, bound in list(sys.modules.items()):
@@ -686,21 +806,41 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _count_searches(monkeypatch, *dfas) -> list:
+    """Record each search: the position in `dfas` of the DFA whose table it
+    reads, or "pair" for any other table, a product's."""
+
+    def searched(rows, *args, **kwargs):
+        return next((i for i, d in enumerate(dfas) if rows is d.transitions), "pair")
+
+    return _count_calls(monkeypatch, reglang.graphs, "_strong_components", searched)
+
+
 @pytest.mark.parametrize(
     "left, right",
-    [("(a|b)*a(a|b){4}", "(a|b)*a(a|b){3}"), ("(a|b)*c(a|b)*", "a(a|b)*c(a|b)*")],
+    [
+        ("(a|b)*a(a|b){4}", "(a|b)*a(a|b){3}"),
+        ("(a|b)*c(a|b)*", "a(a|b)*c(a|b)*"),
+        ("(a|b)*a(a|b){4}", "a*b(a|b){4}"),
+    ],
 )
 def test_each_pair_is_decomposed_once(monkeypatch, left, right):
     # every boolean combination's report is read from the one search that
-    # built the pair's product; the finite horizons need no search
+    # built the pair's product, which jc and h skip when the operands grow
+    # at different orders (different entropies, for h); each operand is
+    # searched once for its life; the finite horizons need no search
+    reports = [rl.language_entropy(rl.dfa_from_regex(x, "abc")) for x in (left, right)]
+    orders_tie = not (_grows_slower(*reports) or _grows_slower(*reports[::-1]))
+    entropies_tie = _tied(reports[0].entropy_bits - reports[1].entropy_bits)
     d1, d2 = rl.dfa_from_regex(left, "abc"), rl.dfa_from_regex(right, "abc")
-    searches = _count_calls(monkeypatch, reglang.graphs, "_strong_components")
+    searches = _count_searches(monkeypatch, d1, d2)
     trims = _count_calls(monkeypatch, reglang.automata, "trim")
+    operands = []
     for metric, runs, most_trims in (
-        (rl.cesaro_jaccard, 1, 0),
+        (rl.cesaro_jaccard, orders_tie, 0),
         # residue period 1: the one class of lengths is the pair itself
         (lambda a, b: rl.cesaro_jaccard(a, b, rl.CesaroConfig(sequence="exact")), 1, 0),
-        (rl.entropy_distance, 1, 0),
+        (rl.entropy_distance, entropies_tie, 0),
         (rl.entropy_sum, 1, 0),
         (lambda a, b: rl.jaccard_cum_n(a, b, 9), 0, 1),
         (lambda a, b: rl.jaccard_exact_n(a, b, 9), 0, 1),
@@ -708,8 +848,28 @@ def test_each_pair_is_decomposed_once(monkeypatch, left, right):
         searches.clear()
         trims.clear()
         metric(d1, d2)
-        assert len(searches) == runs, metric
+        assert searches.count("pair") == runs, metric
         assert len(trims) <= most_trims, metric
+        operands += [s for s in searches if s != "pair"]
+    assert operands == [0, 1]
+
+
+def test_different_orders_build_no_product(monkeypatch):
+    # a 1-bit language against a 0-bit one: jc and h read only the
+    # operands' reports, in either order and either mode
+    d1, d2 = rl.dfa_from_regex("(a|b)*a(a|b){4}"), rl.dfa_from_regex("a*b(a|b){4}")
+
+    def refuse(*args):
+        raise AssertionError("a product was built")
+
+    monkeypatch.setattr(reglang.metrics, "product", refuse)
+    for a, b in ((d1, d2), (d2, d1)):
+        for mode in ("auto", "analytic"):
+            jc = rl.cesaro_jaccard(a, b, CesaroConfig(mode=mode))
+            assert (jc.value, jc.mode) == (1.0, "analytic-shortcut")
+        assert rl.entropy_distance(a, b).value == 1.0
+    with pytest.raises(AssertionError, match="a product was built"):
+        rl.entropy_sum(d1, d2)
 
 
 def _count_constructions(monkeypatch, cls) -> list:
@@ -731,7 +891,8 @@ def test_a_pair_is_read_from_its_product_table(monkeypatch):
     dfas = _count_constructions(monkeypatch, rl.Dfa)
     graphs = _count_constructions(monkeypatch, rl.LabeledGraph)
     copies = _count_calls(monkeypatch, reglang.automata, "harmonize")
-    searches = _count_calls(monkeypatch, reglang.graphs, "_strong_components")
+    searches = _count_searches(monkeypatch, d1, d2)
+    operands = []
     for metric, runs in (
         (lambda a, b: rl.jaccard_cum_n(a, b, 20), 0),
         (lambda a, b: rl.jaccard_exact_n(a, b, 20), 0),
@@ -742,7 +903,10 @@ def test_a_pair_is_read_from_its_product_table(monkeypatch):
         searches.clear()
         metric(d1, d2)
         assert (dfas, graphs, copies) == ([], [], []), metric
-        assert len(searches) == runs, metric
+        assert searches.count("pair") == runs, metric
+        operands += [s for s in searches if s != "pair"]
+    # jc first reads each operand's growth order, kept for later calls
+    assert operands == [0, 1]
 
 
 def _outcome(metric, *args) -> str:
