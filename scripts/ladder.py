@@ -11,8 +11,8 @@ automaton, compiled outside the timed call.  Counting
 layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` and `jaccard_exact_n(a, b, 200)` of the pair,
 the first also timed as a whole process running `reglang distance
---metric jn --n 200`.  Pair layers:
-`entropy_distance` and `cesaro_jaccard` of the pair.  Structural layers:
+--metric jn --n 200`.  Pair layers: `entropy_distance`,
+`cesaro_jaccard` and `entropy_sum` of the pair.  Structural layers:
 `trim`, `scc_decompose(trim(d))`, `language_entropy` and
 `CountVectors.from_dfa` of each operand, and `separating_n` of the pair,
 which the disjoint family times too: its operands lie equally far from
@@ -109,6 +109,7 @@ LAYERS = {
     "jaccard_exact_n_s": lambda rl, a, b: rl.jaccard_exact_n(a, b, HORIZON),
     "entropy_distance_s": lambda rl, a, b: rl.entropy_distance(a, b),
     "cesaro_jaccard_s": lambda rl, a, b: rl.cesaro_jaccard(a, b),
+    "entropy_sum_s": lambda rl, a, b: rl.entropy_sum(a, b),
     "trim_left_s": lambda rl, a, b: rl.trim(a),
     "trim_right_s": lambda rl, a, b: rl.trim(b),
     "scc_decompose_left_s": lambda rl, a, b: rl.scc_decompose(rl.trim(a)),
@@ -121,7 +122,7 @@ LAYERS = {
 }
 JACCARD = ("jaccard_cum_n_s", "jaccard_exact_n_s")
 COUNTING = ("minimize_left_s", "minimize_right_s", *JACCARD)
-PAIR = ("entropy_distance_s", "cesaro_jaccard_s")
+PAIR = ("entropy_distance_s", "cesaro_jaccard_s", "entropy_sum_s")
 # analyses the operands keep, timed on fresh copies
 FRESH = tuple(layer for layer in LAYERS if layer not in COUNTING + PAIR)
 KEPT = tuple(f"{layer[:-2]}_kept_s" for layer in FRESH)

@@ -17,17 +17,17 @@ and safe to share across threads.  Each also keeps what has been read off
 it, so that every automaton is analysed once.  A `Dfa`, like a pair's
 `Product`, keeps the components and condensation DAG of one search over
 its transition table, found the first time `language_entropy`,
-`scc_decompose` or `trim` asks for them; `trim` builds its labeled graph
-from that search, and the DFA keeps the graph too.  A DFA also keeps its
-distances to acceptance, found by one breadth-first pass over its
-reversed table the first time a separation, a finite-horizon Jaccard
-distance, `is_empty` or `shortest_accepted` asks for them, and holds all
-of these as long as it lives.  Any other `LabeledGraph` keeps the
-integer rows of its edges and the components and condensation DAG of
-its own search over them; `spectral` keeps one decomposition per search
-beside its report.  A kept value is built whole before it is stored, so
-two threads racing to read it may both compute it, but neither sees a
-partial result.
+`scc_decompose`, `trim` or a product it refines asks for them; `trim`
+builds its labeled graph from that search, and the DFA keeps the graph
+too.  A DFA also keeps its distances to acceptance, found by one
+breadth-first pass over its reversed table the first time a separation,
+a finite-horizon Jaccard distance, `is_empty` or `shortest_accepted`
+asks for them, and holds all of these as long as it lives.  Any other
+`LabeledGraph` keeps the integer rows of its edges and the components
+and condensation DAG of its own search over them; `spectral` keeps one
+decomposition per search beside its report.  A kept value is built
+whole before it is stored, so two threads racing to read it may both
+compute it, but neither sees a partial result.
 
 Language equality and separation search the pairs of states reached
 together, pruned by those distances: a word telling two states apart is
@@ -37,6 +37,14 @@ state's distance, and exactly that long when the two distances differ
 distances are told apart with no search.  The search and `product` read
 two DFAs over different alphabets through one row reader (`_reader`),
 with no harmonized copy.
+
+One DFA refines another over its alphabet when the state it reaches on
+a word determines the state the other reaches on it.  Their product is
+then the finer DFA, numbered breadth first: `product` finds that in one
+pass over the finer DFA's rows and reads the table and search it keeps
+for its life, its own when it is already so numbered, as `determinize`
+and `minimize` number it, so the pair's metrics number and search no
+pair at all.
 """
 
 import os
@@ -212,6 +220,36 @@ class Dfa:
         return _strong_components(self.transitions, (self.initial,), self.accepting)
 
     @cached_property
+    def _numbered(self) -> tuple:
+        """(rows, accepting) of the reachable states renumbered as `_explore`
+        numbers them, breadth first from the initial state in symbol order,
+        kept: the table of every product this DFA refines (see `product`).
+        A table already so numbered is `transitions` itself, as the DFAs
+        that `determinize`, `minimize` and `combine` build keep it from the
+        start (see `_numbered_dfa`)."""
+        rows = self.transitions
+        order, renumbered = _explore([self.initial], [], rows.__getitem__, "product construction")
+        if order == list(range(len(rows))):
+            return rows, self.accepting
+        return renumbered, frozenset(i for i, q in enumerate(order) if q in self.accepting)
+
+    @cached_property
+    def _table_search(self) -> tuple:
+        """(report, DAG) of one search over `_numbered`'s table from state 0
+        keeping every component, kept: that of every product this DFA
+        refines.  When the table is `transitions` and the DFA's own search
+        (`_components`) kept every state, it is that search, so the table
+        is searched once for the DFA's life and the spectra read off it are
+        shared; a table with a state on no accepting path, such as a trash
+        state, is searched once more, keeping it."""
+        rows = self._numbered[0]
+        if rows is self.transitions:
+            own = self._components
+            if sum(map(len, own[0].components)) == len(rows):
+                return own
+        return _strong_components(rows, (0,))
+
+    @cached_property
     def _trim(self) -> "LabeledGraph":
         """The trim graph, built from the kept search (see `trim`), kept."""
         vertices = tuple(sorted(chain.from_iterable(self._components[0].components)))
@@ -321,6 +359,15 @@ class Dfa:
 _JSON_FIELDS = frozenset({"alphabet", "states", "initial", "accepting", "delta"})
 
 
+def _numbered_dfa(alphabet, rows, accepting: frozenset) -> Dfa:
+    """The DFA of a table numbered breadth first from state 0 in symbol
+    order, as `_explore` numbers it, keeping that table as its `_numbered`
+    one without renumbering it."""
+    dfa = Dfa(alphabet, rows, accepting, 0)
+    dfa.__dict__["_numbered"] = rows, accepting  # the cached property's value
+    return dfa
+
+
 @record(frozen=True)
 class LabeledGraph:
     """Symbol-labeled directed multigraph over surviving DFA states.
@@ -416,12 +463,12 @@ def determinize(nfa: Nfa) -> Dfa:
         if len(rows) == len(order):
             # sorted: the set is built, and so printed, as the subset construction builds it
             accepting = frozenset(sorted(ids[p] for p in nfa.accepting if ids[p] >= 0))
-            return Dfa(alphabet=alphabet, transitions=tuple(rows), accepting=accepting, initial=0)
+            return _numbered_dfa(alphabet, tuple(rows), accepting)
     subsets = [(p, 1) if p < len(nfa.follow) else EMPTY for p in order]
     subsets, rows = _explore(subsets, rows, _subset_moves(nfa, alphabet), "subset construction")
     final = _window(nfa.accepting)
     accepting = frozenset(i for i, subset in enumerate(subsets) if _meets(subset, final))
-    return Dfa(alphabet=alphabet, transitions=tuple(rows), accepting=accepting, initial=0)
+    return _numbered_dfa(alphabet, tuple(rows), accepting)
 
 
 def _one_state(nfa: Nfa, alphabet: tuple[str, ...]) -> tuple[list, list, list]:
@@ -564,7 +611,7 @@ def _canonical(dfa: Dfa) -> Dfa:
     making equal-language minimal DFAs structurally identical."""
     order, rows = _explore([dfa.initial], [], dfa.transitions.__getitem__, "minimization")
     accepting = frozenset(i for i, q in enumerate(order) if q in dfa.accepting)
-    return Dfa(dfa.alphabet, rows, accepting, 0)
+    return _numbered_dfa(dfa.alphabet, rows, accepting)
 
 
 def coarsest_partition(keys, into) -> list:
@@ -709,7 +756,9 @@ class Product:
     `left` and `right` by the same set operation: `left ^ right` for the
     symmetric difference, `right - left` for the second language minus
     the first.  All combinations share one transition table, and the
-    components of its one search from state 0.
+    components of its one search from state 0.  When one DFA refines the
+    other (see `product`), the table and the search are those the finer
+    DFA keeps, shared by every product of that pair for its life.
     """
 
     alphabet: tuple[str, ...]
@@ -725,13 +774,17 @@ class Product:
 
     def dfa(self, accepting) -> Dfa:
         """The product DFA with the given set of accepting product states."""
-        return Dfa(self.alphabet, self.transitions, frozenset(accepting), 0)
+        return _numbered_dfa(self.alphabet, self.transitions, frozenset(accepting))
 
     @cached_property
     def _components(self) -> tuple:
         """(report, DAG) of one search from state 0, kept.  All states are
         reachable, so a combination's trim graph is the part reaching its
-        accepting states."""
+        accepting states.  The product of a pair one of whose DFAs refines
+        the other reads the search that DFA keeps (see `product`)."""
+        finer = self.__dict__.get("_finer")
+        if finer is not None:
+            return finer._table_search
         return _strong_components(self.transitions, (0,))
 
     def _within(self, steps: int) -> bool:
@@ -754,7 +807,22 @@ class Product:
 def product(d1: Dfa, d2: Dfa) -> Product:
     """The reachable product of two DFAs read over their union alphabet,
     numbered as that of their harmonized copies (see `_reader`) and built
-    once for any number of boolean combinations."""
+    once for any number of boolean combinations.
+
+    Over one alphabet, one DFA refines the other when the state it reaches
+    on a word determines the state the other reaches on it, as
+    `(a|b)*a(a|b){k}` refines `(a|b)*a(a|b){k-1}`, any DFA refines Sigma*
+    and `complement(d)` refines d.  The product is then the finer DFA
+    itself (see `_refining`): no pair is numbered, and its table and its
+    search are those the finer DFA keeps for its life.  Raises
+    StateLimitError when the product has more than `state_cap()` states."""
+    refined = _refining(d1, d2)
+    return _pair_product(d1, d2) if refined is None else refined
+
+
+def _pair_product(d1: Dfa, d2: Dfa) -> Product:
+    """The product numbered over the pairs of states reached together, as
+    `_explore` numbers them."""
     symbols = _alphabet_of(d1, d2)
     read1, read2 = _reader(d1, symbols), _reader(d2, symbols)
     order, rows = _explore(
@@ -766,6 +834,53 @@ def product(d1: Dfa, d2: Dfa) -> Product:
     left = frozenset(i for i, (p, _q) in enumerate(order) if p in d1.accepting)
     right = frozenset(i for i, (_p, q) in enumerate(order) if q in d2.accepting)
     return Product(symbols, rows, left, right)
+
+
+def _refining(d1: Dfa, d2: Dfa) -> Product | None:
+    """The product of two DFAs when they share an alphabet and one refines
+    the other, else None.
+
+    Only the DFA with more reachable states can be the finer one; with
+    equally many, either refines the other if one does.  Its reachable
+    states are walked in the numbering that `Dfa._numbered` keeps, each
+    assigned the other DFA's state reached with it, and the walk stops at
+    the first edge that contradicts an assignment (see `_image`).  When
+    none does, the pairs reached together are (p, image[p]), numbered as
+    the finer DFA numbers p: the product's table is the finer DFA's, and
+    its search the one `Dfa._table_search` keeps."""
+    if d1.alphabet != d2.alphabet:
+        return None
+    fine, coarse = (d2, d1) if len(d2._numbered[0]) > len(d1._numbered[0]) else (d1, d2)
+    rows, accepting = fine._numbered
+    image = _image(rows, coarse.transitions, coarse.initial)
+    if image is None:
+        return None
+    cap = state_cap()
+    if len(rows) > cap:
+        raise StateLimitError(f"product construction exceeded {cap} states")
+    other = frozenset(compress(count(), map(coarse.accepting.__contains__, image)))
+    left, right = (accepting, other) if fine is d1 else (other, accepting)
+    prod = Product(fine.alphabet, rows, left, right)
+    prod.__dict__["_finer"] = fine  # read by `Product._components`
+    return prod
+
+
+def _image(rows, other, start) -> list | None:
+    """For a table `rows` numbered breadth first from state 0, the state of
+    the table `other` reached from `start` on the words that reach each
+    state, or None at the first edge where two words reaching one state
+    reach two states of `other`.  Each state's image is assigned before
+    its row is read, since an earlier row enters it."""
+    image = [-1] * len(rows)
+    image[0] = start
+    for row, q in zip(rows, image):  # reads each image as assigned by then
+        for t, u in zip(row, other[q]):
+            seen = image[t]
+            if seen != u:
+                if seen >= 0:
+                    return None
+                image[t] = u
+    return image
 
 
 def _lengths_mod(prod: Product, q: int) -> tuple[Product, list]:

@@ -33,10 +33,15 @@ spectral entropies of boolean combinations.  A pair is read as its one
 the counts run on the table itself (`counting.shared_system`), and
 `cesaro_jaccard`, `entropy_distance` and `entropy_sum` read every
 combination's report from the table's one search, whenever the
-operands' own reports do not decide the value.  The finite horizons
-never search: they step the union's one vector to n and read the two
-counts once (`counting.counts_at`), and the exact ties read the stream of
-counts at every length (`counting.final_counts`).
+operands' own reports do not decide the value.  When one DFA of the pair
+refines the other, as on the north-star tie `(a|b)*a(a|b){k}` against
+`(a|b)*a(a|b){k-1}`, that table and that search are the finer DFA's own,
+kept for its life: no pair is numbered, and after the first call only
+the fixed-length average at a period above 1 searches, its product with
+lengths counted modulo q.  The finite horizons never search: they step the
+union's one vector to n and read the two counts once
+(`counting.counts_at`), and the exact ties read the stream of counts at
+every length (`counting.final_counts`).
 """
 
 from fractions import Fraction
@@ -48,6 +53,8 @@ from .automata import (
     Dfa,
     Product,
     _lengths_mod,
+    _pair_product,
+    _refining,
     _separation,
     combine,  # unused; perfbench/test_smoke.py checks that its tracer restores this binding
     harmonize_all,
@@ -379,8 +386,23 @@ def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
     """Sum of the two one-sided entropies h(L1 minus L2) + h(L2 minus L1).
 
     Reported unnormalized, so the range is [0, 2 log2 |alphabet|].
+
+    A pair one of whose DFAs refines the other reads its product, that
+    DFA's own table and search.  Otherwise, when one operand's entropy is
+    0, as in the paper's trivial case, the sum is the other's, read off
+    the operands' kept reports with no product: if h2 = 0, then
+    h(L1 minus L2) = h1, since L1 is the union of L1 minus L2 and of L1
+    and L2, whose entropy is at most h2 = 0, and h(L2 minus L1) <= h2 = 0.
+    Only otherwise is a pair product built and searched.
     """
-    prod = product(d1, d2)
+    prod = _refining(d1, d2)
+    if prod is None:
+        h1, h2 = language_entropy(d1).entropy_bits, language_entropy(d2).entropy_bits
+        if h1 == 0.0 or h2 == 0.0:
+            left, right = (h1, 0.0) if h2 == 0.0 else (0.0, h2)
+            diagnostics = {"entropy_left_only": left, "entropy_right_only": right}
+            return DistanceResult("entropy_sum", left + right, "exact", diagnostics)
+        prod = _pair_product(d1, d2)
     pair = _decomposition(prod)
     left = pair.report(prod.left - prod.right).entropy_bits
     right = pair.report(prod.right - prod.left).entropy_bits

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
-from reglang.automata import _canonical, coarsest_partition
+from reglang.automata import _canonical, _pair_product, _refining, coarsest_partition
 from reglang.counting import CountVectors
 from reglang.oracle import acceptance_by_length, all_strings
 from reglang.spectral import graph_from_matrix
 from corpus import SHOWCASE_MATRIX, showcase_machine
-from test_graphs import _matrices
+from test_graphs import _complete_dfas, _matrices
 
 
 def language_table(dfa, alphabet, depth):
@@ -153,19 +154,6 @@ def minimize_by_rescanning(dfa):
     )
     accepting = frozenset(i for i, block in enumerate(partition) if block & dfa.accepting)
     return _canonical(rl.Dfa(dfa.alphabet, rows, accepting, block_of[dfa.initial]))
-
-
-@st.composite
-def _complete_dfas(draw):
-    n = draw(st.integers(1, 9))
-    alphabet = "abc"[: draw(st.integers(1, 3))]
-    row = st.tuples(*(st.integers(0, n - 1) for _ in alphabet))
-    return rl.Dfa(
-        tuple(alphabet),
-        tuple(draw(st.lists(row, min_size=n, max_size=n))),
-        frozenset(draw(st.sets(st.integers(0, n - 1)))),
-        draw(st.integers(0, n - 1)),
-    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -432,6 +420,130 @@ def test_state_cap_env_var_rejects_garbage(monkeypatch):
     monkeypatch.setenv("REGLANG_MAX_STATES", "many")
     with pytest.raises(rl.StateLimitError):
         rl.dfa_from_regex("(a|b)*")
+
+
+@pytest.mark.parametrize(
+    "left, right, refines",
+    [
+        ("(a|b)*a(a|b){4}", "(a|b)*a(a|b){3}", True),
+        ("(a|b)*a(a|b){4}", "(a|b)*b(a|b){4}", False),
+        ("shuffled", "(a|b)*a(a|b){3}", True),  # the finer table is renumbered
+    ],
+)
+def test_state_cap_counts_the_product_states(monkeypatch, left, right, refines):
+    # the cap, lowered after both DFAs are built, stops a refining pair's
+    # product where the numbering of the pairs would stop
+    d2 = rl.dfa_from_regex(right)
+    if left == "shuffled":
+        d1 = _shuffled(rl.dfa_from_regex("(a|b)*a(a|b){4}"), 5)
+    else:
+        d1 = rl.dfa_from_regex(left)
+    assert (_refining(d1, d2) is not None) == refines
+    size = len(rl.product(d1, d2).transitions)
+    for a, b in ((d1, d2), (d2, d1), (_fresh(d1), _fresh(d2))):
+        monkeypatch.setenv("REGLANG_MAX_STATES", str(size))
+        assert len(rl.product(a, b).transitions) == size
+    message = f"^product construction exceeded {size - 1} states$"
+    for a, b in ((d1, d2), (d2, d1), (_fresh(d1), _fresh(d2))):
+        monkeypatch.setenv("REGLANG_MAX_STATES", str(size - 1))
+        with pytest.raises(rl.StateLimitError, match=message):
+            rl.product(a, b)
+
+
+# --- refining pairs ------------------------------------------------------------
+
+
+def _fresh(dfa):
+    """An equal DFA that has kept nothing yet."""
+    return rl.Dfa(dfa.alphabet, dfa.transitions, dfa.accepting, dfa.initial)
+
+
+def _shuffled(dfa, seed):
+    """The DFA loaded from JSON with its states renumbered by a permutation."""
+    rename = list(range(dfa.n_states))
+    Random(seed).shuffle(rename)
+    delta = [None] * dfa.n_states
+    for q, row in enumerate(dfa.transitions):
+        delta[rename[q]] = [rename[t] for t in row]
+    doc = {
+        **json.loads(dfa.to_json()),
+        "delta": delta,
+        "accepting": sorted(rename[q] for q in dfa.accepting),
+        "initial": rename[dfa.initial],
+    }
+    return rl.Dfa.from_json(json.dumps(doc))
+
+
+_UNIVERSAL = rl.Dfa(("a", "b"), ((0, 0),), frozenset({0}))
+_NOTHING = rl.Dfa(("a", "b"), ((0, 0),), frozenset())
+
+
+@st.composite
+def _refining_pairs(draw):
+    """(finer, coarser): a DFA over "ab" built to refine another, as the
+    pair's product against one operand, a complement, Sigma* or the empty
+    language, or the suffix windows k and k - 1; as built, harmonized with
+    "c" (the new dead state out of breadth-first order), or each loaded
+    from JSON in a shuffled numbering."""
+    d = draw(_complete_dfas("ab"))
+    kind = draw(st.sampled_from(("combine", "complement", "universal", "empty", "suffix")))
+    if kind == "combine":
+        op = draw(st.sampled_from(("intersect", "union", "symdiff", "minus")))
+        pair = rl.combine(d, draw(_complete_dfas("ab")), op), d
+    elif kind == "complement":
+        pair = rl.complement(d), d
+    elif kind in ("universal", "empty"):
+        pair = d, _UNIVERSAL if kind == "universal" else _NOTHING
+    else:
+        k = draw(st.integers(2, 5))
+        pair = tuple(rl.dfa_from_regex(f"(a|b)*a(a|b){{{m}}}") for m in (k, k - 1))
+    view = draw(st.sampled_from(("as built", "harmonized", "shuffled")))
+    if view == "harmonized":
+        wide = rl.Dfa(("c",), ((0,),), frozenset())
+        pair = tuple(rl.harmonize(x, wide)[0] for x in pair)
+    elif view == "shuffled":
+        pair = tuple(_shuffled(x, draw(st.integers(0, 99))) for x in pair)
+    return pair
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=_refining_pairs())
+def test_a_refining_pair_is_read_off_the_finer_table(pair):
+    # in either order: the product is the one numbered over the pairs,
+    # read off the table the finer DFA keeps
+    for a, b in (pair, pair[::-1]):
+        assert _refining(a, b) is not None
+        prod = rl.product(a, b)
+        assert prod == _pair_product(a, b)
+        assert any(prod.transitions is d._numbered[0] for d in (a, b))
+
+
+# two random DFAs over one alphabet
+_same_alphabet_pairs = st.sampled_from(("a", "ab", "abc")).flatmap(
+    lambda alphabet: st.tuples(_complete_dfas(alphabet), _complete_dfas(alphabet))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pair=_same_alphabet_pairs)
+def test_a_product_is_numbered_as_over_the_pairs(pair):
+    for a, b in (pair, pair[::-1]):
+        assert rl.product(a, b) == _pair_product(a, b)
+
+
+def test_a_table_numbered_breadth_first_is_kept_as_it_is(corpus):
+    # determinize, minimize and combine number breadth first, so the
+    # product of a DFA they built and one it refines is its own table, as
+    # renumbering an equal DFA's table finds; any other is renumbered as
+    # `_canonical` renumbers it
+    for lang in corpus:
+        for dfa in (lang.dfa, rl.minimize(lang.dfa), rl.combine(lang.dfa, lang.dfa, "minus")):
+            assert dfa._numbered[0] is _fresh(dfa)._numbered[0] is dfa.transitions
+            assert _fresh(dfa)._numbered == dfa._numbered
+    for seed in range(20):
+        dfa = _shuffled(rl.dfa_from_regex("(a|b)*a(a|b){3}|b*"), seed)
+        rows, accepting = dfa._numbered
+        assert (rows, accepting) == (_canonical(dfa).transitions, _canonical(dfa).accepting)
 
 
 # --- serialization ----------------------------------------------------------

@@ -48,7 +48,7 @@ def test_smallest_rung_of_each_family_is_timed():
     from_regex = ("dfa_from_regex_left_s", "dfa_from_regex_right_s", "compile_left_s",
                   "compile_right_s", "determinize_left_s", "determinize_right_s")
     counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s", "jaccard_exact_n_s")
-    pair = ("entropy_distance_s", "cesaro_jaccard_s")
+    pair = ("entropy_distance_s", "cesaro_jaccard_s", "entropy_sum_s")
     structure = (
         "trim_left_s",
         "trim_right_s",

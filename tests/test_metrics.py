@@ -20,6 +20,7 @@ from reglang.metrics import CesaroConfig, _grows_slower
 from reglang.oracle import oracle_distance
 from reglang.spectral import _decomposition, _tied
 from dense import leading_limits
+from test_automata import _fresh, _refining_pairs, _same_alphabet_pairs
 from test_graphs import _complete_dfas
 
 
@@ -820,56 +821,86 @@ def _count_searches(monkeypatch, *dfas) -> list:
     "left, right",
     [
         ("(a|b)*a(a|b){4}", "(a|b)*a(a|b){3}"),
+        ("(a|b)*a(a|b){4}", "(a|b)*b(a|b){4}"),
         ("(a|b)*c(a|b)*", "a(a|b)*c(a|b)*"),
         ("(a|b)*a(a|b){4}", "a*b(a|b){4}"),
     ],
 )
 def test_each_pair_is_decomposed_once(monkeypatch, left, right):
-    # every boolean combination's report is read from the one search that
-    # built the pair's product, which jc and h skip when the operands grow
-    # at different orders (different entropies, for h); each operand is
-    # searched once for its life; the finite horizons need no search
+    # every boolean combination's report is read from the one search of
+    # the pair's product, which jc and h skip when the operands grow at
+    # different orders (different entropies, for h) and hs when one
+    # entropy is 0; a pair one of whose DFAs refines the other numbers and
+    # searches no pair: its product is that DFA's table, searched once for
+    # the DFA's life (here once more than for its trim graph, which drops
+    # the trash state that "c" leads to); each operand is searched once for
+    # its life, the finite horizons need no search, and a second round of
+    # calls searches only the pairs that do not refine
     reports = [rl.language_entropy(rl.dfa_from_regex(x, "abc")) for x in (left, right)]
     orders_tie = not (_grows_slower(*reports) or _grows_slower(*reports[::-1]))
     entropies_tie = _tied(reports[0].entropy_bits - reports[1].entropy_bits)
+    both_grow = all(report.entropy_bits for report in reports)
     d1, d2 = rl.dfa_from_regex(left, "abc"), rl.dfa_from_regex(right, "abc")
+    refines = reglang.automata._refining(_fresh(d1), _fresh(d2)) is not None
+    assert refines == (right == "(a|b)*a(a|b){3}")  # the suffix pair alone refines
     searches = _count_searches(monkeypatch, d1, d2)
     trims = _count_calls(monkeypatch, reglang.automata, "trim")
-    operands = []
-    for metric, runs, most_trims in (
+    metrics = (
+        (lambda a, b: rl.jaccard_cum_n(a, b, 9), 0, 1),
+        (lambda a, b: rl.jaccard_exact_n(a, b, 9), 0, 1),
         (rl.cesaro_jaccard, orders_tie, 0),
         # residue period 1: the one class of lengths is the pair itself
         (lambda a, b: rl.cesaro_jaccard(a, b, rl.CesaroConfig(sequence="exact")), 1, 0),
         (rl.entropy_distance, entropies_tie, 0),
-        (rl.entropy_sum, 1, 0),
-        (lambda a, b: rl.jaccard_cum_n(a, b, 9), 0, 1),
-        (lambda a, b: rl.jaccard_exact_n(a, b, 9), 0, 1),
-    ):
+        (rl.entropy_sum, both_grow, 0),
+    )
+    operands = []
+    for metric, needs, most_trims in metrics:
         searches.clear()
         trims.clear()
         metric(d1, d2)
-        assert searches.count("pair") == runs, metric
+        assert searches.count("pair") == (0 if refines else needs), metric
         assert len(trims) <= most_trims, metric
         operands += [s for s in searches if s != "pair"]
-    assert operands == [0, 1]
+    assert operands == ([0, 1, 0] if refines else [0, 1])
+    for metric, needs, _most_trims in metrics:
+        searches.clear()
+        metric(d1, d2)
+        assert searches == (["pair"] * needs if not refines else []), metric
 
 
 def test_different_orders_build_no_product(monkeypatch):
-    # a 1-bit language against a 0-bit one: jc and h read only the
-    # operands' reports, in either order and either mode
+    # a 1-bit language against a 0-bit one: jc, h and hs read only the
+    # operands' reports, in either order and either mode; hs reads the
+    # product when both entropies are positive
     d1, d2 = rl.dfa_from_regex("(a|b)*a(a|b){4}"), rl.dfa_from_regex("a*b(a|b){4}")
 
     def refuse(*args):
         raise AssertionError("a product was built")
 
     monkeypatch.setattr(reglang.metrics, "product", refuse)
+    monkeypatch.setattr(reglang.metrics, "_pair_product", refuse)
     for a, b in ((d1, d2), (d2, d1)):
         for mode in ("auto", "analytic"):
             jc = rl.cesaro_jaccard(a, b, CesaroConfig(mode=mode))
             assert (jc.value, jc.mode) == (1.0, "analytic-shortcut")
         assert rl.entropy_distance(a, b).value == 1.0
+    for a, b, sides in ((d1, d2, (1.0, 0.0)), (d2, d1, (0.0, 1.0))):
+        hs = rl.entropy_sum(a, b)
+        assert hs.value == 1.0
+        assert hs.diagnostics == dict(zip(("entropy_left_only", "entropy_right_only"), sides))
     with pytest.raises(AssertionError, match="a product was built"):
-        rl.entropy_sum(d1, d2)
+        rl.entropy_sum(d1, rl.dfa_from_regex("(a|bb)*"))
+
+
+def test_a_first_finite_horizon_searches_nothing(monkeypatch):
+    # jn and jnp step the union's vector, refining pair or not
+    for right in ("(a|b)*a(a|b){4}", "(a|b)*b(a|b){5}"):
+        d1, d2 = rl.dfa_from_regex("(a|b)*a(a|b){5}"), rl.dfa_from_regex(right)
+        searches = _count_calls(monkeypatch, reglang.graphs, "_strong_components")
+        rl.jaccard_cum_n(d1, d2, 12)
+        rl.jaccard_exact_n(_fresh(d2), _fresh(d1), 12)
+        assert searches == []
 
 
 def _count_constructions(monkeypatch, cls) -> list:
@@ -885,28 +916,27 @@ def _count_constructions(monkeypatch, cls) -> list:
 
 
 def test_a_pair_is_read_from_its_product_table(monkeypatch):
-    # the suffix pair: every metric reads the pair's one product table as
-    # it is, and those that need components search it once
+    # the suffix pair: the first DFA refines the second, so every metric
+    # reads the first one's table as the pair's product, and its own search
+    # as the product's, with no pair numbered or searched
     d1, d2 = rl.dfa_from_regex("(a|b)*a(a|b){7}"), rl.dfa_from_regex("(a|b)*a(a|b){6}")
+    assert rl.product(d1, d2).transitions is d1.transitions
     dfas = _count_constructions(monkeypatch, rl.Dfa)
     graphs = _count_constructions(monkeypatch, rl.LabeledGraph)
     copies = _count_calls(monkeypatch, reglang.automata, "harmonize")
+    numbered = _count_calls(monkeypatch, reglang.automata, "_explore")
     searches = _count_searches(monkeypatch, d1, d2)
-    operands = []
-    for metric, runs in (
-        (lambda a, b: rl.jaccard_cum_n(a, b, 20), 0),
-        (lambda a, b: rl.jaccard_exact_n(a, b, 20), 0),
-        (rl.cesaro_jaccard, 1),
-        (rl.entropy_distance, 1),
-        (rl.entropy_sum, 1),
+    for metric in (
+        lambda a, b: rl.jaccard_cum_n(a, b, 20),
+        lambda a, b: rl.jaccard_exact_n(a, b, 20),
+        rl.cesaro_jaccard,
+        rl.entropy_distance,
+        rl.entropy_sum,
     ):
-        searches.clear()
         metric(d1, d2)
-        assert (dfas, graphs, copies) == ([], [], []), metric
-        assert searches.count("pair") == runs, metric
-        operands += [s for s in searches if s != "pair"]
+        assert (dfas, graphs, copies, numbered) == ([], [], [], []), metric
     # jc first reads each operand's growth order, kept for later calls
-    assert operands == [0, 1]
+    assert searches == [0, 1]
 
 
 def _outcome(metric, *args) -> str:
@@ -915,6 +945,39 @@ def _outcome(metric, *args) -> str:
         return repr(metric(*args))
     except ConvergenceError as exc:
         return repr((exc, exc.partial, exc.diagnostics))
+
+
+_CHECKED = (
+    lambda x, y: rl.jaccard_cum_n(x, y, 7),
+    lambda x, y: rl.jaccard_exact_n(x, y, 7),
+    rl.cesaro_jaccard,
+    lambda x, y: rl.cesaro_jaccard(x, y, CesaroConfig(sequence="exact")),
+    rl.entropy_distance,
+    rl.entropy_sum,
+)
+
+
+def _same_without_the_check(a, b):
+    """Every metric of the pair, in either order, as it reads with the
+    refinement check off, on fresh copies."""
+    for x, y in ((a, b), (b, a)):
+        found = [_outcome(metric, x, y) for metric in _CHECKED]
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (reglang.automata, reglang.metrics):
+                patch.setattr(module, "_refining", lambda d1, d2: None)
+            assert [_outcome(metric, _fresh(x), _fresh(y)) for metric in _CHECKED] == found
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=_refining_pairs())
+def test_a_refining_pair_measures_as_its_pair_product(pair):
+    _same_without_the_check(*pair)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=_same_alphabet_pairs)
+def test_any_pair_measures_as_its_pair_product(pair):
+    _same_without_the_check(*pair)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -926,15 +989,7 @@ def test_pairs_over_different_alphabets_read_as_their_harmonized_copies(a, b):
     # every alphabet of `a` differs from every one of `b`
     wide = rl.harmonize(a, b)
     assert rl.product(a, b) == rl.product(*wide)
-    exact = CesaroConfig(sequence="exact")
-    for metric in (
-        lambda x, y: rl.jaccard_cum_n(x, y, 7),
-        lambda x, y: rl.jaccard_exact_n(x, y, 7),
-        rl.cesaro_jaccard,
-        lambda x, y: rl.cesaro_jaccard(x, y, exact),
-        rl.entropy_distance,
-        rl.entropy_sum,
-    ):
+    for metric in _CHECKED:
         assert _outcome(metric, a, b) == _outcome(metric, *wide)
 
 
