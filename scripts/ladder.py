@@ -12,7 +12,12 @@ layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` and `jaccard_exact_n(a, b, 200)` of the pair,
 the first also timed as a whole process running `reglang distance
 --metric jn --n 200`.  Pair layers: `entropy_distance`,
-`cesaro_jaccard` and `entropy_sum` of the pair.  Structural layers:
+`cesaro_jaccard` and `entropy_sum` of the pair.  A pair's operands keep
+its refinement outcome, and a DFA that refines the other its counting
+quotient, so these five layers mostly time calls that read what the
+first call kept; each has a `<layer>_first` twin that times the same
+call on fresh equal copies of the operands, made outside the timed
+call, and so pays for what it keeps.  Structural layers:
 `trim`, `scc_decompose(trim(d))`, `language_entropy` and
 `CountVectors.from_dfa` of each operand, and `separating_n` of the pair,
 which the disjoint family times too: its operands lie equally far from
@@ -56,7 +61,8 @@ family the `count_vectors` ones too; the gap family, whose operands
 grow at different orders (1 bit against 0), times the pair layers
 alone; the periodic family times the structural ones
 and the three finite-horizon layers, and the chain the counting and
-structural ones.  Under lumping, the
+structural ones.  Each family that times a finite-horizon or pair layer
+times its `_first` twin too.  Under lumping, the
 counting systems of the first two families shrink to a few vertices; the
 chain's do not shrink.  Each time is the median of RUNS
 wall-clock runs, after the operands are built (COLD_RUNS processes for a
@@ -127,6 +133,10 @@ PAIR = ("entropy_distance_s", "cesaro_jaccard_s", "entropy_sum_s")
 FRESH = tuple(layer for layer in LAYERS if layer not in COUNTING + PAIR)
 KEPT = tuple(f"{layer[:-2]}_kept_s" for layer in FRESH)
 LAYERS.update(zip(KEPT, map(LAYERS.get, FRESH)))
+# the pair's metrics as first calls, on fresh copies
+JACCARD_FIRST = tuple(f"{layer[:-2]}_first_s" for layer in JACCARD)
+PAIR_FIRST = tuple(f"{layer[:-2]}_first_s" for layer in PAIR)
+LAYERS.update(zip(JACCARD_FIRST + PAIR_FIRST, map(LAYERS.get, JACCARD + PAIR)))
 STRUCTURE = FRESH + KEPT
 SEPARATION = ("separating_n_s", "separating_n_kept_s")
 COUNT_VECTORS = tuple(layer for layer in STRUCTURE if layer.startswith("count_vectors"))
@@ -197,27 +207,29 @@ FAMILIES = {
     "tie": (
         range(4, 13),
         tie,
-        FROM_REGEX + COUNTING + PAIR + COUNT_VECTORS + BUILD + JN_PROCESS,
+        FROM_REGEX + COUNTING + PAIR + JACCARD_FIRST + PAIR_FIRST + COUNT_VECTORS + BUILD
+        + JN_PROCESS,
     ),
     "disjoint": (
         range(4, 13),
         lambda k: (f"(a|b)*a(a|b){{{k}}}", f"(a|b)*b(a|b){{{k}}}"),
-        FROM_REGEX + COUNTING + PAIR + SEPARATION + BUILD + JN_PROCESS,
+        FROM_REGEX + COUNTING + PAIR + JACCARD_FIRST + PAIR_FIRST + SEPARATION + BUILD
+        + JN_PROCESS,
     ),
     "gap": (
         range(4, 13),
         lambda k: (f"(a|b)*a(a|b){{{k}}}", f"a*b(a|b){{{k}}}"),
-        PAIR,
+        PAIR + PAIR_FIRST,
     ),
     "chain": (
         (1000, 2000, 4000, 8000, 16000),
         lambda n: (f"a{{{n}}}(a|b)*", f"a{{{n + 1000}}}"),
-        FROM_REGEX + COUNTING + STRUCTURE + BUILD + JN_PROCESS,
+        FROM_REGEX + COUNTING + JACCARD_FIRST + STRUCTURE + BUILD + JN_PROCESS,
     ),
     "periodic": (
         (100, 200, 400, 800, 1600, 3200),
         lambda m: (periodic(m), periodic(m + 1)),
-        FROM_REGEX + JACCARD + STRUCTURE + BUILD + JN_PROCESS,
+        FROM_REGEX + JACCARD + JACCARD_FIRST + STRUCTURE + BUILD + JN_PROCESS,
     ),
     "cold": ((4, 7, 12), tie, IMPORT + COMMAND_LINE),
 }
@@ -366,7 +378,7 @@ def _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs):
         return median_time(FRONT_END[layer], runs, prepare=lambda: (rl, n1, n2)), None
     if layer in FRONT_END:
         return median_time(FRONT_END[layer], runs, prepare=lambda: (rl, p1, p2)), None
-    if layer in FRESH:
+    if layer in FRESH + JACCARD_FIRST + PAIR_FIRST:
         return median_time(LAYERS[layer], runs,
                            prepare=lambda: (rl, fresh(rl, a), fresh(rl, b))), None
     return median_time(LAYERS[layer], runs, prepare=lambda: (rl, a, b),

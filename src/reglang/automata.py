@@ -41,14 +41,15 @@ with no harmonized copy.
 One DFA refines another over its alphabet when the state it reaches on
 a word determines the state the other reaches on it.  Their product is
 then the finer DFA, numbered breadth first: `product` finds that in one
-pass over the finer DFA's rows and reads the table and search it keeps
-for its life, its own when it is already so numbered, as `determinize`
+pass over the finer DFA's rows, whose outcome that DFA keeps, and reads
+the table and search it keeps for its life, its own when it is already so numbered, as `determinize`
 and `minimize` number it, so the pair's metrics number and search no
 pair at all.
 """
 
 import os
-from functools import cached_property
+import weakref
+from functools import cached_property, partial
 from itertools import chain, compress, count, islice
 from math import inf
 from operator import itemgetter
@@ -190,6 +191,9 @@ class Dfa:
 
     def __hash__(self):  # `record`'s generic one reads the fields a quarter slower
         return hash((self.alphabet, self.transitions, self.accepting, self.initial))
+
+    def __reduce__(self):  # the fields alone: what it keeps holds weak references
+        return self.__class__, (self.alphabet, self.transitions, self.accepting, self.initial)
 
     def __post_init__(self):
         if not self.alphabet:
@@ -813,8 +817,9 @@ def product(d1: Dfa, d2: Dfa) -> Product:
     on a word determines the state the other reaches on it, as
     `(a|b)*a(a|b){k}` refines `(a|b)*a(a|b){k-1}`, any DFA refines Sigma*
     and `complement(d)` refines d.  The product is then the finer DFA
-    itself (see `_refining`): no pair is numbered, and its table and its
-    search are those the finer DFA keeps for its life.  Raises
+    itself (see `_refining`): no pair is numbered, and its table, its
+    search and the outcome of the check are those the finer DFA keeps for
+    its life.  Raises
     StateLimitError when the product has more than `state_cap()` states."""
     refined = _refining(d1, d2)
     return _pair_product(d1, d2) if refined is None else refined
@@ -847,21 +852,36 @@ def _refining(d1: Dfa, d2: Dfa) -> Product | None:
     the first edge that contradicts an assignment (see `_image`).  When
     none does, the pairs reached together are (p, image[p]), numbered as
     the finer DFA numbers p: the product's table is the finer DFA's, and
-    its search the one `Dfa._table_search` keeps."""
+    its search the one `Dfa._table_search` keeps.
+
+    The finer DFA keeps the outcome against the other for its life, keyed
+    by the other's identity (no hash of its table), and a weak reference
+    to the other drops the entry when the other is collected, before its
+    identity can be reused: the coarser side's accepting states in the
+    finer numbering, or None when the walk failed, so a pair is walked
+    once.  The state cap is read on every call."""
     if d1.alphabet != d2.alphabet:
         return None
     fine, coarse = (d2, d1) if len(d2._numbered[0]) > len(d1._numbered[0]) else (d1, d2)
     rows, accepting = fine._numbered
-    image = _image(rows, coarse.transitions, coarse.initial)
-    if image is None:
+    outcomes = fine.__dict__.setdefault("_refines", {})
+    kept = outcomes.get(id(coarse))
+    if kept is None:
+        image = _image(rows, coarse.transitions, coarse.initial)
+        other = None if image is None else frozenset(
+            compress(count(), map(coarse.accepting.__contains__, image))
+        )
+        forget = partial(outcomes.pop, id(coarse))  # called with the dead reference
+        kept = outcomes[id(coarse)] = weakref.ref(coarse, forget), other
+    other = kept[1]
+    if other is None:
         return None
     cap = state_cap()
     if len(rows) > cap:
         raise StateLimitError(f"product construction exceeded {cap} states")
-    other = frozenset(compress(count(), map(coarse.accepting.__contains__, image)))
     left, right = (accepting, other) if fine is d1 else (other, accepting)
     prod = Product(fine.alphabet, rows, left, right)
-    prod.__dict__["_finer"] = fine  # read by `Product._components`
+    prod.__dict__["_finer"] = fine  # read by `Product._components`, `counting.product_system`
     return prod
 
 

@@ -34,9 +34,16 @@ a chain whose acceptance lies past n loses every state.  The finite
 horizons (`metrics._jaccard_n`) give it n unless the product's depth
 plus the farthest finite distance to acceptance in either DFA is within
 n, which shows that no state would be dropped; the Cesaro ties count
-with no horizon, on the stream.  `length_counts` is the one-final case
-of the stream, and `count_len` and `count_upto` the one-final cases of
-`counts_at`.  Exactness is the point:
+with no horizon, on the stream.  The backward pass keys the initial
+vector alone, so on one table its partition serves every set of parts.
+When one DFA of a pair refines the other, the pair's table is the finer
+DFA's own (see `automata.product`), and that DFA keeps its table's
+backward quotient for its life (`product_system`): such a pair counted
+with no horizon, as the suffix pair at n = 200 or an exact Cesaro tie,
+sums each part per block and lumps only that quotient forward, so the
+whole table is lumped once per DFA, not once per call.  `length_counts`
+is the one-final case of the stream, and `count_len` and `count_upto`
+the one-final cases of `counts_at`.  Exactness is the point:
 everything here is arbitrary-precision integer arithmetic, off-limits to
 floating point.
 """
@@ -46,7 +53,7 @@ from itertools import chain, compress, islice
 from math import inf
 from operator import add, mul
 
-from .automata import Dfa, LabeledGraph, coarsest_partition
+from .automata import Dfa, LabeledGraph, Product, coarsest_partition
 
 
 class CountVectors:
@@ -132,6 +139,13 @@ def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple
     its 8,193 states lump backward to 14 at once, where forward they only
     lump to 8,192 and the backward pass must follow on those.
 
+    The backward pass keys the initial vector alone, so on a given table
+    its partition does not depend on the parts.  The table of a pair one
+    of whose DFAs refines the other is that DFA's own, and
+    `product_system` counts such a pair with no horizon on the backward
+    quotient the DFA keeps: only the parts are summed per block, in
+    O(|part|), before the trim and the forward pass on the quotient.
+
     With a horizon, every state v with dist(0, v) + dist(v, union) above
     it is dropped before the first pass: no word of length at most the
     horizon passes through v, so the counts of those lengths stay exact,
@@ -146,13 +160,49 @@ def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple
     return _reduced(system, _lumps_backward_first(*system))
 
 
+def product_system(prod: Product, parts, horizon=None) -> tuple[CountVectors, tuple]:
+    """`shared_system(prod.transitions, parts, horizon)`, read with no
+    horizon off the backward quotient that the finer DFA of a refining
+    pair keeps (see `automata.product`): the same word counts, with no
+    own system built and no pass over the whole table after the first
+    call on that DFA.  With a horizon, the trim before lumping already
+    bounds the work, so every product takes `shared_system`."""
+    finer = prod.__dict__.get("_finer")
+    if finer is None or horizon is not None:
+        return shared_system(prod.transitions, parts, horizon)
+    block_of, rows, columns, initial = _backward_quotient(finer)
+    finals = _part_vectors(parts, block_of, len(rows))
+    return _counted(*_forward(*_trimmed(rows, columns, initial, finals)))
+
+
+def _backward_quotient(dfa: Dfa) -> tuple:
+    """(block of each state, rows, columns, initial vector) of the
+    backward quotient of the counting system of the table that
+    `Dfa._numbered` keeps, from state 0 and with no final vector: the
+    backward pass of `shared_system` on that table, made by the same
+    `_lump`, kept in the DFA's `__dict__` for its life."""
+    kept = dfa.__dict__.get("_backward_quotient")
+    if kept is None:
+        rows, columns, initial, _finals = _own_system(dfa._numbered[0], (), (0,))
+        quotient, (initial,), _summed, block_of = _lump(columns, rows, (initial,), ())
+        if quotient is not columns:
+            rows, columns = _transpose(quotient), quotient
+        kept = block_of, tuple(rows), tuple(columns), initial
+        dfa.__dict__["_backward_quotient"] = kept
+    return kept
+
+
 def _reduced(system, backward_first: bool) -> tuple[CountVectors, tuple]:
     """The counting system and part vectors of `shared_system` from the
     table's own system: one pass in each direction, the first one
     backward or forward, and the vertices off every accepting path
     dropped after it."""
     first, second = (_backward, _forward) if backward_first else (_forward, _backward)
-    rows, columns, initial, finals = second(*_trimmed(*first(*system)))
+    return _counted(*second(*_trimmed(*first(*system))))
+
+
+def _counted(rows, columns, initial, finals) -> tuple[CountVectors, tuple]:
+    """The counting system of the first final vector, and the others."""
     return CountVectors._from_rows(rows, initial, finals[0], columns), finals[1:]
 
 
@@ -177,13 +227,20 @@ def _own_system(successors, parts, starts) -> tuple:
     initial = [0] * n
     for q in starts:
         initial[q] = 1
+    return _transpose(columns), columns, tuple(initial), _part_vectors(parts, range(n), n)
+
+
+def _part_vectors(parts, block_of, n) -> tuple:
+    """The final vectors over n blocks of the union of the parts and of
+    each part, sets of states: each block's number of the part's states,
+    `block_of[q]` being state q's block."""
     finals = []
     for part in (frozenset().union(*parts), *parts):
         final = [0] * n
         for q in part:
-            final[q] = 1
+            final[block_of[q]] += 1
         finals.append(tuple(final))
-    return _transpose(columns), columns, tuple(initial), tuple(finals)
+    return tuple(finals)
 
 
 def _lumps_backward_first(rows, columns, initial, finals) -> bool:
@@ -200,7 +257,7 @@ def _lumps_backward_first(rows, columns, initial, finals) -> bool:
 
 def _forward(rows, columns, initial, finals) -> tuple:
     """The forward quotient of a system: the final vectors keyed."""
-    quotient, finals, (initial,) = _lump(rows, columns, finals, (initial,))
+    quotient, finals, (initial,), _block_of = _lump(rows, columns, finals, (initial,))
     if quotient is rows:
         return rows, columns, initial, finals
     return quotient, _transpose(quotient), initial, finals
@@ -208,7 +265,7 @@ def _forward(rows, columns, initial, finals) -> tuple:
 
 def _backward(rows, columns, initial, finals) -> tuple:
     """The backward quotient of a system: the initial vector keyed."""
-    quotient, (initial,), finals = _lump(columns, rows, (initial,), finals)
+    quotient, (initial,), finals, _block_of = _lump(columns, rows, (initial,), finals)
     if quotient is columns:
         return rows, columns, initial, finals
     return _transpose(quotient), quotient, initial, finals
@@ -224,11 +281,12 @@ def _transpose(rows) -> list:
 
 
 def _lump(rows, into, keyed, summed) -> tuple:
-    """(rows, keyed, summed) of the quotient of the matrix `rows`, whose
-    transpose is `into`, by its coarsest partition in which the vertices of
-    a block have equal `keyed` values and the same weight into each block.
-    A keyed vector takes its blocks' values and a summed one its sums over
-    the blocks, so s . A^n . f is unchanged for every summed s and keyed f.
+    """(rows, keyed, summed, the block of each vertex) of the quotient of
+    the matrix `rows`, whose transpose is `into`, by its coarsest partition
+    in which the vertices of a block have equal `keyed` values and the same
+    weight into each block.  A keyed vector takes its blocks' values and a
+    summed one its sums over the blocks, so s . A^n . f is unchanged for
+    every summed s and keyed f.
 
     In such a partition (A^n f)[v] is the same for all vertices v of a
     block, for every keyed f and every n, and so is the least n at which
@@ -242,7 +300,7 @@ def _lump(rows, into, keyed, summed) -> tuple:
     for v, b in enumerate(block_of):
         first.setdefault(b, v)
     if len(first) == len(rows):  # every block one vertex, numbered as before
-        return rows, keyed, summed
+        return rows, keyed, summed, block_of
     quotient = []
     for v in first.values():
         row = {}
@@ -255,7 +313,7 @@ def _lump(rows, into, keyed, summed) -> tuple:
     for total, s in zip(sums, summed):
         for b, x in zip(block_of, s):
             total[b] += x
-    return quotient, keyed, tuple(map(tuple, sums))
+    return quotient, keyed, tuple(map(tuple, sums)), block_of
 
 
 def _distances(adjacent, seeds, limit=inf) -> list:

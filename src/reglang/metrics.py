@@ -41,7 +41,14 @@ the fixed-length average at a period above 1 searches, its product with
 lengths counted modulo q.  The finite horizons never search: they step the
 union's one vector to n and read the two counts once
 (`counting.counts_at`), and the exact ties read the stream of counts at
-every length (`counting.final_counts`).
+every length (`counting.final_counts`).  On a refining pair both count
+on the backward quotient of the finer DFA's table, which that DFA keeps
+(`counting.product_system`): each combination is summed per block and
+only the small quotient is lumped again, unless a finite horizon lies
+below the product's depth plus the farthest distance to acceptance,
+when the table is trimmed to the horizon and what is left lumped in the
+call.  The finer DFA also keeps the refinement outcome, so a repeated
+call on the pair walks no table.
 """
 
 from fractions import Fraction
@@ -61,7 +68,7 @@ from .automata import (
     minimize,
     product,
 )
-from .counting import counts_at, final_counts, shared_system
+from .counting import counts_at, final_counts, product_system
 from .errors import ConvergenceError, DuplicateLanguageError
 from .spectral import POWER_MAX_ITER, _decomposition, _tied, language_entropy
 
@@ -117,7 +124,7 @@ def _jaccard_n(d1: Dfa, d2: Dfa, n: int, cumulative: bool) -> Fraction:
     # that plus its depth is within n for every state, the trim drops none.
     far = max(max(d1._to_accept), max(d2._to_accept))
     horizon = None if prod._within(n - far) else n
-    cv, finals = shared_system(prod.transitions, (left ^ right, left | right), horizon)
+    cv, finals = product_system(prod, (left ^ right, left | right), horizon)
     num, den = counts_at(cv, finals, n, cumulative)
     return Fraction(num, den) if den else Fraction(0)
 
@@ -215,7 +222,7 @@ def _cumulative_limit(prod: Product, left, right, diagnostics, analytic=False):
     radius, d = uni_report.spectral_radius, uni_report.index
     diagnostics["residue_period"] = q
     if uni_report.lambda_class != "expanding":
-        return _exact_tie_limit(*shared_system(prod.transitions, parts), q, d), "exact"
+        return _exact_tie_limit(*product_system(prod, parts), q, d), "exact"
     if analytic:
         order = f"radius {radius:.6g}, index {d}"
         reason = f"sym, union and intersection all grow as ({order}); the limit needs iteration"

@@ -1,4 +1,6 @@
+import gc
 import json
+import pickle
 from random import Random
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
+import reglang.automata
 from reglang.automata import _canonical, _pair_product, _refining, coarsest_partition
 from reglang.counting import CountVectors
 from reglang.oracle import acceptance_by_length, all_strings
@@ -516,6 +519,68 @@ def test_a_refining_pair_is_read_off_the_finer_table(pair):
         prod = rl.product(a, b)
         assert prod == _pair_product(a, b)
         assert any(prod.transitions is d._numbered[0] for d in (a, b))
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record each refinement walk (`automata._image`)."""
+    walks, image = [], reglang.automata._image
+
+    def counted(*args):
+        walks.append(args)
+        return image(*args)
+
+    monkeypatch.setattr(reglang.automata, "_image", counted)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "left, right, refines",
+    [
+        ("(a|b)*a(a|b){4}", "(a|b)*a(a|b){3}", True),
+        ("(a|b)*a(a|b){4}", "(a|b)*b(a|b){3}", False),
+    ],
+)
+def test_a_refinement_outcome_is_walked_once(monkeypatch, left, right, refines):
+    # the finer DFA keeps the outcome, success or failure, for either order
+    d1, d2 = rl.dfa_from_regex(left), rl.dfa_from_regex(right)
+    walks = _count_walks(monkeypatch)
+    for _ in range(3):
+        for a, b in ((d1, d2), (d2, d1)):
+            assert (_refining(a, b) is not None) == refines
+            assert rl.product(a, b) == _pair_product(a, b)
+    assert len(walks) == 1
+    assert rl.product(d1, d2) == rl.product(_fresh(d1), d2) and len(walks) == 2
+
+
+def test_a_kept_outcome_is_dropped_with_the_coarser_dfa():
+    fine = rl.dfa_from_regex("(a|b)*a(a|b){4}")
+    coarser = [rl.dfa_from_regex("(a|b)*a(a|b){3}"), rl.dfa_from_regex("(a|b)*b(a|b){3}")]
+    assert [_refining(fine, d) is not None for d in coarser] == [True, False]
+    assert len(fine.__dict__["_refines"]) == 2
+    del coarser
+    gc.collect()
+    assert fine.__dict__["_refines"] == {}
+
+
+def test_a_kept_outcome_still_reads_the_state_cap(monkeypatch):
+    fine, coarse = rl.dfa_from_regex("(a|b)*a(a|b){4}"), rl.dfa_from_regex("(a|b)*a(a|b){3}")
+    assert _refining(fine, coarse) is not None
+    walks = _count_walks(monkeypatch)
+    monkeypatch.setenv("REGLANG_MAX_STATES", str(fine.n_states - 1))
+    message = f"^product construction exceeded {fine.n_states - 1} states$"
+    for a, b in ((fine, coarse), (coarse, fine)):
+        with pytest.raises(rl.StateLimitError, match=message):
+            rl.product(a, b)
+    assert walks == []
+
+
+def test_a_dfa_pickles_as_its_fields_after_a_refining_pair():
+    # what a DFA keeps, the outcome's weak reference among it, is not pickled
+    fine, coarse = rl.dfa_from_regex("(a|b)*a(a|b){4}"), rl.dfa_from_regex("(a|b)*a(a|b){3}")
+    rl.jaccard_cum_n(fine, coarse, 9)
+    again = pickle.loads(pickle.dumps(fine))
+    assert again == fine and "_refines" not in again.__dict__
+    assert rl.product(again, coarse) == rl.product(fine, coarse)
 
 
 # two random DFAs over one alphabet

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reglang as rl
-from reglang.automata import coarsest_partition
+import reglang.counting
+from reglang.automata import _pair_product, _refining, coarsest_partition
 from reglang.counting import (
     CountVectors,
     _distances,
@@ -314,6 +315,89 @@ def test_corpus_unions_lump_no_worse_than_forward_first(corpus):
             nonzeros += sum(map(len, cv.rows))
     assert vertices <= 1033
     assert nonzeros <= 1603
+
+
+@st.composite
+def _refined_pairs(draw):
+    """(finer, coarser) built from a random DFA d: d intersected with
+    another DFA and the complement of d, each against d, and d against its
+    minimal DFA."""
+    d = draw(_complete_dfas())
+    kind = draw(st.sampled_from(("intersect", "complement", "minimize")))
+    if kind == "intersect":
+        return rl.combine(d, draw(_complete_dfas("".join(d.alphabet))), "intersect"), d
+    if kind == "complement":
+        return rl.complement(d), d
+    return d, rl.minimize(d)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=_refined_pairs())
+def test_a_refining_pair_counts_as_its_pair_product(pair):
+    # the finer DFA's kept quotient counts like the system of the product
+    # numbered over the pairs, at horizons past the product's depth as
+    # below it, where the horizon trim runs instead
+    for a, b in (pair, pair[::-1]):
+        assert _refining(a, b) is not None
+        prod = _pair_product(a, b)
+        left, right = prod.left, prod.right
+        system = shared_system(prod.transitions, (left ^ right, left | right))
+        counts = list(islice(final_counts(*system), 201))
+        totals = list(accumulate(counts, lambda x, y: tuple(map(add, x, y))))
+        for n in [*range(31), 200]:
+            for kind, jaccard, (sym, uni) in (
+                ("jn_exact", jaccard_exact_n, counts[n]),
+                ("jn_cum", jaccard_cum_n, totals[n]),
+            ):
+                assert jaccard(a, b, n) == (Fraction(sym, uni) if uni else 0), (kind, n)
+                if n <= 4:
+                    assert jaccard(a, b, n) == oracle_distance(kind, a, b, n), (kind, n)
+
+
+def _record_systems(monkeypatch) -> tuple[list, list]:
+    """Record the size of each own system built and of each system lumped."""
+    systems, lumps = [], []
+    own, lump = reglang.counting._own_system, reglang.counting._lump
+
+    def counted_own(successors, *args):
+        systems.append(len(successors))
+        return own(successors, *args)
+
+    def counted_lump(rows, *args):
+        lumps.append(len(rows))
+        return lump(rows, *args)
+
+    monkeypatch.setattr(reglang.counting, "_own_system", counted_own)
+    monkeypatch.setattr(reglang.counting, "_lump", counted_lump)
+    return systems, lumps
+
+
+def test_a_refining_pair_lumps_the_finer_table_once(monkeypatch):
+    # the suffix pair's table is the finer DFA's, whose 257 states lump
+    # backward to 9 on the first finite horizon; every later one, in
+    # either order, only lumps that quotient forward
+    a, b = _tie(7)
+    systems, lumps = _record_systems(monkeypatch)
+    assert jaccard_cum_n(a, b, 200) == Fraction(2**200 - 2**6, 3 * 2**199 - 2**7)
+    assert (systems, lumps) == ([257], [257, 9])
+    lumps.clear()
+    for jaccard, x, y, n in ((jaccard_exact_n, b, a, 200), (jaccard_cum_n, a, b, 35),
+                             (jaccard_exact_n, a, b, 20)):
+        jaccard(x, y, n)
+    assert (systems, lumps) == ([257], [9, 9, 9])
+    # below the product's depth the horizon trims the pair's own system
+    jaccard_cum_n(a, b, 3)
+    assert systems == [257, 257]
+
+
+def test_an_exact_tie_reads_the_kept_quotient(monkeypatch):
+    # (aa)* refines a*: their tie at radius 1 and the finite horizons
+    # count on the one quotient of the finer table
+    a, b = rl.dfa_from_regex("(aa)*"), rl.dfa_from_regex("a*")
+    systems, _lumps = _record_systems(monkeypatch)
+    jc = rl.cesaro_jaccard(a, b)
+    assert (jc.mode, jc.diagnostics["numerator"], jc.diagnostics["denominator"]) == ("exact", 1, 2)
+    assert jaccard_cum_n(b, a, 9) == Fraction(5, 10) and systems == [a.n_states]
 
 
 def test_counting_system_of_a_large_dfa_is_built_from_edges():

@@ -49,6 +49,8 @@ def test_smallest_rung_of_each_family_is_timed():
                   "compile_right_s", "determinize_left_s", "determinize_right_s")
     counting = ("minimize_left_s", "minimize_right_s", "jaccard_cum_n_s", "jaccard_exact_n_s")
     pair = ("entropy_distance_s", "cesaro_jaccard_s", "entropy_sum_s")
+    jaccard_first = ("jaccard_cum_n_first_s", "jaccard_exact_n_first_s")
+    pair_first = ("entropy_distance_first_s", "cesaro_jaccard_first_s", "entropy_sum_first_s")
     structure = (
         "trim_left_s",
         "trim_right_s",
@@ -86,12 +88,14 @@ def test_smallest_rung_of_each_family_is_timed():
         "analyze_process_s",
     )
     import_only = ("import_process_s",)
-    expected = {"tie": from_regex + counting + pair + count_vectors + build + jn_process,
-                "disjoint": from_regex + counting + pair + separation + build + jn_process,
-                "gap": pair,
-                "chain": from_regex + counting + structure + build + jn_process,
-                "periodic": from_regex + ("jaccard_cum_n_s", "jaccard_exact_n_s") + structure
+    expected = {"tie": from_regex + counting + pair + jaccard_first + pair_first + count_vectors
                 + build + jn_process,
+                "disjoint": from_regex + counting + pair + jaccard_first + pair_first + separation
+                + build + jn_process,
+                "gap": pair + pair_first,
+                "chain": from_regex + counting + jaccard_first + structure + build + jn_process,
+                "periodic": from_regex + ("jaccard_cum_n_s", "jaccard_exact_n_s") + jaccard_first
+                + structure + build + jn_process,
                 "cold": import_only + command_line}
     for record in records:
         timed = [key for key in record if key.endswith("_s")]
