@@ -17,18 +17,20 @@ its refinement outcome, and a DFA that refines the other its counting
 quotient, so these five layers mostly time calls that read what the
 first call kept; each has a `<layer>_first` twin that times the same
 call on fresh equal copies of the operands, made outside the timed
-call, and so pays for what it keeps.  Structural layers:
-`trim`, `scc_decompose(trim(d))`, `language_entropy` and
+call, and so pays for what it keeps.  Structural layers: `trim`,
+`essential(trim(d))`, `scc_decompose(trim(d))`, `language_entropy` and
 `CountVectors.from_dfa` of each operand, and `separating_n` of the pair,
 which the disjoint family times too: its operands lie equally far from
 acceptance, so their separation searches the pairs of states.  A DFA
 keeps the components of one search over its table, its spectral report,
 its trim graph and its distances to acceptance, so each run of those
-five layers gets fresh equal copies of the operands, made outside the
+six layers gets fresh equal copies of the operands, made outside the
 timed call, and pays for the whole analysis; its `<layer>_kept` twin
 times the same call repeated on the same operands, after a first,
 untimed call.  A DFA keeps no counting system, so the
-`count_vectors_*_kept` twins time the whole build again.  Cold-start
+`count_vectors_*_kept` twins time the whole build again, and no
+essential graph, so the `essential_*_kept` twins time `essential` again
+on the kept trim graph and search.  Cold-start
 layers time whole processes, each a fresh interpreter: `build_process_s`
 imports reglang and builds the rung's two operands, in every family but
 the cold one; the cold family times `import_process_s`, which imports
@@ -118,6 +120,8 @@ LAYERS = {
     "entropy_sum_s": lambda rl, a, b: rl.entropy_sum(a, b),
     "trim_left_s": lambda rl, a, b: rl.trim(a),
     "trim_right_s": lambda rl, a, b: rl.trim(b),
+    "essential_left_s": lambda rl, a, b: rl.essential(rl.trim(a)),
+    "essential_right_s": lambda rl, a, b: rl.essential(rl.trim(b)),
     "scc_decompose_left_s": lambda rl, a, b: rl.scc_decompose(rl.trim(a)),
     "scc_decompose_right_s": lambda rl, a, b: rl.scc_decompose(rl.trim(b)),
     "language_entropy_left_s": lambda rl, a, b: rl.language_entropy(a),

@@ -19,12 +19,14 @@ it, so that every automaton is analysed once.  A `Dfa`, like a pair's
 its transition table, found the first time `language_entropy`,
 `scc_decompose`, `trim` or a product it refines asks for them; `trim`
 builds its labeled graph from that search, and the DFA keeps the graph
-too.  A DFA also keeps its distances to acceptance, found by one
-breadth-first pass over its reversed table the first time a separation,
-a finite-horizon Jaccard distance, `is_empty` or `shortest_accepted`
-asks for them, and holds all of these as long as it lives.  Any other
-`LabeledGraph` keeps the integer rows of its edges and the components
-and condensation DAG of its own search over them; `spectral` keeps one
+too, and `essential` reads the trim graph's essential part off the same
+search's condensation DAG.  A DFA also keeps its distances to
+acceptance, found by one breadth-first pass over its reversed table the
+first time a separation, a finite-horizon Jaccard distance, `is_empty`
+or `shortest_accepted` asks for them, and holds all of these as long as
+it lives.  Any other `LabeledGraph` keeps the integer rows of its edges
+and the components and condensation DAG of its own search over them,
+which its essential graph reads too; `spectral` keeps one
 decomposition per search beside its report.  A kept value is built
 whole before it is stored, so two threads racing to read it may both
 compute it, but neither sees a partial result.
@@ -56,7 +58,7 @@ from operator import itemgetter
 
 from ._record import record
 from .errors import AlphabetError, StateLimitError
-from .graphs import _strong_components
+from .graphs import _reversed, _strong_components
 
 DEFAULT_MAX_STATES = 1_000_000
 
@@ -969,35 +971,24 @@ def trim(dfa: Dfa) -> LabeledGraph:
 
 
 def essential(graph: LabeledGraph) -> LabeledGraph:
-    """Iteratively drop vertices lacking an incoming or outgoing edge.
+    """The graph restricted to its vertices on a path from a cycle to a
+    cycle: those left when every vertex lacking an incoming or an outgoing
+    edge is dropped, again and again.
 
-    Peels in O(V + E): every vertex counts its edges from and to live
-    vertices, and dropping a vertex lowers its neighbours' counts,
-    queueing those that reach zero.  Idempotent; finite languages end up
-    with the empty graph.
+    Read off the graph's one search (`_components`, which a trim graph
+    shares with its DFA): a vertex is kept when its component is reached
+    from a cyclic component along the condensation DAG and reaches one,
+    and the edges among the kept vertices stay in the graph's order.
+    Once the search is kept that is one pass over the DAG each way and
+    one over the edges, O(C + E) for C components and E edges.
+    Idempotent; finite languages end up with the empty graph.
     """
-    in_degree = dict.fromkeys(graph.vertices, 0)
-    out_degree = dict.fromkeys(graph.vertices, 0)
-    succ = {v: [] for v in graph.vertices}
-    pred = {v: [] for v in graph.vertices}
-    for src, _symbol, dst in graph.edges:
-        out_degree[src] += 1
-        in_degree[dst] += 1
-        succ[src].append(dst)
-        pred[dst].append(src)
-    dead = {v for v in graph.vertices if not (in_degree[v] and out_degree[v])}
-    queue = list(dead)
-    while queue:
-        v = queue.pop()
-        for degree, neighbours in ((in_degree, succ[v]), (out_degree, pred[v])):
-            for w in neighbours:
-                degree[w] -= 1
-                if not degree[w] and w not in dead:
-                    dead.add(w)
-                    queue.append(w)
-    vertices = tuple(sorted(v for v in graph.vertices if v not in dead))
-    edges = tuple(e for e in graph.edges if e[0] not in dead and e[2] not in dead)
-    return LabeledGraph(vertices, edges, "essential")
+    report, dag = graph._components
+    cyclic = [c for c, trivial in enumerate(report.trivial) if not trivial]
+    live = _reach(cyclic, dag) & _reach(cyclic, _reversed(dag))
+    kept = frozenset().union(*map(report.components.__getitem__, live))
+    edges = tuple(e for e in graph.edges if e[0] in kept and e[2] in kept)
+    return LabeledGraph(tuple(sorted(kept)), edges, "essential")
 
 
 def is_empty(dfa: Dfa) -> bool:

@@ -114,9 +114,9 @@ class CountVectors:
 
 def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple]:
     """The counting system of the words leading from state 0 of a
-    transition table into some part, and the final vector of each part
-    over the same vertices; with a `horizon`, of the words of length at
-    most `horizon` only.
+    transition table into some part, with the last part's final vector,
+    and the final vector of each part over the same vertices; with a
+    `horizon`, of the words of length at most `horizon` only.
 
     The parts are sets of states, such as those of a pair's `Product`
     for its symmetric difference and its union, so one stepping loop
@@ -202,8 +202,8 @@ def _reduced(system, backward_first: bool) -> tuple[CountVectors, tuple]:
 
 
 def _counted(rows, columns, initial, finals) -> tuple[CountVectors, tuple]:
-    """The counting system of the first final vector, and the others."""
-    return CountVectors._from_rows(rows, initial, finals[0], columns), finals[1:]
+    """The counting system of the last final vector, and every final vector."""
+    return CountVectors._from_rows(rows, initial, finals[-1], columns), finals
 
 
 def _own_system(successors, parts, starts) -> tuple:
@@ -212,7 +212,7 @@ def _own_system(successors, parts, starts) -> tuple:
     DFA's or product's transition row or a `LabeledGraph`'s integer row
     does: the sparse rows and columns of A, each in index order with
     parallel edges merged, i over the states `starts`, and the final
-    vectors of the union of the parts and of each part."""
+    vector of each part."""
     n = len(successors)
     columns = [[] for _ in range(n)]
     for q, targets in enumerate(successors):
@@ -231,11 +231,11 @@ def _own_system(successors, parts, starts) -> tuple:
 
 
 def _part_vectors(parts, block_of, n) -> tuple:
-    """The final vectors over n blocks of the union of the parts and of
-    each part, sets of states: each block's number of the part's states,
-    `block_of[q]` being state q's block."""
+    """The final vector over n blocks of each part, a set of states: each
+    block's number of the part's states, `block_of[q]` being state q's
+    block."""
     finals = []
-    for part in (frozenset().union(*parts), *parts):
+    for part in parts:
         final = [0] * n
         for q in part:
             final[block_of[q]] += 1

@@ -6,11 +6,12 @@ Every structural question is answered by one iterative Tarjan search
 (Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
 Comput. 1972) over integer successor rows: the components, which of them
 reach a target vertex set, each component's internal edges and period,
-and the condensation DAG.  A `Dfa` (whose trim graph `automata.trim`
-builds from it), a `Product` table or any other graph runs it the first
-time either is read, and keeps them; `spectral` keeps its spectra beside
-the report, which a DFA shares with its trim graph.  This module imports
-nothing from `automata`.
+and the condensation DAG, which `_reversed` turns around for the
+essential graph and the spectral layer.  A `Dfa` (whose trim graph
+`automata.trim` builds from it), a `Product` table or any other graph
+runs it the first time either is read, and keeps them; `spectral` keeps
+its spectra beside the report, which a DFA shares with its trim graph.
+This module imports nothing from `automata`.
 """
 
 from math import gcd, lcm
@@ -176,6 +177,16 @@ def _report(found, popped, names) -> tuple:
         internal=tuple(internal),
     )
     return report, tuple(successors)
+
+
+def _reversed(dag) -> list:
+    """The condensation DAG `dag` with its edges reversed: for each
+    component, the numbers of those whose edges enter it, in order."""
+    predecessors = [[] for _ in dag]
+    for c, targets in enumerate(dag):
+        for t in targets:
+            predecessors[t].append(c)
+    return predecessors
 
 
 def _find_cyclic(report: ComponentReport, component) -> int:

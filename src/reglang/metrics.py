@@ -60,8 +60,6 @@ from .automata import (
     Dfa,
     Product,
     _lengths_mod,
-    _pair_product,
-    _refining,
     _separation,
     combine,  # unused; perfbench/test_smoke.py checks that its tracer restores this binding
     harmonize_all,
@@ -394,25 +392,21 @@ def entropy_sum(d1: Dfa, d2: Dfa) -> DistanceResult:
 
     Reported unnormalized, so the range is [0, 2 log2 |alphabet|].
 
-    A pair one of whose DFAs refines the other reads its product, that
-    DFA's own table and search.  Otherwise, when one operand's entropy is
-    0, as in the paper's trivial case, the sum is the other's, read off
-    the operands' kept reports with no product: if h2 = 0, then
-    h(L1 minus L2) = h1, since L1 is the union of L1 minus L2 and of L1
-    and L2, whose entropy is at most h2 = 0, and h(L2 minus L1) <= h2 = 0.
-    Only otherwise is a pair product built and searched.
+    When one operand's entropy is 0, as in the paper's trivial case, the
+    sum is the other's, read off the operands' kept reports with no
+    product: if h2 = 0, then h(L1 minus L2) = h1, since L1 is the union of
+    L1 minus L2 and of L1 and L2, whose entropy is at most h2 = 0, and
+    h(L2 minus L1) <= h2 = 0.  Only otherwise is the pair's product read,
+    the finer DFA's own table and search when one DFA refines the other.
     """
-    prod = _refining(d1, d2)
-    if prod is None:
-        h1, h2 = language_entropy(d1).entropy_bits, language_entropy(d2).entropy_bits
-        if h1 == 0.0 or h2 == 0.0:
-            left, right = (h1, 0.0) if h2 == 0.0 else (0.0, h2)
-            diagnostics = {"entropy_left_only": left, "entropy_right_only": right}
-            return DistanceResult("entropy_sum", left + right, "exact", diagnostics)
-        prod = _pair_product(d1, d2)
-    pair = _decomposition(prod)
-    left = pair.report(prod.left - prod.right).entropy_bits
-    right = pair.report(prod.right - prod.left).entropy_bits
+    h1, h2 = language_entropy(d1).entropy_bits, language_entropy(d2).entropy_bits
+    if h1 == 0.0 or h2 == 0.0:
+        left, right = (h1, 0.0) if h2 == 0.0 else (0.0, h2)
+    else:
+        prod = product(d1, d2)
+        pair = _decomposition(prod)
+        left = pair.report(prod.left - prod.right).entropy_bits
+        right = pair.report(prod.right - prod.left).entropy_bits
     diagnostics = {"entropy_left_only": left, "entropy_right_only": right}
     return DistanceResult("entropy_sum", left + right, "exact", diagnostics)
 

@@ -24,10 +24,13 @@ loads it.
 
 Components, periods, internal edges and the condensation DAG are those
 a DFA, a pair's product table or a graph keeps from its one search (see
-`graphs`).  One `Decomposition` per search, kept beside the search's
-report once `analyze_graph`, `topological_entropy`, `language_entropy`
-or `component_spectrum` reads it, keeps each spectrum it computes and
-the whole graph's report.  A DFA's trim graph holds the DFA's report, so
+`graphs`).  The essential graph, which `automata.essential` reads off the
+same search, keeps every cyclic component of the trim graph whole, so a
+language's spectrum is read off its trim graph's components.  One
+`Decomposition` per search, kept beside the search's report once
+`analyze_graph`, `topological_entropy`, `language_entropy` or
+`component_spectrum` reads it, keeps each spectrum it computes and the
+whole graph's report.  A DFA's trim graph holds the DFA's report, so
 `language_entropy(d)` and the spectra of `trim(d)` compute each spectrum
 once in the DFA's lifetime, in any order.  The boolean combinations of
 a pair of languages are sets of states of one product table, whose one
@@ -43,7 +46,7 @@ from operator import itemgetter
 from ._record import record
 from .automata import Dfa, LabeledGraph, _reach
 from .errors import ConvergenceError
-from .graphs import _find_cyclic, scc_decompose
+from .graphs import _find_cyclic, _reversed, scc_decompose
 
 ENTROPY_EPS = 1e-9
 POWER_TOL = 1e-12
@@ -187,11 +190,7 @@ class Decomposition:
     @cached_property
     def _predecessors(self) -> list:
         """The condensation DAG's edges, reversed."""
-        predecessors = [[] for _ in self.components]
-        for c, targets in enumerate(self.condensation):
-            for t in targets:
-                predecessors[t].append(c)
-        return predecessors
+        return _reversed(self.condensation)
 
     def reaching(self, accepting) -> list:
         """The numbers, in order, of the components that reach `accepting`."""
@@ -289,12 +288,13 @@ def language_entropy(dfa: Dfa) -> SpectralReport:
 
     Empty and finite languages report entropy 0; otherwise the value is
     log2 of the dominant component radius of the essential graph.  The
-    components of the trim graph are analysed instead: peeling it down to
-    the essential graph only removes vertices outside every cycle, so both
-    graphs have the same nontrivial components, internal edges and
-    periods, hence the same spectrum, read off the decomposition of the
-    DFA's one search, which `trim` shares: no labeled graph is built, and
-    a second call computes nothing.
+    components of the trim graph are analysed instead: the essential graph
+    keeps the trim graph's components that lie on a path from a cyclic
+    component to a cyclic one (see `automata.essential`), every cyclic
+    component among them, so both graphs have the same nontrivial
+    components, internal edges and periods, hence the same spectrum, read
+    off the decomposition of the DFA's one search, which `trim` shares: no
+    labeled graph is built, and a second call computes nothing.
     """
     return _decomposition(dfa).whole
 

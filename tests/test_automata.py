@@ -401,6 +401,48 @@ def test_essential_matches_fixpoint_definition(rows):
     assert rl.essential(graph) == essential_by_fixpoint(graph)
 
 
+@st.composite
+def _chain_dfas(draw):
+    """A complete DFA over "ab" whose cycles lie behind long chains: a
+    head chain enters a random core on "a", and the core may enter a tail
+    chain that ends in a trash state; every other move of a chain state
+    goes forward."""
+    head, core, tail = draw(st.integers(0, 30)), draw(st.integers(1, 5)), draw(st.integers(0, 30))
+    trash = head + core + tail
+    forward = lambda q: (q + 1, draw(st.integers(q + 1, trash)))
+    into = st.sampled_from([*range(head, head + core), head + core, trash])
+    rows = [forward(q) for q in range(head)]
+    rows += [(draw(into), draw(into)) for _ in range(core)]
+    rows += [forward(q) for q in range(head + core, trash)]
+    rows.append((trash, trash))
+    accepting = frozenset(draw(st.sets(st.integers(0, trash))))
+    return rl.Dfa(("a", "b"), tuple(rows), accepting, 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dfa=st.one_of(_complete_dfas(), _chain_dfas()))
+def test_essential_of_a_trim_graph_matches_fixpoint_definition(dfa):
+    # the trim graph shares its DFA's search, which covers only the
+    # states reached from the initial one that reach acceptance
+    graph = rl.trim(dfa)
+    assert rl.essential(graph) == essential_by_fixpoint(graph)
+
+
+def test_essential_of_an_analysed_dfa_reads_its_kept_search(monkeypatch):
+    patterns = ("(a|b)*a(a|b){6}", "a{300}(a|b)*", "(aa)*b(a{3})*b", "a|aa")
+    dfas = [rl.dfa_from_regex(x) for x in patterns]
+    for dfa in dfas:
+        rl.language_entropy(dfa)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search was made")
+
+    for module in (reglang.automata, reglang.graphs):
+        monkeypatch.setattr(module, "_strong_components", refuse)
+    for dfa in dfas:
+        assert rl.essential(rl.trim(dfa)) == essential_by_fixpoint(rl.trim(dfa))
+
+
 def test_essential_of_long_chain_is_empty():
     graph = rl.trim(rl.dfa_from_regex("a{4000}"))
     assert graph.n_vertices == 4001

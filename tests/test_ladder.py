@@ -54,6 +54,8 @@ def test_smallest_rung_of_each_family_is_timed():
     structure = (
         "trim_left_s",
         "trim_right_s",
+        "essential_left_s",
+        "essential_right_s",
         "scc_decompose_left_s",
         "scc_decompose_right_s",
         "language_entropy_left_s",
@@ -63,6 +65,8 @@ def test_smallest_rung_of_each_family_is_timed():
         "count_vectors_right_s",
         "trim_left_kept_s",
         "trim_right_kept_s",
+        "essential_left_kept_s",
+        "essential_right_kept_s",
         "scc_decompose_left_kept_s",
         "scc_decompose_right_kept_s",
         "language_entropy_left_kept_s",
