@@ -11,10 +11,11 @@ automaton, compiled outside the timed call.  Counting
 layers: `minimize` of each operand of a pair, and
 `jaccard_cum_n(a, b, 200)` and `jaccard_exact_n(a, b, 200)` of the pair,
 the first also timed as a whole process running `reglang distance
---metric jn --n 200`.  Pair layers: `entropy_distance`,
+--metric jn --n 200`, and on the tie family the long-horizon
+`jaccard_cum_n(a, b, 20000)`.  Pair layers: `entropy_distance`,
 `cesaro_jaccard` and `entropy_sum` of the pair.  A pair's operands keep
-its refinement outcome, and a DFA that refines the other its counting
-quotient, so these five layers mostly time calls that read what the
+its refinement outcome, and a refining pair its counting system and
+recurrences, so these six layers mostly time calls that read what the
 first call kept; each has a `<layer>_first` twin that times the same
 call on fresh equal copies of the operands, made outside the timed
 call, and so pays for what it keeps.  Structural layers: `trim`,
@@ -59,9 +60,9 @@ where P(m) = (a{2})*b(a{3})*b(a{4})*b(a{2})*b... has m starred parts, the
 i-th of period 2 + i mod 3, so its trim graph has m periodic components.
 Every family but the cold and gap ones times the front-end layers.  The
 first two families time the counting and pair layers, and the tie
-family the `count_vectors` ones too; the gap family, whose operands
-grow at different orders (1 bit against 0), times the pair layers
-alone; the periodic family times the structural ones
+family the long-horizon and `count_vectors` ones too; the gap family,
+whose operands grow at different orders (1 bit against 0), times the
+pair layers alone; the periodic family times the structural ones
 and the three finite-horizon layers, and the chain the counting and
 structural ones.  Each family that times a finite-horizon or pair layer
 times its `_first` twin too.  Under lumping, the
@@ -107,6 +108,7 @@ ROUNDS = 5
 BUDGET_S = 10.0
 FIGURES = 4
 HORIZON = 200
+LONG_HORIZON = 20_000
 GOLDEN = "(a|bb)*"
 
 # layer -> the call it times, on the operands a and b of a rung
@@ -115,6 +117,7 @@ LAYERS = {
     "minimize_right_s": lambda rl, a, b: rl.minimize(b),
     "jaccard_cum_n_s": lambda rl, a, b: rl.jaccard_cum_n(a, b, HORIZON),
     "jaccard_exact_n_s": lambda rl, a, b: rl.jaccard_exact_n(a, b, HORIZON),
+    "jaccard_cum_n_long_s": lambda rl, a, b: rl.jaccard_cum_n(a, b, LONG_HORIZON),
     "entropy_distance_s": lambda rl, a, b: rl.entropy_distance(a, b),
     "cesaro_jaccard_s": lambda rl, a, b: rl.cesaro_jaccard(a, b),
     "entropy_sum_s": lambda rl, a, b: rl.entropy_sum(a, b),
@@ -131,16 +134,19 @@ LAYERS = {
     "count_vectors_right_s": lambda rl, a, b: rl.CountVectors.from_dfa(b),
 }
 JACCARD = ("jaccard_cum_n_s", "jaccard_exact_n_s")
+LONG = ("jaccard_cum_n_long_s",)
 COUNTING = ("minimize_left_s", "minimize_right_s", *JACCARD)
 PAIR = ("entropy_distance_s", "cesaro_jaccard_s", "entropy_sum_s")
 # analyses the operands keep, timed on fresh copies
-FRESH = tuple(layer for layer in LAYERS if layer not in COUNTING + PAIR)
+FRESH = tuple(layer for layer in LAYERS if layer not in COUNTING + LONG + PAIR)
 KEPT = tuple(f"{layer[:-2]}_kept_s" for layer in FRESH)
 LAYERS.update(zip(KEPT, map(LAYERS.get, FRESH)))
 # the pair's metrics as first calls, on fresh copies
 JACCARD_FIRST = tuple(f"{layer[:-2]}_first_s" for layer in JACCARD)
+LONG_FIRST = tuple(f"{layer[:-2]}_first_s" for layer in LONG)
 PAIR_FIRST = tuple(f"{layer[:-2]}_first_s" for layer in PAIR)
-LAYERS.update(zip(JACCARD_FIRST + PAIR_FIRST, map(LAYERS.get, JACCARD + PAIR)))
+FIRST = JACCARD_FIRST + LONG_FIRST + PAIR_FIRST
+LAYERS.update(zip(FIRST, map(LAYERS.get, JACCARD + LONG + PAIR)))
 STRUCTURE = FRESH + KEPT
 SEPARATION = ("separating_n_s", "separating_n_kept_s")
 COUNT_VECTORS = tuple(layer for layer in STRUCTURE if layer.startswith("count_vectors"))
@@ -211,8 +217,8 @@ FAMILIES = {
     "tie": (
         range(4, 13),
         tie,
-        FROM_REGEX + COUNTING + PAIR + JACCARD_FIRST + PAIR_FIRST + COUNT_VECTORS + BUILD
-        + JN_PROCESS,
+        FROM_REGEX + COUNTING + PAIR + JACCARD_FIRST + PAIR_FIRST + LONG + LONG_FIRST
+        + COUNT_VECTORS + BUILD + JN_PROCESS,
     ),
     "disjoint": (
         range(4, 13),
@@ -382,7 +388,7 @@ def _time_layer(rl, layer, a, b, p1, p2, runs, cold_runs):
         return median_time(FRONT_END[layer], runs, prepare=lambda: (rl, n1, n2)), None
     if layer in FRONT_END:
         return median_time(FRONT_END[layer], runs, prepare=lambda: (rl, p1, p2)), None
-    if layer in FRESH + JACCARD_FIRST + PAIR_FIRST:
+    if layer in FRESH + FIRST:
         return median_time(LAYERS[layer], runs,
                            prepare=lambda: (rl, fresh(rl, a), fresh(rl, b))), None
     return median_time(LAYERS[layer], runs, prepare=lambda: (rl, a, b),

@@ -861,7 +861,10 @@ def _refining(d1: Dfa, d2: Dfa) -> Product | None:
     to the other drops the entry when the other is collected, before its
     identity can be reused: the coarser side's accepting states in the
     finer numbering, or None when the walk failed, so a pair is walked
-    once.  The state cap is read on every call."""
+    once.  Beside a refining outcome the entry holds a dict, the pair's
+    `_kept` on each of its products, in which `counting.pair_counts`
+    keeps the pair's counts for the same life.  The state cap is read on
+    every call."""
     if d1.alphabet != d2.alphabet:
         return None
     fine, coarse = (d2, d1) if len(d2._numbered[0]) > len(d1._numbered[0]) else (d1, d2)
@@ -874,8 +877,8 @@ def _refining(d1: Dfa, d2: Dfa) -> Product | None:
             compress(count(), map(coarse.accepting.__contains__, image))
         )
         forget = partial(outcomes.pop, id(coarse))  # called with the dead reference
-        kept = outcomes[id(coarse)] = weakref.ref(coarse, forget), other
-    other = kept[1]
+        kept = outcomes[id(coarse)] = weakref.ref(coarse, forget), other, {}
+    _ref, other, pair = kept
     if other is None:
         return None
     cap = state_cap()
@@ -883,7 +886,7 @@ def _refining(d1: Dfa, d2: Dfa) -> Product | None:
         raise StateLimitError(f"product construction exceeded {cap} states")
     left, right = (accepting, other) if fine is d1 else (other, accepting)
     prod = Product(fine.alphabet, rows, left, right)
-    prod.__dict__["_finer"] = fine  # read by `Product._components`, `counting.product_system`
+    prod.__dict__.update(_finer=fine, _kept=pair)  # read by `Product._components`, `counting`
     return prod
 
 

@@ -8,6 +8,7 @@ point fields are rounded to 12 decimals so output is reproducible.
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from itertools import chain, islice
 
 from . import dfa_from_regex
@@ -54,7 +55,25 @@ def _jsonable(value):
 
 
 def _emit(obj):
-    print(json.dumps(_jsonable(obj), sort_keys=True))
+    print(_dumps(_jsonable(obj)))
+
+
+def _dumps(obj) -> str:
+    """`obj` as JSON text with sorted keys (see `_printable`)."""
+    with _printable():
+        return json.dumps(obj, sort_keys=True)
+
+
+@contextmanager
+def _printable():
+    """Turn the ValueError that Python raises on converting an int of more
+    digits than its limit to text (`sys.set_int_max_str_digits`), as an
+    exact count at a long horizon can have, into a BudgetError that
+    names the limit.  The block only converts values to text."""
+    try:
+        yield
+    except ValueError as exc:
+        raise BudgetError(f"an exact count is too long to print: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -190,9 +209,9 @@ def cmd_analyze(args) -> int:
     if args.format == "csv":
         if args.counts is None:
             raise ValueError("--format csv requires --counts")
-        print("n,w_n,w_le_n")
-        for n, exact, total in count_rows:
-            print(f"{n},{exact},{total}")
+        with _printable():
+            lines = [f"{n},{exact},{total}" for n, exact, total in count_rows]
+        print("n,w_n,w_le_n", *lines, sep="\n")
         return 0
 
     # ints, bools and strings only, so printed with no `_jsonable` walk
@@ -220,13 +239,13 @@ def cmd_analyze(args) -> int:
         mismatches = [want[0] for want, got in zip(expected, computed) if want != got]
         obj["verify"] = {"max_length": horizon, "match": not mismatches}
         if mismatches:
-            print(json.dumps(obj, sort_keys=True))
+            print(_dumps(obj))
             print(
                 f"diagnostic: counts disagree with enumeration at lengths {mismatches}",
                 file=sys.stderr,
             )
             return 2
-    print(json.dumps(obj, sort_keys=True))
+    print(_dumps(obj))
     return 0
 
 

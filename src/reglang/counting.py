@@ -1,4 +1,5 @@
-"""Exact word counting by sparse big-integer vector-matrix steps.
+"""Exact word counting by sparse big-integer vector-matrix steps, and
+by linear recurrences for the pairs that keep them.
 
 A counting system is (A, i, f): the adjacency matrix of an automaton's
 states on some accepting path, an initial indicator row vector, and a
@@ -34,14 +35,23 @@ a chain whose acceptance lies past n loses every state.  The finite
 horizons (`metrics._jaccard_n`) give it n unless the product's depth
 plus the farthest finite distance to acceptance in either DFA is within
 n, which shows that no state would be dropped; the Cesaro ties count
-with no horizon, on the stream.  The backward pass keys the initial
-vector alone, so on one table its partition serves every set of parts.
-When one DFA of a pair refines the other, the pair's table is the finer
-DFA's own (see `automata.product`), and that DFA keeps its table's
-backward quotient for its life (`product_system`): such a pair counted
-with no horizon, as the suffix pair at n = 200 or an exact Cesaro tie,
-sums each part per block and lumps only that quotient forward, so the
-whole table is lumped once per DFA, not once per call.  `length_counts`
+with no horizon, on the stream.
+
+Each of those count sequences satisfies a linear recurrence with
+integer coefficients: the generating function of the word counts of a
+regular language is rational.  When one DFA of a pair refines the
+other, the pair's table is the finer DFA's own (see
+`automata.product`), and the pair keeps its counts beside its
+refinement outcome (`pair_counts`).  Its first call with no horizon,
+as the suffix pair at n = 200 or an exact Cesaro tie, keeps the lumped
+system; the first call that the stream would take longer over keeps
+the minimal recurrence of each count sequence and its first terms
+(`PairCounts`).  A later horizon n of that pair reads its counts off
+those terms, or for a longer n powers t to n modulo the recurrence's
+polynomial in O(log n) squarings, in place of n steps.  An estimate of
+both routes' operations picks the cheaper, so a large system asked for
+a horizon near its size stays on the stream.  No later count of the
+pair lumps its table.  `length_counts`
 is the one-final case of the stream, and `count_len` and `count_upto`
 the one-final cases of `counts_at`.  Exactness is the point:
 everything here is arbitrary-precision integer arithmetic, off-limits to
@@ -49,8 +59,8 @@ floating point.
 """
 
 from functools import cached_property
-from itertools import chain, compress, islice
-from math import inf
+from itertools import accumulate, chain, compress, islice
+from math import gcd, inf
 from operator import add, mul
 
 from .automata import Dfa, LabeledGraph, Product, coarsest_partition
@@ -139,13 +149,6 @@ def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple
     its 8,193 states lump backward to 14 at once, where forward they only
     lump to 8,192 and the backward pass must follow on those.
 
-    The backward pass keys the initial vector alone, so on a given table
-    its partition does not depend on the parts.  The table of a pair one
-    of whose DFAs refines the other is that DFA's own, and
-    `product_system` counts such a pair with no horizon on the backward
-    quotient the DFA keeps: only the parts are summed per block, in
-    O(|part|), before the trim and the forward pass on the quotient.
-
     With a horizon, every state v with dist(0, v) + dist(v, union) above
     it is dropped before the first pass: no word of length at most the
     horizon passes through v, so the counts of those lengths stay exact,
@@ -160,36 +163,208 @@ def shared_system(transitions, parts, horizon=None) -> tuple[CountVectors, tuple
     return _reduced(system, _lumps_backward_first(*system))
 
 
-def product_system(prod: Product, parts, horizon=None) -> tuple[CountVectors, tuple]:
-    """`shared_system(prod.transitions, parts, horizon)`, read with no
-    horizon off the backward quotient that the finer DFA of a refining
-    pair keeps (see `automata.product`): the same word counts, with no
-    own system built and no pass over the whole table after the first
-    call on that DFA.  With a horizon, the trim before lumping already
-    bounds the work, so every product takes `shared_system`."""
-    finer = prod.__dict__.get("_finer")
-    if finer is None or horizon is not None:
-        return shared_system(prod.transitions, parts, horizon)
-    block_of, rows, columns, initial = _backward_quotient(finer)
-    finals = _part_vectors(parts, block_of, len(rows))
-    return _counted(*_forward(*_trimmed(rows, columns, initial, finals)))
+class PairCounts:
+    """The word counts of a refining pair's symmetric difference and
+    union, kept beside the pair's refinement outcome (`pair_counts`).
+
+    `system` is the pair's lumped counting system and its two final
+    vectors, built with no horizon (see `pair_counts`).  The counts of
+    the two parts at each length, and their running sums, are four
+    integer sequences, each satisfying a linear recurrence: one of order
+    at most m, the system's vertex count, for each part, and one of
+    order at most m + 1 for each running sum.  `recurrences` is None
+    until a call finds them, and then the 2(m + 1) first terms of each
+    sequence, the window, and each sequence's minimal recurrence (see
+    `_recurrence`).  A recurrence of characteristic polynomial t^j Q(t),
+    Q(0) != 0, gives the term at any n >= j as the window's terms j,
+    j + 1, ... weighted by the coefficients of t^(n - j) mod Q(t),
+    which repeated squaring finds in O(log n) products of polynomials
+    of degree below deg Q (Fiduccia, SIAM J. Comput. 14, 1985).
+
+    `at` reads a length below the window off it.  Past it, the stream
+    of `counts_at` takes n steps of O(E + m) each, E the system's
+    nonzero entries, where powering takes O(log n) squarings of
+    O(deg Q^2) each; finding the recurrences first steps the stream
+    over the window and runs Berlekamp-Massey, O(m^2), on each
+    sequence.  Each call compares these operation counts and takes
+    the cheaper route, so a system of hundreds of vertices asked for a
+    horizon a little past its size stays on the stream and finds no
+    recurrence.
+    """
+
+    __slots__ = ("system", "edges", "recurrences")
+
+    def __init__(self, cv: CountVectors, finals):
+        self.system = cv, finals
+        self.edges = sum(map(len, cv.rows))
+        self.recurrences = None
+
+    def at(self, n: int, cumulative: bool = False) -> tuple:
+        """(sym, union): the counts of the two parts at length n, or with
+        `cumulative` their sums over the lengths 0..n."""
+        cv, finals = self.system
+        stream = _stream_ops(cv.n, self.edges, n)
+        found = self.recurrences
+        if found is None:
+            if stream <= _search_ops(cv.n, self.edges):
+                return counts_at(cv, finals, n, cumulative)
+            found = self.recurrences = _recurrences(cv, finals)
+        window, recurrences = found
+        picked = (2, 3) if cumulative else (0, 1)
+        if n < len(window[0]):
+            return tuple(window[k][n] for k in picked)
+        if stream <= sum(_power_ops(recurrences[k], n) for k in picked):
+            return counts_at(cv, finals, n, cumulative)
+        return tuple(_term(recurrences[k], window[k], n) for k in picked)
 
 
-def _backward_quotient(dfa: Dfa) -> tuple:
-    """(block of each state, rows, columns, initial vector) of the
-    backward quotient of the counting system of the table that
-    `Dfa._numbered` keeps, from state 0 and with no final vector: the
-    backward pass of `shared_system` on that table, made by the same
-    `_lump`, kept in the DFA's `__dict__` for its life."""
-    kept = dfa.__dict__.get("_backward_quotient")
+def pair_counts(prod: Product, build: bool = True) -> PairCounts | None:
+    """The counts of the symmetric difference and union of a pair one of
+    whose DFAs refines the other, kept beside the pair's refinement
+    outcome (see `automata._refining`) for as long as both DFAs live,
+    built on the first call that asks with `build`; None for any other
+    pair, or before the first such call.  The operands pickle without
+    it.
+
+    The system is `shared_system`'s with no horizon, lumped backward
+    first with no count of duplicates each way: that count costs about
+    a tenth of the lumping on the tie family's tables, which it would
+    send backward anyway, and either order is cheap on a small table."""
+    kept = prod.__dict__.get("_kept")
     if kept is None:
-        rows, columns, initial, _finals = _own_system(dfa._numbered[0], (), (0,))
-        quotient, (initial,), _summed, block_of = _lump(columns, rows, (initial,), ())
-        if quotient is not columns:
-            rows, columns = _transpose(quotient), quotient
-        kept = block_of, tuple(rows), tuple(columns), initial
-        dfa.__dict__["_backward_quotient"] = kept
-    return kept
+        return None
+    counts = kept.get("counts")
+    if counts is None and build:
+        parts = (prod.left ^ prod.right, prod.left | prod.right)
+        system = _reduced(_own_system(prod.transitions, parts, (0,)), backward_first=True)
+        counts = kept.setdefault("counts", PairCounts(*system))
+    return counts
+
+
+def _stream_ops(m: int, edges: int, n: int) -> int:
+    """Operations to step a system's stream to length n, counted in
+    products of one entry: each step takes one per nonzero entry and
+    vertex, and its `map` calls and new list about 40 more."""
+    return (n + 1) * (edges + m + 40)
+
+
+def _search_ops(m: int, edges: int) -> int:
+    """Operations to find a system's recurrences: the stream over a
+    window of N = 2(m + 1) lengths, and Berlekamp-Massey on each of the
+    four sequences, N steps of up to N products and about 45 more."""
+    terms = 2 * (m + 1)
+    return _stream_ops(m, edges, terms - 1) + 4 * terms * (terms + 45)
+
+
+def _power_ops(recurrence, n: int) -> int:
+    """Operations to power t to about n modulo a recurrence's Q of degree
+    D: per bit of n, one squaring and reduction, 2 D^2 products, and
+    about 24 D + 72 more for its 3 D sums and its lists; one power of an
+    int when D is 1."""
+    degree = len(recurrence[1])
+    return n.bit_length() * 2 * (degree + 6) ** 2 if degree > 1 else 1
+
+
+def _recurrences(cv: CountVectors, finals) -> tuple:
+    """(window, recurrences) of `PairCounts.recurrences`: the first
+    2(m + 1) terms of the two parts' counts and of their running sums,
+    read off the stream, and each sequence's minimal recurrence.  A
+    sequence of linear complexity L is determined, and its minimal
+    recurrence found, by 2L of its terms; these have L <= m + 1, so the
+    window is enough whatever the system."""
+    terms = list(zip(*islice(final_counts(cv, finals), 2 * (cv.n + 1))))
+    window = (*terms, *(tuple(accumulate(t)) for t in terms))
+    return window, tuple(map(_recurrence, window))
+
+
+def _recurrence(terms) -> tuple:
+    """(j, low, columns) of the minimal linear recurrence of an integer
+    sequence given by enough terms, whose characteristic polynomial is
+    t^j Q(t) with Q(0) != 0 and Q = t^D + low[D - 1] t^(D - 1) + ... +
+    low[0]: Berlekamp-Massey over the rationals (Massey, IEEE Trans. Inf.
+    Theory 15, 1969).  Each connection polynomial is kept as an integer
+    multiple of itself with its content divided out, so the arithmetic is
+    exact and on integers, not on `Fraction`s.  The polynomial found
+    divides the characteristic polynomial of an integer matrix, both
+    monic, so by Gauss's lemma it is integral: the last division by its
+    constant term is exact.  `columns` are those of the reductions of
+    t^D, ..., t^(2D - 2) modulo Q (`_square`)."""
+    c, before, length, gap, last = [1], [1], 0, 1, 1
+    for k in range(len(terms)):
+        discrepancy = sum(map(mul, c, terms[k::-1]))
+        if not discrepancy:
+            gap += 1
+            continue
+        new = [last * x for x in c]
+        new += [0] * (len(before) + gap - len(new))
+        for i, y in enumerate(before, gap):
+            new[i] -= discrepancy * y
+        content = gcd(*new)
+        if content != 1:
+            new = [x // content for x in new]
+        if 2 * length <= k:
+            length, before, last, gap = k + 1 - length, c, discrepancy, 1
+        else:
+            gap += 1
+        c = new
+        while not c[-1]:
+            c.pop()
+    lead = c[0]
+    low = [x // lead for x in reversed(c[1:])]
+    return length - len(low), low, _reduction_columns(low)
+
+
+def _reduction_columns(low) -> list:
+    """The columns of the matrix whose row i holds t^(D + i) modulo Q,
+    for i < D - 1, Q = t^D + sum(low[i] t^i)."""
+    rows, reduced = [], [-q for q in low]
+    for _ in range(len(low) - 1):
+        rows.append(reduced)
+        reduced = _times_t(reduced, low)
+    return list(zip(*rows))
+
+
+def _times_t(r, low) -> list:
+    """The polynomial r, of degree below D, times t modulo Q."""
+    top = r[-1]
+    r = [0, *r[:-1]]
+    return [x - top * q for x, q in zip(r, low)] if top else r
+
+
+def _square(r, columns) -> list:
+    """The polynomial r squared modulo Q: the squares of its coefficients
+    and twice each product of two, 2D - 1 sums in all, and each sum of
+    degree D and above folded in by `columns`."""
+    d = len(r)
+    product = [0] * (2 * d - 1)
+    product[::2] = [x * x for x in r]
+    for i, x in enumerate(r[:-1]):
+        if x:
+            cross = slice(2 * i + 1, i + d)
+            product[cross] = map(add, product[cross], map((2 * x).__mul__, r[i + 1 :]))
+    high = product[d:]
+    return [x + sum(map(mul, high, column)) for x, column in zip(product, columns)]
+
+
+def _term(recurrence, window, n: int) -> int:
+    """The sequence's term n, for n at least the recurrence's j: the
+    window's terms from j weighted by the coefficients of t^(n - j)
+    modulo Q, found by squaring from the longest leading bits of n - j
+    whose power of t needs no reduction."""
+    j, low, columns = recurrence
+    d, e = len(low), n - j
+    if d <= 1:
+        return window[j] * (-low[0]) ** e if d else 0
+    bits = e.bit_length()
+    while bits and e >> (bits - 1) < d:
+        bits -= 1
+    r = [0] * d
+    r[e >> bits] = 1
+    for bit in reversed(range(bits)):
+        r = _square(r, columns)
+        if e >> bit & 1:
+            r = _times_t(r, low)
+    return sum(map(mul, r, window[j:]))
 
 
 def _reduced(system, backward_first: bool) -> tuple[CountVectors, tuple]:
@@ -227,20 +402,13 @@ def _own_system(successors, parts, starts) -> tuple:
     initial = [0] * n
     for q in starts:
         initial[q] = 1
-    return _transpose(columns), columns, tuple(initial), _part_vectors(parts, range(n), n)
-
-
-def _part_vectors(parts, block_of, n) -> tuple:
-    """The final vector over n blocks of each part, a set of states: each
-    block's number of the part's states, `block_of[q]` being state q's
-    block."""
     finals = []
     for part in parts:
         final = [0] * n
         for q in part:
-            final[block_of[q]] += 1
+            final[q] = 1
         finals.append(tuple(final))
-    return tuple(finals)
+    return _transpose(columns), columns, tuple(initial), tuple(finals)
 
 
 def _lumps_backward_first(rows, columns, initial, finals) -> bool:
@@ -257,7 +425,7 @@ def _lumps_backward_first(rows, columns, initial, finals) -> bool:
 
 def _forward(rows, columns, initial, finals) -> tuple:
     """The forward quotient of a system: the final vectors keyed."""
-    quotient, finals, (initial,), _block_of = _lump(rows, columns, finals, (initial,))
+    quotient, finals, (initial,) = _lump(rows, columns, finals, (initial,))
     if quotient is rows:
         return rows, columns, initial, finals
     return quotient, _transpose(quotient), initial, finals
@@ -265,7 +433,7 @@ def _forward(rows, columns, initial, finals) -> tuple:
 
 def _backward(rows, columns, initial, finals) -> tuple:
     """The backward quotient of a system: the initial vector keyed."""
-    quotient, (initial,), finals, _block_of = _lump(columns, rows, (initial,), finals)
+    quotient, (initial,), finals = _lump(columns, rows, (initial,), finals)
     if quotient is columns:
         return rows, columns, initial, finals
     return _transpose(quotient), quotient, initial, finals
@@ -281,10 +449,10 @@ def _transpose(rows) -> list:
 
 
 def _lump(rows, into, keyed, summed) -> tuple:
-    """(rows, keyed, summed, the block of each vertex) of the quotient of
-    the matrix `rows`, whose transpose is `into`, by its coarsest partition
-    in which the vertices of a block have equal `keyed` values and the same
-    weight into each block.  A keyed vector takes its blocks' values and a
+    """(rows, keyed, summed) of the quotient of the matrix `rows`, whose
+    transpose is `into`, by its coarsest partition in which the vertices
+    of a block have equal `keyed` values and the same weight into each
+    block.  A keyed vector takes its blocks' values and a
     summed one its sums over the blocks, so s . A^n . f is unchanged for
     every summed s and keyed f.
 
@@ -300,7 +468,7 @@ def _lump(rows, into, keyed, summed) -> tuple:
     for v, b in enumerate(block_of):
         first.setdefault(b, v)
     if len(first) == len(rows):  # every block one vertex, numbered as before
-        return rows, keyed, summed, block_of
+        return rows, keyed, summed
     quotient = []
     for v in first.values():
         row = {}
@@ -313,7 +481,7 @@ def _lump(rows, into, keyed, summed) -> tuple:
     for total, s in zip(sums, summed):
         for b, x in zip(block_of, s):
             total[b] += x
-    return quotient, keyed, tuple(map(tuple, sums)), block_of
+    return quotient, keyed, tuple(map(tuple, sums))
 
 
 def _distances(adjacent, seeds, limit=inf) -> list:

@@ -22,7 +22,10 @@ class StateLimitError(ReglangError):
 
 
 class BudgetError(ReglangError):
-    """A brute-force enumeration would exceed the oracle budget."""
+    """A computation or its output would exceed a budget: a brute-force
+    enumeration the oracle budget, or an exact count printed by the
+    command line the interpreter's limit on the digits of an int
+    converted to text."""
 
 
 class TrivialComponentError(ReglangError):

@@ -38,17 +38,21 @@ refines the other, as on the north-star tie `(a|b)*a(a|b){k}` against
 `(a|b)*a(a|b){k-1}`, that table and that search are the finer DFA's own,
 kept for its life: no pair is numbered, and after the first call only
 the fixed-length average at a period above 1 searches, its product with
-lengths counted modulo q.  The finite horizons never search: they step the
-union's one vector to n and read the two counts once
-(`counting.counts_at`), and the exact ties read the stream of counts at
-every length (`counting.final_counts`).  On a refining pair both count
-on the backward quotient of the finer DFA's table, which that DFA keeps
-(`counting.product_system`): each combination is summed per block and
-only the small quotient is lumped again, unless a finite horizon lies
-below the product's depth plus the farthest distance to acceptance,
-when the table is trimmed to the horizon and what is left lumped in the
-call.  The finer DFA also keeps the refinement outcome, so a repeated
-call on the pair walks no table.
+lengths counted modulo q.  The finite horizons never search.  On a pair
+that does not refine they step the union's one vector to n and read the
+two counts once (`counting.counts_at`), and the exact ties read the
+stream of counts at every length (`counting.final_counts`).  A
+refining pair keeps its counts beside its refinement outcome
+(`counting.pair_counts`): its lumped system, built by its first finite
+horizon past the product's depth plus the farthest distance to
+acceptance, or by its exact tie, and the linear recurrence of each
+count sequence.  Its later finite horizons read that record first,
+with no O(V) work: any n is read off the recurrence's first terms, or
+powered to in O(log n) squarings where that costs fewer operations
+than n steps of the stream.  A first call below that depth trims the
+table to the horizon and lumps what is left in the call, keeping
+nothing.  The finer DFA also keeps the refinement outcome, so a
+repeated call on the pair walks no table.
 """
 
 from fractions import Fraction
@@ -66,7 +70,7 @@ from .automata import (
     minimize,
     product,
 )
-from .counting import counts_at, final_counts, product_system
+from .counting import counts_at, final_counts, pair_counts, shared_system
 from .errors import ConvergenceError, DuplicateLanguageError
 from .spectral import POWER_MAX_ITER, _decomposition, _tied, language_entropy
 
@@ -117,13 +121,22 @@ def _jaccard_n(d1: Dfa, d2: Dfa, n: int, cumulative: bool) -> Fraction:
     if n < 0:
         raise ValueError("length must be non-negative")
     prod = product(d1, d2)
-    left, right = prod.left, prod.right
-    # A union state (p, q) is min(d1(p), d2(q)) steps from acceptance: if
-    # that plus its depth is within n for every state, the trim drops none.
-    far = max(max(d1._to_accept), max(d2._to_accept))
-    horizon = None if prod._within(n - far) else n
-    cv, finals = product_system(prod, (left ^ right, left | right), horizon)
-    num, den = counts_at(cv, finals, n, cumulative)
+    counts = pair_counts(prod, build=False)  # exact at every n: no horizon to check
+    horizon = None
+    if counts is None:
+        # A union state (p, q) is min(d1(p), d2(q)) steps from acceptance: if
+        # that plus its depth is within n for every state, the trim drops none.
+        far = max(max(d1._to_accept), max(d2._to_accept))
+        if prod._within(n - far):
+            counts = pair_counts(prod)  # None unless one DFA refines the other
+        else:
+            horizon = n
+    if counts is None:
+        left, right = prod.left, prod.right
+        cv, finals = shared_system(prod.transitions, (left ^ right, left | right), horizon)
+        num, den = counts_at(cv, finals, n, cumulative)
+    else:
+        num, den = counts.at(n, cumulative)
     return Fraction(num, den) if den else Fraction(0)
 
 
@@ -220,7 +233,10 @@ def _cumulative_limit(prod: Product, left, right, diagnostics, analytic=False):
     radius, d = uni_report.spectral_radius, uni_report.index
     diagnostics["residue_period"] = q
     if uni_report.lambda_class != "expanding":
-        return _exact_tie_limit(*product_system(prod, parts), q, d), "exact"
+        # the pair's record counts its own sym and union, not a residue class's
+        counts = pair_counts(prod) if (left, right) == (prod.left, prod.right) else None
+        system = shared_system(prod.transitions, parts) if counts is None else counts.system
+        return _exact_tie_limit(*system, q, d), "exact"
     if analytic:
         order = f"radius {radius:.6g}, index {d}"
         reason = f"sym, union and intersection all grow as ({order}); the limit needs iteration"

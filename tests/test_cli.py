@@ -103,6 +103,48 @@ def test_distance_fixed_horizon(capsys):
     assert payload["value"] == pytest.approx(2 / 3, abs=1e-12)
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int-to-str digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("metric, other", [("jn", "((a|b){2})*"), ("jnp", "(aa|b)*")])
+def test_a_count_past_the_digit_limit_is_a_budget_diagnostic(capsys, metric, other):
+    # 2^20000 has 6,021 digits: the exact counts are found at once, but
+    # Python converts no int of more than its limit's digits to text
+    argv = ("distance", "--metric", metric, "--n", "20000", "(a|b)*", other)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("diagnostic: an exact count is too long to print")
+    assert f"({_DIGIT_LIMIT} digits)" in err and "Traceback" not in err
+
+
+@pytest.fixture
+def least_digit_limit():
+    """The interpreter's int-to-str digit limit lowered to its least
+    value, 640, for the test, so that its counts stay short."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("extra", [(), ("--format", "csv")])
+def test_analyze_counts_past_the_digit_limit_are_a_budget_diagnostic(
+    capsys, least_digit_limit, extra
+):
+    # the count of length n over ten symbols has n + 1 digits
+    limit = least_digit_limit
+    argv = ("analyze", "(0|1|2|3|4|5|6|7|8|9)*", "--counts", str(limit), *extra)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("diagnostic: an exact count is too long to print")
+    assert f"({limit} digits)" in err
+    code, out, _ = run_cli(capsys, *argv[:3], str(limit - 1), *extra)
+    assert code == 0 and str(10 ** (limit - 1)) in out
+
+
 def test_distance_missing_n_is_input_error(capsys):
     code, _, err = run_cli(capsys, "distance", "--metric", "jn", "a*", "(aa)*")
     assert code == 1

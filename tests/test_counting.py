@@ -1,4 +1,6 @@
+import gc
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -16,7 +18,9 @@ from reglang.counting import (
     _distances,
     _lumps_backward_first,
     _own_system,
+    _recurrences,
     _reduced,
+    _term,
     block_count,
     count_len,
     count_upto,
@@ -24,6 +28,7 @@ from reglang.counting import (
     cumulative_counts,
     final_counts,
     length_counts,
+    pair_counts,
     residue_language,
     shared_system,
     trim_system,
@@ -334,17 +339,20 @@ def _refined_pairs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(pair=_refined_pairs())
 def test_a_refining_pair_counts_as_its_pair_product(pair):
-    # the finer DFA's kept quotient counts like the system of the product
+    # the pair's kept counts equal those of the system of the product
     # numbered over the pairs, at horizons past the product's depth as
-    # below it, where the horizon trim runs instead
+    # below it, where the horizon trim runs on a first call instead; the
+    # kept recurrences give every term up to 2,000 as the stream does,
+    # in the window and past it, for pairs of equal languages, whose
+    # symmetric difference is empty, and complement pairs too
+    prod = _pair_product(*pair)
+    left, right = prod.left, prod.right
+    system = shared_system(prod.transitions, (left ^ right, left | right))
+    counts = list(islice(final_counts(*system), 2001))
+    totals = list(accumulate(counts, lambda x, y: tuple(map(add, x, y))))
     for a, b in (pair, pair[::-1]):
         assert _refining(a, b) is not None
-        prod = _pair_product(a, b)
-        left, right = prod.left, prod.right
-        system = shared_system(prod.transitions, (left ^ right, left | right))
-        counts = list(islice(final_counts(*system), 201))
-        totals = list(accumulate(counts, lambda x, y: tuple(map(add, x, y))))
-        for n in [*range(31), 200]:
+        for n in [*range(31), 200, 2000]:
             for kind, jaccard, (sym, uni) in (
                 ("jn_exact", jaccard_exact_n, counts[n]),
                 ("jn_cum", jaccard_cum_n, totals[n]),
@@ -352,6 +360,15 @@ def test_a_refining_pair_counts_as_its_pair_product(pair):
                 assert jaccard(a, b, n) == (Fraction(sym, uni) if uni else 0), (kind, n)
                 if n <= 4:
                     assert jaccard(a, b, n) == oracle_distance(kind, a, b, n), (kind, n)
+    kept = pair_counts(rl.product(*pair), build=False)
+    window, recurrences = _recurrences(*kept.system)
+    past = len(window[0])
+    assert window[:2] == tuple(zip(*counts[:past]))
+    for n in [*range(past + 9), *range(past + 9, 2001, 97), 2000]:
+        assert kept.at(n) == counts[n] and kept.at(n, cumulative=True) == totals[n], n
+        if n >= past:
+            terms = [_term(r, w, n) for r, w in zip(recurrences, window)]
+            assert terms == [*counts[n], *totals[n]], n
 
 
 def _record_systems(monkeypatch) -> tuple[list, list]:
@@ -374,30 +391,62 @@ def _record_systems(monkeypatch) -> tuple[list, list]:
 
 def test_a_refining_pair_lumps_the_finer_table_once(monkeypatch):
     # the suffix pair's table is the finer DFA's, whose 257 states lump
-    # backward to 9 on the first finite horizon; every later one, in
-    # either order, only lumps that quotient forward
+    # backward to 9 on the first finite horizon past its depth; the pair
+    # keeps that system and its recurrences, so no later call, in either
+    # order and at any horizon, below the depth too, builds or lumps a
+    # system
     a, b = _tie(7)
     systems, lumps = _record_systems(monkeypatch)
     assert jaccard_cum_n(a, b, 200) == Fraction(2**200 - 2**6, 3 * 2**199 - 2**7)
     assert (systems, lumps) == ([257], [257, 9])
-    lumps.clear()
+    assert pair_counts(rl.product(a, b)).recurrences is not None
     for jaccard, x, y, n in ((jaccard_exact_n, b, a, 200), (jaccard_cum_n, a, b, 35),
-                             (jaccard_exact_n, a, b, 20)):
+                             (jaccard_exact_n, a, b, 20), (jaccard_cum_n, a, b, 3),
+                             (jaccard_cum_n, b, a, 20_000)):
         jaccard(x, y, n)
-    assert (systems, lumps) == ([257], [9, 9, 9])
-    # below the product's depth the horizon trims the pair's own system
-    jaccard_cum_n(a, b, 3)
-    assert systems == [257, 257]
+    assert (systems, lumps) == ([257], [257, 9])
+    # a first call below the product's depth trims the pair's own system
+    # to the horizon, and keeps nothing
+    a, b = _tie(7)
+    assert jaccard_cum_n(a, b, 7) == 1
+    assert systems[1:] == [257] and pair_counts(rl.product(a, b), build=False) is None
 
 
 def test_an_exact_tie_reads_the_kept_quotient(monkeypatch):
-    # (aa)* refines a*: their tie at radius 1 and the finite horizons
-    # count on the one quotient of the finer table
+    # (aa)* refines a*: their tie at radius 1 builds the pair's kept
+    # counts, whose system the finite horizons then read
     a, b = rl.dfa_from_regex("(aa)*"), rl.dfa_from_regex("a*")
     systems, _lumps = _record_systems(monkeypatch)
     jc = rl.cesaro_jaccard(a, b)
     assert (jc.mode, jc.diagnostics["numerator"], jc.diagnostics["denominator"]) == ("exact", 1, 2)
+    assert pair_counts(rl.product(a, b), build=False) is not None
     assert jaccard_cum_n(b, a, 9) == Fraction(5, 10) and systems == [a.n_states]
+
+
+def test_a_long_chain_pair_finds_no_recurrence_past_its_size():
+    # 302 lumped vertices asked for n = 700: finding the recurrences would
+    # step the stream over 606 lengths and run Berlekamp-Massey, so the
+    # pair's kept system is stepped to 700 instead
+    a, b = rl.dfa_from_regex("a{300}", "ab"), rl.minimize(rl.dfa_from_regex("(a|b)*"))
+    assert jaccard_cum_n(a, b, 700) == Fraction(2**701 - 2, 2**701 - 1)
+    kept = pair_counts(rl.product(a, b), build=False)
+    assert kept.system[0].n == 302 and kept.recurrences is None
+
+
+def test_a_pair_keeps_its_counts_with_the_coarser_dfa():
+    # the counts are kept beside the refinement outcome, dropped with the
+    # coarser DFA and not pickled with the finer one
+    fine, coarse = _tie(5)
+    assert jaccard_exact_n(coarse, fine, 100) == Fraction(2, 3)
+    assert pair_counts(rl.product(fine, coarse), build=False) is not None
+    (entry,) = fine.__dict__["_refines"].values()
+    assert entry[2]["counts"] is pair_counts(rl.product(fine, coarse))
+    again = pickle.loads(pickle.dumps(fine))
+    assert again == fine and "_refines" not in again.__dict__
+    assert pair_counts(rl.product(again, coarse), build=False) is None
+    del coarse, entry
+    gc.collect()
+    assert fine.__dict__["_refines"] == {}
 
 
 def test_counting_system_of_a_large_dfa_is_built_from_edges():

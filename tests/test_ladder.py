@@ -92,8 +92,9 @@ def test_smallest_rung_of_each_family_is_timed():
         "analyze_process_s",
     )
     import_only = ("import_process_s",)
-    expected = {"tie": from_regex + counting + pair + jaccard_first + pair_first + count_vectors
-                + build + jn_process,
+    long = ("jaccard_cum_n_long_s", "jaccard_cum_n_long_first_s")
+    expected = {"tie": from_regex + counting + pair + jaccard_first + pair_first + long
+                + count_vectors + build + jn_process,
                 "disjoint": from_regex + counting + pair + jaccard_first + pair_first + separation
                 + build + jn_process,
                 "gap": pair + pair_first,
