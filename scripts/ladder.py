@@ -68,7 +68,8 @@ structural ones.  Each family that times a finite-horizon or pair layer
 times its `_first` twin too.  Under lumping, the
 counting systems of the first two families shrink to a few vertices; the
 chain's do not shrink.  Each time is the median of RUNS
-wall-clock runs, after the operands are built (COLD_RUNS processes for a
+wall-clock runs, after the operands are built, each run after a garbage
+collection and with the cyclic collector off (COLD_RUNS processes for a
 cold-start layer), kept to FIGURES significant figures.  A run longer than
 BUDGET_S seconds is stopped and recorded as "timeout", and that layer is
 "skipped" on the family's larger rungs.  `--src` selects the reglang
@@ -89,6 +90,7 @@ and `src` wins nearly every round, not in one ratio of medians.
 """
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -256,12 +258,18 @@ def _stop(_signum, _frame):
 def median_time(call, runs=RUNS, budget=BUDGET_S, prepare=tuple, warmup=0):
     """Median wall time of `runs` calls `call(*prepare())`, timing the
     call only, after `warmup` untimed ones, or None when one exceeds
-    `budget` s."""
+    `budget` s.  As in `timeit`, the cyclic garbage collector is off
+    during each call and restored after it, and a collection runs before
+    it: no collection set off by earlier allocations, of this checkout
+    or another timed in the same process, lands in a timed call."""
     times = []
     previous = signal.signal(signal.SIGALRM, _stop)
+    enabled = gc.isenabled()
     try:
         for _ in range(warmup + runs):
             args = prepare()
+            gc.collect()
+            gc.disable()
             signal.setitimer(signal.ITIMER_REAL, budget)
             start = time.perf_counter()
             try:
@@ -270,6 +278,8 @@ def median_time(call, runs=RUNS, budget=BUDGET_S, prepare=tuple, warmup=0):
                 return None
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
+                if enabled:
+                    gc.enable()
             times.append(time.perf_counter() - start)
     finally:
         signal.signal(signal.SIGALRM, previous)

@@ -1,7 +1,8 @@
 """Dense integer matrix arithmetic: the reference that the sparse
 counting steps are checked against; and the list-built Cesaro power
 stream, the reference for the one that reads its arrays off the product
-table."""
+table, which runs as well on any counting system given by its weighted
+edges."""
 
 from math import inf
 
@@ -37,23 +38,24 @@ def matrix_power(matrix, exponent: int):
     return result
 
 
-def leading_limits(vertices, edges, parts, radius, q, d):
-    """The power stream of `metrics._leading_limits` on lists: the union's
-    trim graph as its sorted product states, the first one initial, and
-    its (src, dst) edges in state then symbol order, numbered through a
-    dict and turned into arrays one tuple at a time.  Reads the cap and
-    the tolerance from `metrics` at each call."""
+def leading_limits(initial, edges, finals, radius, q, d):
+    """The power stream of `metrics._leading_limits` on lists: a counting
+    system as its initial vector, its weighted (src, dst, weight) edges in
+    src then dst order, and its final vectors, each turned into arrays
+    one entry at a time.  Reads the cap and the tolerance from `metrics`
+    at each call."""
     import numpy as np
 
     from reglang import metrics
 
     cap, tol = metrics.POWER_MAX_ITER, metrics.LIMIT_TOL
-    index = {v: i for i, v in enumerate(vertices)}
-    src, dst = np.array([(index[s], index[t]) for s, t in edges]).T
-    finals = np.array([[v in part for part in parts] for v in vertices], float)
+    src = np.array([s for s, _t, _w in edges])
+    dst = np.array([t for _s, t, _w in edges])
+    weight = np.array([w for _s, _t, w in edges])
+    finals = np.array([[f[v] for f in finals] for v in range(len(initial))], float)
 
     def step(v):
-        return np.bincount(dst, weights=v[src], minlength=len(v)) / radius
+        return np.bincount(dst, weights=v[src] * weight, minlength=len(v)) / radius
 
     def limits(lead):
         c = []
@@ -66,7 +68,7 @@ def leading_limits(vertices, edges, parts, radius, q, d):
             return None
         return [float(s / u) for s, u in sums]
 
-    b = np.array([float(v == 0) for v in vertices])
+    b = np.array([float(x) for x in initial])
     diffs, residual = [], inf
     for blocks in range(cap):
         diffs = [b, *diffs[:d]]

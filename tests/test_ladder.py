@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import sys
@@ -149,6 +150,20 @@ def test_a_run_over_budget_is_a_timeout():
     ladder = _ladder()
     assert ladder.median_time(_spin, runs=1, budget=0.05) is None
     assert ladder.median_time(lambda: None, runs=3) >= 0.0
+
+
+def test_the_collector_is_off_inside_a_timed_call_and_restored_after_it():
+    ladder = _ladder()
+    seen = []
+    ladder.median_time(lambda: seen.append(gc.isenabled()), runs=3, warmup=1)
+    assert seen == [False] * 4 and gc.isenabled()
+    assert ladder.median_time(_spin, runs=1, budget=0.05) is None and gc.isenabled()
+    gc.disable()
+    try:
+        ladder.median_time(lambda: seen.append(gc.isenabled()), runs=1)
+        assert not gc.isenabled() and seen[-1] is False
+    finally:
+        gc.enable()
 
 
 def test_fresh_layers_time_a_copy_that_has_kept_nothing():

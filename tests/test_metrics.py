@@ -14,7 +14,7 @@ import reglang.counting
 import reglang.graphs
 import reglang.metrics
 from reglang import cli
-from reglang.counting import CountVectors, count_upto, cumulative_counts
+from reglang.counting import CountVectors, count_upto, cumulative_counts, shared_system
 from reglang.errors import ConvergenceError, DuplicateLanguageError
 from reglang.metrics import CesaroConfig, _grows_slower
 from reglang.oracle import oracle_distance
@@ -428,15 +428,19 @@ def _suffix_pair():
 def _check_against_reference(monkeypatch) -> list:
     """Make each run of the Cesaro power stream run the list-built
     reference on the same trim graph too, assert that both outcomes are
-    equal by repr, and list them."""
+    equal by repr, and list them.  The graph goes to the reference as a
+    counting system: the start at the initial state, each edge of weight
+    1, and one final vector per part."""
     kernel = reglang.metrics._leading_limits
     outcomes = []
 
     def checked(transitions, trim, parts, radius, q, d):
         vertices = sorted(chain.from_iterable(trim))
-        kept = set(vertices)
-        edges = [(s, t) for s in vertices for t in transitions[s] if t in kept]
-        expected = _outcome(leading_limits, vertices, edges, parts, radius, q, d)
+        index = {v: i for i, v in enumerate(vertices)}
+        edges = [(index[s], index[t], 1) for s in vertices for t in transitions[s] if t in index]
+        initial = [v == 0 for v in vertices]
+        finals = [[v in part for v in vertices] for part in parts]
+        expected = _outcome(leading_limits, initial, edges, finals, radius, q, d)
         outcomes.append(_outcome(kernel, transitions, trim, parts, radius, q, d))
         assert outcomes[-1] == expected
         return kernel(transitions, trim, parts, radius, q, d)
@@ -511,7 +515,39 @@ def test_leading_limits_give_no_partial_value_before_every_class_has_union_words
     assert error.diagnostics["residual"] > reglang.metrics.LIMIT_TOL
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d1=_some_dfas, d2=_some_dfas)
+def test_leading_limits_on_the_table_match_the_lumped_system(d1, d2):
+    # the stream runs on the union's trim graph in the product table; the
+    # reference, on the pair's lumped (sym, union) counting system, has the
+    # same word counts and so the same class limits, up to float rounding
+    runs = []
+    kernel = reglang.metrics._leading_limits
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(
+            reglang.metrics, "_leading_limits", lambda *args: runs.append(args) or kernel(*args)
+        )
+        result = rl.cesaro_jaccard(d1, d2)
+    assume(runs)
+    prod = rl.product(d1, d2)
+    cv, finals = shared_system(prod.transitions, (prod.left ^ prod.right, prod.left | prod.right))
+    edges = [(s, t, w) for s, row in enumerate(cv.rows) for t, w in row]
+    limits, _residual, _blocks = leading_limits(cv.initial, edges, finals, *runs[0][3:])
+    assert limits == pytest.approx(result.diagnostics["residue_limits"], rel=0, abs=1e-9)
+
+
 # --- entropy distance -----------------------------------------------------------------
+
+
+def test_a_pairs_growth_orders_keep_closed_form_radii():
+    # the union's components in the product table have a constant degree,
+    # so its radius 2 is counted, not iterated; read off the pair's
+    # 3-vertex lumped (sym, union) system, the union's radius needs power
+    # iteration, which gives 1.000000000000123 bits
+    left = rl.Dfa(("a", "b"), ((1, 0), (0, 1)), frozenset({0}))
+    right = rl.Dfa(("a", "b"), ((1, 1), (1, 0)), frozenset({1}))
+    assert rl.entropy_distance(left, right).diagnostics["entropy_union"] == 1.0
+    assert rl.cesaro_jaccard(left, right).diagnostics["entropy_union"] == 1.0
 
 
 def test_entropy_distance_diagonal(by_name):
